@@ -44,6 +44,9 @@ pub struct Phase {
     pub explain: Vec<f64>,
     pub attempted: u64,
     pub failed: u64,
+    /// Failed ops that missed a cache they were meant to hit, or hit one
+    /// they were meant to miss (also counted in `failed`).
+    pub mislabeled: u64,
     pub elapsed_s: f64,
     /// Run-queue wait of the threads doing timed work (ms).
     pub runq_wait_ms: f64,
@@ -84,6 +87,7 @@ impl Phase {
         self.explain.extend(other.explain);
         self.attempted += other.attempted;
         self.failed += other.failed;
+        self.mislabeled += other.mislabeled;
         self.runq_wait_ms += other.runq_wait_ms;
         self.rec.merge(other.rec);
     }
@@ -337,7 +341,6 @@ fn per_layer(rec: &Recorder, allocs: AllocCounts, trace_overhead: f64) -> Vec<Me
         "session.misses",
         "diskcache.evictions",
         "serve.evictions",
-        "serve.overloaded",
     ] {
         out.push((name, per_op(name), "count"));
     }
@@ -481,10 +484,11 @@ fn drive<W: Workload>(args: &Args) -> Result<ExitCode, String> {
     }
     print!("{notes}");
     println!(
-        "  error_rate {} ({} failed of {} attempted); output self-check {}; allocation counts {}",
+        "  error_rate {} ({} failed of {} attempted, {} of them cache hit/miss mismatches); output self-check {}; allocation counts {}",
         phase.failed as f64 / phase.attempted.max(1) as f64,
         phase.failed,
         phase.attempted,
+        phase.mislabeled,
         if self_check { "ok" } else { "FAILED" },
         if allocs_repeat { "repeat" } else { "DIFFER" },
     );

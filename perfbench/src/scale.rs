@@ -5,8 +5,9 @@
 //! `ipcp analyze --cache-dir` does: the first run misses the cache and
 //! writes through (cold), the second is served from disk (warm). The
 //! cache's byte budget is below the run's writes, so eviction runs in the
-//! loop. Warm outputs must equal their cold output byte for byte; cold
-//! outputs must equal a `jobs=1` reference, computed after the timed phase.
+//! loop. Every cold op must miss the disk cache and every warm op hit it;
+//! warm outputs must equal their cold output byte for byte; cold outputs
+//! must equal a `jobs=1` reference, computed after the timed phase.
 
 use crate::layers::Tracer;
 use crate::{digest, edit_proc, runq_wait_ns, Phase, Workload, WORK_DIR};
@@ -36,14 +37,17 @@ impl Scale {
         edit_proc(&self.base, which, 1_000_000 + round)
     }
 
-    /// One `ipcp analyze --cache-dir` run: the rendered output.
-    fn op(&self, tr: &mut Tracer, source: &str) -> Result<String, String> {
+    /// One `ipcp analyze --cache-dir` run: the rendered output, and
+    /// whether the outcome came from the disk cache.
+    fn op(&self, tr: &mut Tracer, source: &str) -> Result<(String, bool), String> {
         let ir = tr.compile(source)?;
         let mut session = tr.open_session(&ir);
         let cache = DiskCache::open(&self.dir).map_err(|e| format!("cache: {e}"))?;
-        session.attach_disk_cache(Arc::new(cache.with_max_bytes(CACHE_BYTES)));
+        let cache = Arc::new(cache.with_max_bytes(CACHE_BYTES));
+        session.attach_disk_cache(Arc::clone(&cache));
         session.set_audit_label(LABEL);
         let outcome = tr.analyze(&session, &self.config)?;
+        let disk_hit = cache.stats().hits == 1;
         if tr.enabled() {
             // The session reads the label's ledger before its first span.
             tr.estimate("audit.ledger_ms", || {
@@ -52,7 +56,7 @@ impl Scale {
         }
         let output = tr.render(&outcome);
         tr.span("session.teardown_ms", || drop((session, outcome, ir)));
-        Ok(output)
+        Ok((output, disk_hit))
     }
 
     /// The `jobs=1` reference output of `source`, computed without caches.
@@ -82,8 +86,8 @@ impl Scale {
 }
 
 impl Workload for Scale {
-    // About 25 rounds fit in a run: the 60th percentile leaves ten
-    // samples beyond it.
+    // About 40 rounds fit in a 25-second run, 29 on a slow host: the
+    // 60th percentile leaves at least ten samples beyond it.
     const COLD_TAIL: f64 = 60.0;
     const WARM_TAIL: f64 = 60.0;
 
@@ -103,9 +107,9 @@ impl Workload for Scale {
         };
         // Warm-up: one cold and one warm run of the unedited program.
         let mut tr = Tracer::new(false, 0);
-        let cold = scale.op(&mut tr, &scale.base)?;
-        if scale.op(&mut tr, &scale.base)? != cold {
-            return Err("warm-up: warm output differs from cold".into());
+        let (cold, _) = scale.op(&mut tr, &scale.base)?;
+        if scale.op(&mut tr, &scale.base)? != (cold, true) {
+            return Err("warm-up: warm run missed the disk cache or differs from cold".into());
         }
         Ok(scale)
     }
@@ -125,7 +129,17 @@ impl Workload for Scale {
             let t = tr.begin_op();
             let warm = self.op(&mut tr, &source);
             let warm_ms = tr.end_op(t);
-            phase.record(false, warm.is_ok() && warm == cold, warm_ms);
+            // A cold op must miss the disk cache and a warm one hit it:
+            // an op that did the other kind of work is a failed op.
+            let cold_hit = matches!(cold, Ok((_, true)));
+            let warm_missed = matches!(warm, Ok((_, false)));
+            phase.mislabeled += u64::from(cold_hit) + u64::from(warm_missed);
+            let cold = cold.and_then(|(out, hit)| match hit {
+                false => Ok(out),
+                true => Err("cold op was served from the disk cache".into()),
+            });
+            let warm_ok = matches!((&warm, &cold), (Ok((w, true)), Ok(c)) if w == c);
+            phase.record(false, warm_ok, warm_ms);
             pending.push((self.round, cold.map(|out| digest(&out)), cold_ms));
         }
         phase.elapsed_s = start.elapsed().as_secs_f64();
