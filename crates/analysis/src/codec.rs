@@ -5,12 +5,12 @@
 
 use crate::budget::{Phase, RobustnessReport};
 use crate::modref::Slot;
-use ipcp_ir::codec::{ByteReader, ByteWriter, Wire, WireError};
+use ipcp_ir::codec::{ByteReader, Wire, WireError, WireSink};
 use ipcp_ir::GlobalId;
 use std::collections::BTreeMap;
 
 impl Wire for Slot {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             Slot::Formal(i) => {
                 w.u8(0);
@@ -34,7 +34,7 @@ impl Wire for Slot {
 }
 
 impl Wire for Phase {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u8(match self {
             Phase::SymEval => 0,
             Phase::Poly => 1,
@@ -60,7 +60,7 @@ impl Wire for Phase {
 }
 
 impl Wire for RobustnessReport {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.fuel_limit.encode(w);
         self.fuel_consumed.encode(w);
         self.exhausted.encode(w);

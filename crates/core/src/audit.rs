@@ -50,7 +50,7 @@
 use crate::diskcache::{encode_entry, validate_entry};
 use crate::driver::AnalysisConfig;
 use crate::session::SessionPhase;
-use ipcp_ir::codec::{decode_from_slice, encode_to_vec, ByteReader, ByteWriter, Wire, WireError};
+use ipcp_ir::codec::{decode_from_slice, encode_to_vec, ByteReader, Wire, WireError, WireSink};
 use ipcp_ir::fingerprint::Fnv1a;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -166,7 +166,7 @@ pub struct LedgerProc {
 }
 
 impl Wire for LedgerProc {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.name.encode(w);
         self.own_fp.encode(w);
         self.closure_fp.encode(w);
@@ -199,7 +199,7 @@ pub struct Ledger {
 }
 
 impl Wire for Ledger {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.base_fp.encode(w);
         self.globals_fp.encode(w);
         self.procs.encode(w);

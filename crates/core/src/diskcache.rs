@@ -48,12 +48,13 @@
 //! real filesystem with an [`IoFaultInjector`] and prove every fault
 //! path degrades gracefully.
 
-use crate::driver::{AnalysisConfig, AnalysisOutcome, PhaseStats};
+use crate::driver::{AnalysisConfig, AnalysisOutcome, PhaseStats, SolverKind};
+use crate::jump::JumpFunctionKind;
 use crate::subst::SubstitutionCounts;
 use ipcp_analysis::budget::{IoFaultInjector, IoFaultKind, IoOp, RobustnessReport};
 use ipcp_analysis::modref::Slot;
-use ipcp_ir::codec::{ByteReader, ByteWriter, Wire, WireError};
-use ipcp_ir::fingerprint::{combine, fingerprint_debug, Fnv1a};
+use ipcp_ir::codec::{ByteReader, Wire, WireError, WireSink};
+use ipcp_ir::fingerprint::{combine, Fnv1a};
 use ipcp_ir::Program;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -65,12 +66,13 @@ use std::time::Duration;
 /// First 8 bytes of every entry file.
 pub const MAGIC: [u8; 8] = *b"IPCPART1";
 
-/// Bumped whenever the entry layout or any [`Wire`] encoding changes;
-/// old entries are quarantined, not misread. Version 2: the generic
-/// value-context engine (pruned_call_edges in [`PhaseStats`], the
-/// `branch_feasibility` key facet) — pre-framework artifacts must not
-/// be silently reused.
-pub const FORMAT_VERSION: u32 = 2;
+/// Bumped whenever the entry layout, any [`Wire`] encoding, or the
+/// derivation of keys changes; old entries are quarantined, not misread.
+/// Version 2: the generic value-context engine (pruned_call_edges in
+/// [`PhaseStats`], the `branch_feasibility` key facet). Version 3:
+/// fingerprints hash the `Wire` encoding instead of the `Debug`
+/// rendering, so every key moved.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Fixed header size preceding the payload.
 pub const HEADER_LEN: usize = 44;
@@ -93,24 +95,65 @@ pub fn toolchain_fingerprint() -> u64 {
 /// fuel take no part — parallelism is bit-identical by design and
 /// metered runs are never cached.
 pub fn outcome_key(base_fp: u64, config: &AnalysisConfig) -> u64 {
-    let facets = (
-        config.jump_function,
-        config.return_jump_functions,
-        config.mod_info,
-        config.complete_propagation,
-        config.interprocedural,
-        config.rjf_full_composition,
-        config.solver,
-        config.gsa,
-        config.branch_feasibility,
-    );
-    combine([base_fp, fingerprint_debug(&facets)])
+    let mut facets = Fnv1a::new();
+    config.jump_function.encode(&mut facets);
+    config.return_jump_functions.encode(&mut facets);
+    config.mod_info.encode(&mut facets);
+    config.complete_propagation.encode(&mut facets);
+    config.interprocedural.encode(&mut facets);
+    config.rjf_full_composition.encode(&mut facets);
+    config.solver.encode(&mut facets);
+    config.gsa.encode(&mut facets);
+    config.branch_feasibility.encode(&mut facets);
+    combine([base_fp, facets.finish()])
 }
 
-// ---- Wire impls for the persisted artifact --------------------------------
+// ---- Wire impls for the persisted artifact and its key facets -------------
+
+impl Wire for JumpFunctionKind {
+    fn encode<W: WireSink>(&self, w: &mut W) {
+        w.u8(match self {
+            JumpFunctionKind::Literal => 0,
+            JumpFunctionKind::IntraproceduralConstant => 1,
+            JumpFunctionKind::PassThrough => 2,
+            JumpFunctionKind::Polynomial => 3,
+        });
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(JumpFunctionKind::Literal),
+            1 => Ok(JumpFunctionKind::IntraproceduralConstant),
+            2 => Ok(JumpFunctionKind::PassThrough),
+            3 => Ok(JumpFunctionKind::Polynomial),
+            tag => Err(WireError::BadTag {
+                what: "JumpFunctionKind",
+                tag,
+            }),
+        }
+    }
+}
+
+impl Wire for SolverKind {
+    fn encode<W: WireSink>(&self, w: &mut W) {
+        w.u8(match self {
+            SolverKind::CallGraph => 0,
+            SolverKind::BindingGraph => 1,
+        });
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(SolverKind::CallGraph),
+            1 => Ok(SolverKind::BindingGraph),
+            tag => Err(WireError::BadTag {
+                what: "SolverKind",
+                tag,
+            }),
+        }
+    }
+}
 
 impl Wire for SubstitutionCounts {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.per_proc.encode(w);
         self.total.encode(w);
     }
@@ -123,7 +166,7 @@ impl Wire for SubstitutionCounts {
 }
 
 impl Wire for PhaseStats {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.return_jfs.encode(w);
         self.forward_jfs.encode(w);
         self.useful_forward_jfs.encode(w);
@@ -144,7 +187,7 @@ impl Wire for PhaseStats {
 }
 
 impl Wire for AnalysisOutcome {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.program.encode(w);
         self.constants.encode(w);
         self.substitutions.encode(w);
@@ -655,8 +698,11 @@ impl DiskCache {
             }
         };
         match validate_entry(key, &bytes) {
-            Ok(payload) => {
-                let payload = payload.to_vec();
+            Ok(_) => {
+                // Hand back the read buffer itself, header drained: no
+                // second allocation of an outcome-sized payload.
+                let mut payload = bytes;
+                payload.drain(..HEADER_LEN);
                 touch(&path);
                 self.stats.lock().expect("cache stats lock").hits += 1;
                 Ok(payload)

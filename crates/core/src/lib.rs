@@ -117,7 +117,4 @@ pub use serve::{ServeConfig, ServeHandle, ServeSummary};
 pub use session::{AnalysisSession, ArtifactStore, PhaseCounter, SessionPhase, SessionStats};
 pub use solver::{solve, solve_budgeted, ValSets};
 pub use source_transform::{transform_source, TransformedSource};
-pub use subst::{
-    apply_substitutions, count_substitutions, count_substitutions_with_ssa,
-    count_substitutions_with_ssa_jobs, SubstitutionCounts,
-};
+pub use subst::{apply_substitutions, count_substitutions, SubstitutionCounts};

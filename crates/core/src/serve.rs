@@ -350,7 +350,11 @@ impl Registry {
         label: Option<&str>,
         disk: Option<&Arc<DiskCache>>,
     ) -> Result<Arc<Tenant>, String> {
-        let fp = ipcp_ir::fingerprint::fingerprint_debug(&source);
+        let fp = {
+            let mut h = ipcp_ir::fingerprint::Fnv1a::new();
+            h.write_bytes(source.as_bytes());
+            h.finish()
+        };
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(t) = self.tenants.lock().expect("registry lock").get(&fp) {
             t.last_used.store(now, Ordering::Relaxed);

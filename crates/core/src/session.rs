@@ -72,8 +72,8 @@ use crate::driver::{
 use crate::forward::{kind_weight, proc_estimate, site_jfs_for_proc, ForwardJumpFns, SiteJumpFns};
 use crate::jump::{JumpFn, JumpFunctionKind};
 use crate::retjf::{build_rjf_for_proc, ReturnJumpFns, RjfComposer, RjfConstEval, RjfLattice};
-use crate::solver::{entry_env_of, solve_traced, ValSets};
-use crate::subst::{count_substitutions_with_ssa_jobs, SubstitutionCounts};
+use crate::solver::{entry_constants_fp, entry_env_of, solve_traced, ValSets};
+use crate::subst::{count_one_proc, SubstitutionCounts};
 use ipcp_analysis::dce::dce_round_budgeted;
 use ipcp_analysis::sccp::{bottom_entry, sccp_budgeted, SccpConfig};
 use ipcp_analysis::symeval::{
@@ -83,7 +83,8 @@ use ipcp_analysis::{
     augment_global_vars, compute_modref_obs, par_map, par_map_obs, scc_waves, wave_jobs, Budget,
     CallGraph, CallLattice, ExhaustionPolicy, ModKills, ModRefInfo, PessimisticCalls, Phase, Slot,
 };
-use ipcp_ir::fingerprint::{combine, fingerprint_debug};
+use ipcp_ir::codec::Wire;
+use ipcp_ir::fingerprint::{combine, fingerprint, Fnv1a};
 use ipcp_ir::{ProcId, Procedure, Program};
 use ipcp_lang::Diagnostics;
 use ipcp_obs::{NoopSink, ObsSink, SpanGuard};
@@ -230,6 +231,12 @@ impl SessionStats {
 
     fn miss(&mut self, phase: SessionPhase) {
         self.counters.entry(phase).or_default().misses += 1;
+    }
+
+    fn traffic(&mut self, phase: SessionPhase, hits: u64, misses: u64) {
+        let counter = self.counters.entry(phase).or_default();
+        counter.hits += hits;
+        counter.misses += misses;
     }
 
     /// Renders the stats as a JSON object (hand-rolled; the workspace
@@ -410,28 +417,22 @@ struct SolveKey {
     cond: bool,
 }
 
+/// Key of the per-procedure artifacts that run SCCP seeded with the
+/// solved `VAL` sets — DCE steps and substitution counts. SCCP reads the
+/// procedure's closure, the facets its SSA and call lattice were built
+/// under, and the entry constants; a column whose `VAL` sets leave a
+/// procedure's entry constants unchanged reuses its artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SubstKey {
-    state_fp: u64,
-    mod_info: bool,
-    gsa: bool,
-    mode: CallSymMode,
-    /// `(jump_function, solver, branch_feasibility)` when
-    /// interprocedural propagation seeded the count; `None` for the
-    /// intraprocedural baseline.
-    forward: Option<(JumpFunctionKind, SolverKind, bool)>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct DceKey {
+struct EntryKey {
     closure_fp: u64,
     mod_info: bool,
     gsa: bool,
     /// Whether call effects go through the RJF lattice.
     recovery: bool,
-    /// Fingerprint of the procedure's entry `VAL` set (or of `None` for
-    /// the unseeded baseline).
-    env_fp: u64,
+    /// [`entry_constants_fp`] of the procedure (the same for every
+    /// environment that seeds SCCP with the same constants, the unseeded
+    /// baseline included).
+    entry_fp: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -473,6 +474,18 @@ struct DceStep {
     changed: bool,
 }
 
+/// One procedure's substitution count as a fan-out worker found it.
+#[derive(Default)]
+struct ProcCount {
+    n: usize,
+    /// The key to insert `n` under, when the count was computed.
+    miss: Option<EntryKey>,
+    /// Worker time, SSA lookup included.
+    time: Duration,
+    /// Whether the SSA lookup of a computed count hit, and its time.
+    ssa: Option<(bool, Duration)>,
+}
+
 /// The session-scoped artifact store. Every map is keyed by content
 /// fingerprints plus the configuration facets its phase reads; see the
 /// module docs for the key structure.
@@ -493,8 +506,9 @@ pub struct ArtifactStore {
     syms: RwLock<HashMap<SymKey, Cached<SymMap>>>,
     forward_procs: RwLock<HashMap<ForwardKey, Cached<Vec<SiteJumpFns>>>>,
     solves: RwLock<HashMap<SolveKey, Cached<ValSets>>>,
-    substs: RwLock<HashMap<SubstKey, Arc<SubstitutionCounts>>>,
-    dces: RwLock<HashMap<DceKey, Cached<DceStep>>>,
+    /// Per-procedure substitution counts.
+    substs: RwLock<HashMap<EntryKey, usize>>,
+    dces: RwLock<HashMap<EntryKey, Cached<DceStep>>>,
     countings: RwLock<HashMap<CountingKey, Cached<SubstitutionCounts>>>,
 }
 
@@ -517,6 +531,17 @@ impl ArtifactStore {
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// A rough estimate of the store's resident bytes: ~2 KiB per
+    /// artifact (outcome-sized artifacts dominate; per-procedure ones
+    /// are much smaller), except substitution counts, which are counted
+    /// at their real size — a key, a `usize` and a hash-table control
+    /// byte each.
+    fn approx_bytes(&self) -> u64 {
+        let counts = self.substs.read().expect("subst store lock").len();
+        let per_count = std::mem::size_of::<(EntryKey, usize)>() + 1;
+        ((self.len() - counts) * 2048 + counts * per_count) as u64
     }
 }
 
@@ -560,10 +585,23 @@ struct RoundCtx {
     mode: CallSymMode,
 }
 
+impl RoundCtx {
+    /// The [`EntryKey`] of `pid` seeded with `vals` (`None`: unseeded).
+    fn entry_key(&self, program: &Program, pid: ProcId, vals: Option<&ValSets>) -> EntryKey {
+        EntryKey {
+            closure_fp: self.closure_fps[pid.index()],
+            mod_info: self.mod_info,
+            gsa: self.gsa,
+            recovery: self.mode != CallSymMode::Pessimistic,
+            entry_fp: entry_constants_fp(program, pid, vals),
+        }
+    }
+}
+
 /// A memoized pass manager over one program. See the module docs.
 pub struct AnalysisSession {
     base: Program,
-    /// `fingerprint_debug(&base)`, computed once: every analysis starts
+    /// `fingerprint(&base)`, computed once: every analysis starts
     /// from the pristine program, so round 0 never re-fingerprints it.
     base_fp: u64,
     store: ArtifactStore,
@@ -587,7 +625,7 @@ impl AnalysisSession {
     pub fn new(program: &Program) -> Self {
         AnalysisSession {
             base: program.clone(),
-            base_fp: fingerprint_debug(program),
+            base_fp: fingerprint(program),
             store: ArtifactStore::default(),
             stats: Mutex::new(SessionStats::default()),
             disk: None,
@@ -685,10 +723,9 @@ impl AnalysisSession {
             .iter()
             .map(|p| p.blocks.iter().map(|b| b.instrs.len() + 1).sum::<usize>())
             .sum();
-        // ~64 bytes per IR instruction, ~2 KiB per cached artifact
-        // (outcomes dominate; per-proc artifacts are much smaller), plus
-        // a fixed base for the session itself.
-        instrs as u64 * 64 + self.store.len() as u64 * 2048 + 4096
+        // ~64 bytes per IR instruction, the store's own estimate, plus a
+        // fixed base for the session itself.
+        instrs as u64 * 64 + self.store.approx_bytes() + 4096
     }
 
     /// A snapshot of the observability counters accumulated so far.
@@ -807,7 +844,6 @@ impl AnalysisSession {
         // Persistent warm path: a validated entry is the cold outcome,
         // returned verbatim — bit-identity by construction.
         let key = crate::diskcache::outcome_key(self.base_fp, config);
-        let prev_ledger = self.previous_ledger();
         let quarantined_before = disk.stats().quarantined;
         let start = Instant::now();
         let loaded = {
@@ -857,6 +893,9 @@ impl AnalysisSession {
         self.phase_wall(SessionPhase::DiskCache, start.elapsed());
         sink.count("diskcache.miss", 1);
 
+        // Only a miss reads the previous ledger: a hit advances no
+        // ledger, so decoding one would be wasted work.
+        let prev_ledger = self.previous_ledger();
         let base_changed = prev_ledger
             .as_ref()
             .is_some_and(|p| p.base_fp != self.base_fp);
@@ -911,7 +950,7 @@ impl AnalysisSession {
             let state_fp = if first_round {
                 self.base_fp
             } else {
-                fingerprint_debug(&program)
+                fingerprint(&program)
             };
             first_round = false;
             self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
@@ -1046,16 +1085,7 @@ impl AnalysisSession {
 
                 let substitutions = {
                     let _span = SpanGuard::enter(sink, "substitute", "phase");
-                    self.cached_subst(
-                        program,
-                        &cg,
-                        calls,
-                        vals.as_deref(),
-                        config,
-                        &round,
-                        kills,
-                        jobs,
-                    )
+                    self.cached_subst(program, &cg, calls, vals.as_deref(), &round, kills, jobs)
                 };
                 sink.count("subst.total", substitutions.total as u64);
 
@@ -1101,7 +1131,7 @@ impl AnalysisSession {
             // final (DCE-refined) CONSTANTS.
             let substitutions = if stats.dce_rounds > 0 {
                 let _span = SpanGuard::enter(sink, "counting", "phase");
-                let final_fp = fingerprint_debug(&program);
+                let final_fp = fingerprint(&program);
                 self.cached_counting_pass(config, vals.as_deref(), final_fp, budget, jobs, sink)
             } else {
                 substitutions
@@ -1110,7 +1140,7 @@ impl AnalysisSession {
             return AnalysisOutcome {
                 program,
                 constants,
-                substitutions: (*substitutions).clone(),
+                substitutions,
                 stats,
                 robustness: budget.report(),
             };
@@ -1220,30 +1250,46 @@ impl AnalysisSession {
         kills: &dyn KillOracle,
         round: &RoundCtx,
     ) -> Arc<SsaProc> {
+        let start = Instant::now();
+        let (ssa, hit) = self.ssa_lookup(program, pid, kills, round);
+        let mut stats = self.stats.lock().expect("session stats lock");
+        stats.traffic(SessionPhase::Ssa, u64::from(hit), u64::from(!hit));
+        stats.record_wall(SessionPhase::Ssa, start.elapsed());
+        ssa
+    }
+
+    /// `pid`'s SSA form from the store, built and inserted on a miss;
+    /// `true` on a hit. Records no stats, so a fan-out can tally its
+    /// traffic and record it once instead of locking the stats per
+    /// procedure.
+    fn ssa_lookup(
+        &self,
+        program: &Program,
+        pid: ProcId,
+        kills: &dyn KillOracle,
+        round: &RoundCtx,
+    ) -> (Arc<SsaProc>, bool) {
         let key = SsaKey {
             closure_fp: round.closure_fps[pid.index()],
             mod_info: round.mod_info,
         };
-        let start = Instant::now();
-        let hit = self.store.ssas.read().unwrap().get(&key).cloned();
-        let ssa = match hit {
-            Some(ssa) => {
-                self.phase_hit(SessionPhase::Ssa);
-                ssa
-            }
-            None => {
-                self.phase_miss(SessionPhase::Ssa);
-                let ssa = Arc::new(build_ssa(program, program.proc(pid), kills));
-                self.store
-                    .ssas
-                    .write()
-                    .unwrap()
-                    .insert(key, Arc::clone(&ssa));
-                ssa
-            }
-        };
-        self.phase_wall(SessionPhase::Ssa, start.elapsed());
-        ssa
+        let hit = self
+            .store
+            .ssas
+            .read()
+            .expect("SSA store lock")
+            .get(&key)
+            .cloned();
+        if let Some(ssa) = hit {
+            return (ssa, true);
+        }
+        let ssa = Arc::new(build_ssa(program, program.proc(pid), kills));
+        self.store
+            .ssas
+            .write()
+            .expect("SSA store lock")
+            .insert(key, Arc::clone(&ssa));
+        (ssa, false)
     }
 
     /// One procedure's return-jump-function table, cached, with the fuel
@@ -1579,6 +1625,17 @@ impl AnalysisSession {
         vals
     }
 
+    /// Substitution counts of every procedure, each served from the
+    /// store unless its [`EntryKey`] is new: a column recounts only the
+    /// procedures whose closure, facets or entry constants moved.
+    /// Unreachable procedures count 0 without a lookup (reachability
+    /// depends on callers, which the closure does not cover). Misses are
+    /// inserted in one batch after the `ProcId`-ordered merge, so workers
+    /// never contend on the write lock.
+    ///
+    /// The one place substitution time is recorded: worker time (SSA
+    /// builds excluded; they count as SSA) as wall, and at `jobs > 1`
+    /// the whole fan-out as span.
     #[allow(clippy::too_many_arguments)]
     fn cached_subst(
         &self,
@@ -1586,64 +1643,83 @@ impl AnalysisSession {
         cg: &CallGraph,
         calls: &dyn CallLattice,
         vals: Option<&ValSets>,
-        config: &AnalysisConfig,
         round: &RoundCtx,
         kills: &dyn KillOracle,
         jobs: usize,
-    ) -> Arc<SubstitutionCounts> {
-        let key = SubstKey {
-            state_fp: round.state_fp,
-            mod_info: round.mod_info,
-            gsa: round.gsa,
-            mode: round.mode,
-            forward: config.interprocedural.then_some((
-                config.jump_function,
-                config.solver,
-                config.branch_feasibility,
-            )),
-        };
-        let hit = self.store.substs.read().unwrap().get(&key).cloned();
-        if let Some(counts) = hit {
-            self.phase_hit(SessionPhase::Subst);
-            return counts;
-        }
-        self.phase_miss(SessionPhase::Subst);
-        // Prefetch SSA through the cache (substitution counting itself
-        // draws no fuel; SSA construction is fuel-free).
+    ) -> SubstitutionCounts {
         let pids: Vec<ProcId> = program.proc_ids().collect();
-        let ssa_start = Instant::now();
-        let ssas: Vec<Arc<SsaProc>> = par_map(jobs, &pids, |_, &pid| {
-            self.cached_ssa(program, pid, kills, round)
-        });
-        if jobs > 1 {
-            self.phase_span(SessionPhase::Ssa, ssa_start.elapsed());
-        }
         let start = Instant::now();
-        let counts = Arc::new(count_substitutions_with_ssa_jobs(
-            program,
-            cg,
-            calls,
-            vals,
-            &|pid| Arc::clone(&ssas[pid.index()]),
-            jobs,
-        ));
-        self.store
-            .substs
-            .write()
-            .unwrap()
-            .insert(key, Arc::clone(&counts));
-        self.phase_wall(SessionPhase::Subst, start.elapsed());
-        if jobs > 1 {
-            self.phase_span(SessionPhase::Subst, start.elapsed());
+        // No count is inserted before the merge, so one read guard
+        // serves every lookup of the fan-out.
+        let stored = self.store.substs.read().expect("subst store lock");
+        let counted = par_map(jobs, &pids, |_, &pid| {
+            let begin = Instant::now();
+            let mut out = ProcCount::default();
+            if cg.is_reachable(pid) {
+                let key = round.entry_key(program, pid, vals);
+                match stored.get(&key) {
+                    Some(&n) => out.n = n,
+                    None => {
+                        let ssa_start = Instant::now();
+                        let (ssa, hit) = self.ssa_lookup(program, pid, kills, round);
+                        out.ssa = Some((hit, ssa_start.elapsed()));
+                        out.n = count_one_proc(program, calls, vals, pid, &ssa);
+                        out.miss = Some(key);
+                    }
+                }
+            }
+            out.time = begin.elapsed();
+            out
+        });
+        drop(stored);
+        let mut per_proc = Vec::with_capacity(pids.len());
+        let mut misses = Vec::new();
+        let (mut hits, mut ssa_hits, mut ssa_misses) = (0, 0, 0);
+        let (mut wall, mut ssa_wall) = (Duration::ZERO, Duration::ZERO);
+        for (&pid, count) in pids.iter().zip(counted) {
+            per_proc.push(count.n);
+            wall += count.time;
+            if let Some((hit, time)) = count.ssa {
+                ssa_hits += u64::from(hit);
+                ssa_misses += u64::from(!hit);
+                ssa_wall += time;
+                wall = wall.saturating_sub(time);
+            }
+            match count.miss {
+                Some(key) => misses.push((key, count.n)),
+                None if cg.is_reachable(pid) => hits += 1,
+                None => {}
+            }
         }
-        counts
+        let insert = Instant::now();
+        let miss_count = misses.len() as u64;
+        if !misses.is_empty() {
+            self.store
+                .substs
+                .write()
+                .expect("subst store lock")
+                .extend(misses);
+        }
+        wall += insert.elapsed();
+        {
+            let mut stats = self.stats.lock().expect("session stats lock");
+            stats.traffic(SessionPhase::Ssa, ssa_hits, ssa_misses);
+            stats.record_wall(SessionPhase::Ssa, ssa_wall);
+            stats.traffic(SessionPhase::Subst, hits, miss_count);
+            stats.record_wall(SessionPhase::Subst, wall);
+            if jobs > 1 {
+                stats.record_span(SessionPhase::Subst, start.elapsed());
+            }
+        }
+        let total = per_proc.iter().sum();
+        SubstitutionCounts { per_proc, total }
     }
 
-    /// One SCCP + DCE step over a procedure, cached by closure
-    /// fingerprint and entry environment: after a DCE round, only
-    /// procedures whose IR changed (or whose callees' IR changed, or
-    /// whose entry `VAL` set moved) are re-processed. Returns the step
-    /// and the fuel for the caller to replay in `ProcId` order.
+    /// One SCCP + DCE step over a procedure, cached by its [`EntryKey`]:
+    /// after a DCE round, only procedures whose IR changed (or whose
+    /// callees' IR changed, or whose entry constants moved) are
+    /// re-processed. Returns the step and the fuel for the caller to
+    /// replay in `ProcId` order.
     fn dce_step_for_proc(
         &self,
         program: &Program,
@@ -1653,14 +1729,7 @@ impl AnalysisSession {
         calls: &dyn CallLattice,
         vals: Option<&ValSets>,
     ) -> (DceStep, u64) {
-        let env_fp = fingerprint_debug(&vals.map(|v| v.of(pid)));
-        let key = DceKey {
-            closure_fp: round.closure_fps[pid.index()],
-            mod_info: round.mod_info,
-            gsa: round.gsa,
-            recovery: round.mode != CallSymMode::Pessimistic,
-            env_fp,
-        };
+        let key = round.entry_key(program, pid, vals);
         let hit = self.store.dces.read().unwrap().get(&key).cloned();
         if let Some(cached) = hit {
             self.phase_hit(SessionPhase::Dce);
@@ -1728,8 +1797,7 @@ impl AnalysisSession {
         budget: &Budget,
         jobs: usize,
         sink: &dyn ObsSink,
-    ) -> Arc<SubstitutionCounts> {
-        let mut orig = self.base.clone();
+    ) -> SubstitutionCounts {
         let orig_fp = self.base_fp;
         let key = CountingKey {
             orig_fp,
@@ -1748,11 +1816,12 @@ impl AnalysisSession {
         if let Some(cached) = hit {
             self.phase_hit(SessionPhase::Subst);
             budget.checkpoint(Phase::ModRef, cached.fuel);
-            return cached.value;
+            return (*cached.value).clone();
         }
         self.phase_miss(SessionPhase::Subst);
         let before = budget.fuel_consumed();
 
+        let mut orig = self.base.clone();
         let cg = self.cached_call_graph(&orig, orig_fp);
         let modref = self.cached_modref(&orig, &cg, orig_fp, budget, jobs, sink);
         augment_global_vars(&mut orig, &modref);
@@ -1796,27 +1865,13 @@ impl AnalysisSession {
             } else {
                 &PessimisticCalls
             };
-            let pids: Vec<ProcId> = orig.proc_ids().collect();
-            let ssas: Vec<Arc<SsaProc>> = par_map(jobs, &pids, |_, &pid| {
-                self.cached_ssa(orig, pid, kills, &round)
-            });
-            let start = Instant::now();
-            let counts = Arc::new(count_substitutions_with_ssa_jobs(
-                orig,
-                &cg,
-                calls,
-                vals,
-                &|pid| Arc::clone(&ssas[pid.index()]),
-                jobs,
-            ));
-            self.phase_wall(SessionPhase::Subst, start.elapsed());
-            counts
+            self.cached_subst(orig, &cg, calls, vals, &round, kills, jobs)
         };
         let fuel = budget.fuel_consumed() - before;
         self.store.countings.write().unwrap().insert(
             key,
             Cached {
-                value: Arc::clone(&counts),
+                value: Arc::new(counts.clone()),
                 fuel,
             },
         );
@@ -1832,8 +1887,13 @@ impl AnalysisSession {
 /// their call-graph dependents, which is what makes complete propagation
 /// incremental.
 fn closure_fingerprints(program: &Program, cg: &CallGraph, jobs: usize) -> ClosureData {
-    let proc_fps: Vec<u64> = par_map(jobs, &program.procs, |_, p| fingerprint_debug(p));
-    let globals_fp = fingerprint_debug(&(&program.globals, program.main));
+    let proc_fps: Vec<u64> = par_map(jobs, &program.procs, |_, p| fingerprint(p));
+    let globals_fp = {
+        let mut h = Fnv1a::new();
+        program.globals.encode(&mut h);
+        program.main.encode(&mut h);
+        h.finish()
+    };
 
     // Merkle hash over the SCC condensation instead of one reachability
     // DFS per procedure (which is O(procs × edges) — quadratic on the
@@ -2018,6 +2078,54 @@ main\ncall f(0)\nend\n";
         let misses = session.stats().total_misses();
         session.analyze(&complete);
         assert_eq!(session.stats().total_misses(), misses);
+    }
+
+    #[test]
+    fn subst_time_is_spanned_wherever_it_is_recorded() {
+        // At jobs > 1 every fan-out that adds substitution wall time must
+        // add its span too, or `par×` (wall / span) overstates the
+        // speedup. Two complete-propagation columns that differ only in
+        // `return_jump_functions` (inert without MOD info) share every
+        // round's counts, so the second one computes nothing in its
+        // rounds and recounts only in the complete-propagation pass.
+        let program = ipcp_ir::compile_to_ir(DEAD_GUARD).unwrap();
+        let session = AnalysisSession::new(&program);
+        let jobs = 2;
+        let first = AnalysisConfig {
+            complete_propagation: true,
+            mod_info: false,
+            return_jump_functions: false,
+            jobs,
+            ..AnalysisConfig::default()
+        };
+        let out = session.analyze(&first);
+        assert!(out.stats.dce_rounds >= 1, "the recount must run");
+        let before = session.stats().counter(SessionPhase::Subst);
+        session.analyze(&AnalysisConfig {
+            return_jump_functions: true,
+            ..first
+        });
+        let after = session.stats().counter(SessionPhase::Subst);
+        let wall = after.wall_nanos - before.wall_nanos;
+        let span = after.span_nanos - before.span_nanos;
+        assert!(wall > 0, "the recount records subst time");
+        assert!(
+            wall <= jobs as u128 * span,
+            "subst wall {wall} ns exceeds {jobs} x span {span} ns"
+        );
+        assert!(after.wall_nanos <= jobs as u128 * after.span_nanos);
+    }
+
+    #[test]
+    fn substitution_counts_are_sized_per_entry() {
+        let program = ipcp_ir::compile_to_ir(OCEAN_LIKE).unwrap();
+        let session = AnalysisSession::new(&program);
+        session.analyze(&AnalysisConfig::default());
+        let store = session.store();
+        let counts = store.substs.read().unwrap().len();
+        assert!(counts > 0, "per-procedure counts are cached");
+        assert!(store.approx_bytes() < store.len() as u64 * 2048);
+        assert!(store.approx_bytes() >= (store.len() - counts) as u64 * 2048);
     }
 
     #[test]

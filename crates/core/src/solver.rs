@@ -13,7 +13,8 @@
 use crate::forward::ForwardJumpFns;
 use crate::framework::{solve_value_contexts, DataflowProblem, EdgeSink, EngineOutcome};
 use ipcp_analysis::{Budget, CallGraph, LatticeVal, ModRefInfo, Slot, SlotTable};
-use ipcp_ir::{ProcId, Program, VarKind};
+use ipcp_ir::fingerprint::Fnv1a;
+use ipcp_ir::{ProcId, Procedure, Program, VarId, VarKind};
 use std::collections::BTreeMap;
 
 /// The solver's result: per-procedure `VAL` sets, stored as dense
@@ -213,35 +214,53 @@ pub fn solve_traced(
     ValSets::from_engine(solve_value_contexts(program, &problem, budget, sink))
 }
 
+/// The constant `p`'s variable `v` enters SCCP with, if any (see
+/// [`entry_env_of`]).
+fn entry_constant(proc: &Procedure, p: ProcId, v: VarId, vals: &ValSets) -> Option<i64> {
+    let slot = match proc.var(v).kind {
+        VarKind::Formal(i) => Slot::Formal(i),
+        VarKind::Global(g) => Slot::Global(g),
+        _ => return None,
+    };
+    vals.value(p, slot).as_const()
+}
+
 /// Builds a per-variable entry environment for SCCP from a procedure's
-/// `VAL` set (used by substitution counting and complete propagation).
-/// Variables without slots (locals, temporaries) are ⊥; ⊤ slots — a
-/// procedure never actually invoked — are conservatively ⊥ as well.
-pub fn entry_env_of(
-    program: &Program,
-    p: ProcId,
-    vals: &ValSets,
-) -> impl Fn(ipcp_ir::VarId) -> LatticeVal {
+/// `VAL` set (used by substitution counting and complete propagation):
+/// formals and globals whose `VAL` is a constant enter with it; every
+/// other variable — locals, temporaries, ⊥ slots, and the ⊤ slots of a
+/// procedure never actually invoked — enters as ⊥.
+pub fn entry_env_of(program: &Program, p: ProcId, vals: &ValSets) -> impl Fn(VarId) -> LatticeVal {
     let proc = program.proc(p);
-    let mut per_var = Vec::with_capacity(proc.vars.len());
-    for v in proc.var_ids() {
-        let slot = match proc.var(v).kind {
-            VarKind::Formal(i) => Some(Slot::Formal(i)),
-            VarKind::Global(g) => Some(Slot::Global(g)),
-            _ => None,
-        };
-        let value = match slot.map(|s| vals.value(p, s)) {
-            Some(LatticeVal::Const(c)) => LatticeVal::Const(c),
-            _ => LatticeVal::Bottom,
-        };
-        per_var.push(value);
-    }
-    move |v: ipcp_ir::VarId| {
+    let per_var: Vec<LatticeVal> = proc
+        .var_ids()
+        .map(|v| entry_constant(proc, p, v, vals).map_or(LatticeVal::Bottom, LatticeVal::Const))
+        .collect();
+    move |v: VarId| {
         per_var
             .get(v.index())
             .copied()
             .unwrap_or(LatticeVal::Bottom)
     }
+}
+
+/// Fingerprint of exactly what [`entry_env_of`] passes to SCCP: the
+/// `(variable, constant)` pairs of `p`. Every other variable enters as
+/// ⊥, so two `VAL` sets with equal fingerprints seed identical SCCP runs
+/// — as does `None` (the unseeded, all-⊥ baseline) whenever `p` has no
+/// entry constants.
+pub(crate) fn entry_constants_fp(program: &Program, p: ProcId, vals: Option<&ValSets>) -> u64 {
+    let mut h = Fnv1a::new();
+    if let Some(vals) = vals {
+        let proc = program.proc(p);
+        for v in proc.var_ids() {
+            if let Some(c) = entry_constant(proc, p, v, vals) {
+                h.write_u64(u64::from(v.0));
+                h.write_u64(c as u64);
+            }
+        }
+    }
+    h.finish()
 }
 
 #[cfg(test)]

@@ -39,52 +39,25 @@ pub fn count_substitutions(
     calls: &dyn CallLattice,
     vals: Option<&ValSets>,
 ) -> SubstitutionCounts {
-    count_substitutions_with_ssa(program, cg, calls, vals, &|pid| {
-        std::sync::Arc::new(build_ssa(program, program.proc(pid), kills))
-    })
-}
-
-/// [`count_substitutions`] with a caller-supplied SSA provider, so the
-/// session can feed cached SSA artifacts instead of rebuilding them per
-/// counting pass. The provider must return the SSA form `build_ssa`
-/// would produce for the same program and kill oracle.
-pub fn count_substitutions_with_ssa(
-    program: &Program,
-    cg: &CallGraph,
-    calls: &dyn CallLattice,
-    vals: Option<&ValSets>,
-    ssa_of: &(dyn Fn(ipcp_ir::ProcId) -> std::sync::Arc<ipcp_ssa::SsaProc> + Sync),
-) -> SubstitutionCounts {
-    count_substitutions_with_ssa_jobs(program, cg, calls, vals, ssa_of, 1)
-}
-
-/// [`count_substitutions_with_ssa`] fanned out over up to `jobs` worker
-/// threads. Each procedure's count is independent (the per-proc SCCP is
-/// a pure function of the program, `VAL` sets, and call lattice) and the
-/// per-procedure vector merges in `ProcId` order, so the result is
-/// bit-identical at any thread count.
-pub fn count_substitutions_with_ssa_jobs(
-    program: &Program,
-    cg: &CallGraph,
-    calls: &dyn CallLattice,
-    vals: Option<&ValSets>,
-    ssa_of: &(dyn Fn(ipcp_ir::ProcId) -> std::sync::Arc<ipcp_ssa::SsaProc> + Sync),
-    jobs: usize,
-) -> SubstitutionCounts {
-    let pids: Vec<ipcp_ir::ProcId> = program.proc_ids().collect();
-    let per_proc = ipcp_analysis::par_map(jobs, &pids, |_, &pid| {
-        if !cg.is_reachable(pid) {
-            return 0;
-        }
-        count_one_proc(program, calls, vals, pid, &ssa_of(pid))
-    });
+    let per_proc: Vec<usize> = program
+        .proc_ids()
+        .map(|pid| {
+            if !cg.is_reachable(pid) {
+                return 0;
+            }
+            let ssa = build_ssa(program, program.proc(pid), kills);
+            count_one_proc(program, calls, vals, pid, &ssa)
+        })
+        .collect();
     let total = per_proc.iter().sum();
     SubstitutionCounts { per_proc, total }
 }
 
 /// The substitution count of one reachable procedure (see the module
-/// docs for the metric).
-fn count_one_proc(
+/// docs for the metric). A pure function of the procedure, its SSA form,
+/// the call lattice and its entry constants, which is what lets the
+/// session cache it per procedure.
+pub(crate) fn count_one_proc(
     program: &Program,
     calls: &dyn CallLattice,
     vals: Option<&ValSets>,

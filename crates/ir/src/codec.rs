@@ -62,6 +62,30 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Where [`Wire::encode`] writes: a byte buffer ([`ByteWriter`]) for
+/// payloads, or a streaming hasher ([`crate::fingerprint::Fnv1a`]) for
+/// fingerprints, so cache keys hash exactly the bytes a payload would
+/// hold without materializing them.
+pub trait WireSink {
+    /// Appends raw bytes.
+    fn bytes(&mut self, bytes: &[u8]);
+
+    /// Appends one byte.
+    fn u8(&mut self, v: u8) {
+        self.bytes(&[v]);
+    }
+
+    /// Appends a little-endian `u32`.
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Appends a little-endian `u64`.
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
 /// An append-only little-endian byte sink.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -74,26 +98,6 @@ impl ByteWriter {
         Self::default()
     }
 
-    /// Appends raw bytes.
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -102,6 +106,16 @@ impl ByteWriter {
     /// Bytes written so far, borrowed.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
+    }
+}
+
+impl WireSink for ByteWriter {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.buf.push(v);
     }
 }
 
@@ -187,7 +201,7 @@ impl<'a> ByteReader<'a> {
 /// Stable binary encode/decode for one type.
 pub trait Wire: Sized {
     /// Appends this value's encoding to `w`.
-    fn encode(&self, w: &mut ByteWriter);
+    fn encode<W: WireSink>(&self, w: &mut W);
 
     /// Decodes one value from `r`.
     ///
@@ -222,7 +236,7 @@ pub fn decode_from_slice<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 // ---- primitives ---------------------------------------------------------
 
 impl Wire for u8 {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u8(*self);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -231,7 +245,7 @@ impl Wire for u8 {
 }
 
 impl Wire for u32 {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u32(*self);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -240,7 +254,7 @@ impl Wire for u32 {
 }
 
 impl Wire for u64 {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u64(*self);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -249,7 +263,7 @@ impl Wire for u64 {
 }
 
 impl Wire for i64 {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u64(*self as u64);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -258,7 +272,7 @@ impl Wire for i64 {
 }
 
 impl Wire for f64 {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u64(self.to_bits());
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -268,7 +282,7 @@ impl Wire for f64 {
 
 // `usize` travels as `u64` so 32- and 64-bit builds interoperate.
 impl Wire for usize {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u64(*self as u64);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -277,7 +291,7 @@ impl Wire for usize {
 }
 
 impl Wire for bool {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u8(u8::from(*self));
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -290,7 +304,7 @@ impl Wire for bool {
 }
 
 impl Wire for String {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u64(self.len() as u64);
         w.bytes(self.as_bytes());
     }
@@ -302,7 +316,7 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u64(self.len() as u64);
         for item in self {
             item.encode(w);
@@ -319,7 +333,7 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             None => w.u8(0),
             Some(v) => {
@@ -341,7 +355,7 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.u64(self.len() as u64);
         for (k, v) in self {
             k.encode(w);
@@ -361,7 +375,7 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.0.encode(w);
         self.1.encode(w);
     }
@@ -375,7 +389,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 macro_rules! wire_id {
     ($($name:ident),*) => {
         $(impl Wire for $name {
-            fn encode(&self, w: &mut ByteWriter) {
+            fn encode<W: WireSink>(&self, w: &mut W) {
                 w.u32(self.0);
             }
             fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
@@ -392,7 +406,7 @@ wire_id!(ProcId, BlockId, VarId, GlobalId);
 macro_rules! wire_enum {
     ($name:ident { $($variant:ident = $tag:literal),* $(,)? }) => {
         impl Wire for $name {
-            fn encode(&self, w: &mut ByteWriter) {
+            fn encode<W: WireSink>(&self, w: &mut W) {
                 w.u8(match self {
                     $($name::$variant => $tag,)*
                 });
@@ -446,7 +460,7 @@ wire_enum!(TrapKind {
 // ---- language / IR structs ----------------------------------------------
 
 impl Wire for Shape {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             Shape::Scalar => w.u8(0),
             Shape::Array(len) => {
@@ -465,7 +479,7 @@ impl Wire for Shape {
 }
 
 impl Wire for Ty {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.base.encode(w);
         self.shape.encode(w);
     }
@@ -478,7 +492,7 @@ impl Wire for Ty {
 }
 
 impl Wire for VarKind {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             VarKind::Formal(i) => {
                 w.u8(0);
@@ -507,7 +521,7 @@ impl Wire for VarKind {
 }
 
 impl Wire for VarDecl {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.name.encode(w);
         self.ty.encode(w);
         self.kind.encode(w);
@@ -522,7 +536,7 @@ impl Wire for VarDecl {
 }
 
 impl Wire for Operand {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             Operand::Const(c) => {
                 w.u8(0);
@@ -552,7 +566,7 @@ impl Wire for Operand {
 }
 
 impl Wire for CallArg {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.value.encode(w);
         self.by_ref.encode(w);
     }
@@ -565,7 +579,7 @@ impl Wire for CallArg {
 }
 
 impl Wire for Instr {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             Instr::Copy { dst, src } => {
                 w.u8(0);
@@ -666,7 +680,7 @@ impl Wire for Instr {
 }
 
 impl Wire for Terminator {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             Terminator::Jump(b) => {
                 w.u8(0);
@@ -713,7 +727,7 @@ impl Wire for Terminator {
 }
 
 impl Wire for Block {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.instrs.encode(w);
         self.term.encode(w);
     }
@@ -726,7 +740,7 @@ impl Wire for Block {
 }
 
 impl Wire for Procedure {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.name.encode(w);
         self.kind.encode(w);
         self.vars.encode(w);
@@ -745,7 +759,7 @@ impl Wire for Procedure {
 }
 
 impl Wire for GlobalVar {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.name.encode(w);
         self.ty.encode(w);
         self.init.encode(w);
@@ -760,7 +774,7 @@ impl Wire for GlobalVar {
 }
 
 impl Wire for Program {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         self.globals.encode(w);
         self.procs.encode(w);
         self.main.encode(w);

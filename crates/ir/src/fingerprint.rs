@@ -4,21 +4,26 @@
 //! phase actually read*: a procedure's own IR, the IR of its transitive
 //! callees, and the handful of configuration facets the phase consults.
 //! The IR side of those keys is a 64-bit FNV-1a hash of the value's
-//! `Debug` rendering — deterministic within a process, allocation-free
-//! (the hasher implements [`fmt::Write`] and consumes the formatter's
-//! output directly), and sensitive to every structural detail the
-//! derived `Debug` impls expose, which for this IR is the entire value.
+//! canonical [`Wire`] encoding ([`crate::codec`]), streamed straight into
+//! the hasher ([`Fnv1a`] is a [`WireSink`]) without materializing the
+//! bytes. Cache keys and disk payloads therefore share one definition of
+//! identity: two values fingerprint alike exactly when their encodings
+//! hash alike, and the encoding round-trips every field of the value.
 //!
 //! These fingerprints are *cache keys*, not cryptographic digests: a
-//! collision costs a stale artifact, so the 64-bit space is only
-//! acceptable because session stores hold at most thousands of entries.
+//! collision costs a stale artifact. With `n` live keys the chance of
+//! any collision is about `n² / 2⁶⁵` (the birthday bound). A store for a
+//! 100k-procedure program holds on the order of 10⁶ per-procedure keys
+//! across a configuration sweep, which puts that chance near 3·10⁻⁸ —
+//! acceptable for a cache, and the reason widening to 128 bits is left
+//! for stores another few orders of magnitude larger.
 
-use std::fmt::{self, Write};
+use crate::codec::{Wire, WireSink};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// An incremental FNV-1a hasher usable as a [`fmt::Write`] sink.
+/// An incremental FNV-1a hasher, usable as a [`WireSink`].
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -53,19 +58,17 @@ impl Fnv1a {
     }
 }
 
-impl Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write_bytes(s.as_bytes());
-        Ok(())
+impl WireSink for Fnv1a {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
     }
 }
 
-/// Fingerprints any `Debug` value by streaming its rendering through
-/// FNV-1a, without materializing the string.
-pub fn fingerprint_debug<T: fmt::Debug + ?Sized>(value: &T) -> u64 {
+/// Fingerprints a value by streaming its [`Wire`] encoding through
+/// FNV-1a, without materializing the bytes.
+pub fn fingerprint<T: Wire>(value: &T) -> u64 {
     let mut hasher = Fnv1a::new();
-    // Writing into an FNV sink cannot fail.
-    let _ = write!(hasher, "{value:?}");
+    value.encode(&mut hasher);
     hasher.finish()
 }
 
@@ -84,18 +87,18 @@ mod tests {
 
     #[test]
     fn deterministic_and_input_sensitive() {
-        assert_eq!(fingerprint_debug("abc"), fingerprint_debug("abc"));
-        assert_ne!(fingerprint_debug("abc"), fingerprint_debug("abd"));
-        assert_ne!(fingerprint_debug(&1u32), fingerprint_debug(&2u32));
+        let s = |x: &str| x.to_string();
+        assert_eq!(fingerprint(&s("abc")), fingerprint(&s("abc")));
+        assert_ne!(fingerprint(&s("abc")), fingerprint(&s("abd")));
+        assert_ne!(fingerprint(&1u32), fingerprint(&2u32));
     }
 
     #[test]
-    fn streaming_matches_string_hash() {
-        let value = vec![1u8, 2, 3];
-        let rendered = format!("{value:?}");
+    fn streaming_matches_encoded_hash() {
+        let value = vec![1u64, 2, 3];
         let mut h = Fnv1a::new();
-        h.write_bytes(rendered.as_bytes());
-        assert_eq!(fingerprint_debug(&value), h.finish());
+        h.write_bytes(&crate::codec::encode_to_vec(&value));
+        assert_eq!(fingerprint(&value), h.finish());
     }
 
     #[test]
@@ -109,7 +112,7 @@ mod tests {
     fn program_fingerprints_track_edits() {
         let a = crate::compile_to_ir("main\nx = 1\nprint(x)\nend\n").unwrap();
         let b = crate::compile_to_ir("main\nx = 2\nprint(x)\nend\n").unwrap();
-        assert_eq!(fingerprint_debug(&a), fingerprint_debug(&a.clone()));
-        assert_ne!(fingerprint_debug(&a), fingerprint_debug(&b));
+        assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
+        assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 }

@@ -13,10 +13,14 @@
 //!    visible in the cache's stats and robustness ledger, and the cache
 //!    self-heals on the recovery pass.
 
+use ipcp::core::audit::{ledger_path, load_ledger};
+use ipcp::core::diskcache::validate_entry;
 use ipcp::core::{
-    AnalysisConfig, AnalysisSession, DiskCache, FaultyIo, IoFaultInjector, IoFaultKind,
+    outcome_key, AnalysisConfig, AnalysisSession, DiskCache, FaultyIo, IoFaultInjector,
+    IoFaultKind, MissReason, SessionPhase,
 };
 use ipcp::ir::codec::encode_to_vec;
+use ipcp::ir::fingerprint::Fnv1a;
 use ipcp::JumpFunctionKind;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -305,4 +309,81 @@ fn fault_campaign_every_kind_degrades_to_cold() {
         iterations >= 500,
         "campaign ran only {iterations} fault-exposed analyses"
     );
+}
+
+// ---- format-version skew ---------------------------------------------------
+
+/// Rewrites a framed file (cache entry or ledger) as a version-2 writer
+/// stamped it: the version field, and the toolchain fingerprint derived
+/// from it. Payload and checksum stay intact, so only the version tells
+/// the file apart.
+fn stamp_version_2(path: &Path) {
+    let mut bytes = std::fs::read(path).expect("framed file exists");
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let mut toolchain = Fnv1a::new();
+    toolchain.write_u64(2);
+    toolchain.write_bytes(env!("CARGO_PKG_VERSION").as_bytes());
+    bytes[12..20].copy_from_slice(&toolchain.finish().to_le_bytes());
+    std::fs::write(path, bytes).expect("rewrite framed file");
+}
+
+/// An entry and a ledger written before fingerprints hashed the wire
+/// encoding (format version 2) are never misread: the entry misses as
+/// `format-version-mismatch` and is quarantined, the ledger reads as
+/// absent (a first run), the answer is the cold one byte for byte, and
+/// the cache heals to the current version.
+#[test]
+fn version_2_entry_and_ledger_are_a_format_version_mismatch() {
+    let src = "global n = 4\nproc f(a)\nprint(a + n)\nend\nmain\ncall f(3)\nend\n";
+    let ir = ipcp::ir::compile_to_ir(src).expect("compiles");
+    let config = AnalysisConfig::default();
+    let cold = encode_to_vec(&AnalysisSession::new(&ir).analyze(&config));
+    let dir = temp_dir("v2");
+    let label = "v2.mf";
+    let labelled = |cache: &Arc<DiskCache>| {
+        let mut session = cached_session(&ir, cache);
+        session.set_audit_label(label);
+        session
+    };
+
+    let first = labelled(&open(&dir));
+    first.analyze(&config);
+    let key = outcome_key(first.base_fingerprint(), &config);
+    let entry = dir.join(format!("{key:016x}.art"));
+    let ledger = ledger_path(&dir, label);
+    stamp_version_2(&entry);
+    stamp_version_2(&ledger);
+    let bytes = std::fs::read(&entry).unwrap();
+    assert_eq!(validate_entry(key, &bytes), Err("format version mismatch"));
+    assert!(
+        load_ledger(&dir, label).is_none(),
+        "a version-2 ledger must not load"
+    );
+
+    let cache = open(&dir);
+    let session = labelled(&cache);
+    assert_eq!(encode_to_vec(&session.analyze(&config)), cold);
+    let audit = session.last_audit().expect("unmetered runs audit");
+    assert!(
+        audit.first_run,
+        "the version-2 ledger read as a previous run"
+    );
+    let disk = audit
+        .phases
+        .iter()
+        .find(|p| p.phase == SessionPhase::DiskCache)
+        .expect("disk phase audited");
+    assert_eq!(
+        disk.recomputed,
+        vec![("diskcache".to_string(), MissReason::FormatVersionMismatch)]
+    );
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.quarantined), (0, 1, 1));
+
+    // Healed: the rewritten entry and ledger are current again.
+    assert!(load_ledger(&dir, label).is_some());
+    let warm_cache = open(&dir);
+    assert_eq!(encode_to_vec(&labelled(&warm_cache).analyze(&config)), cold);
+    assert_eq!(warm_cache.stats().hits, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
