@@ -106,8 +106,7 @@ pub use jump::{arena_high_water, JumpFn, JumpFnArena, JumpFnRef, JumpFunctionKin
 pub use optimize::{optimize, OptimizeConfig, OptimizeStats};
 pub use parallel::{effective_jobs, Parallelism};
 pub use provenance::{
-    analyze_provenance, analyze_provenance_obs, Attribution, JustifyingEdge, Provenance,
-    RjfRecovery, SlotProvenance,
+    analyze_provenance, Attribution, JustifyingEdge, Provenance, RjfRecovery, SlotProvenance,
 };
 pub use retjf::{
     build_return_jfs, build_return_jfs_budgeted, build_return_jfs_with, ReturnJumpFns, RjfComposer,

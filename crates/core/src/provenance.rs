@@ -2,14 +2,15 @@
 //!
 //! The propagation solver (`crate::solver`) computes `VAL(p, slot)` by
 //! meeting forward-jump-function evaluations over every reachable call
-//! edge. This module reruns one round of the reference pipeline and
-//! records, for every slot that ends `Const`, the **justifying edges**:
-//! the reachable call sites whose jump functions evaluate to exactly
-//! that constant under the final `VAL` sets. By the meet semantics a
-//! final `Const` value always has at least one such edge (or, for
-//! `main`'s globals, a compile-time initializer seed): a `⊤` edge never
-//! contributes and a `⊥`-evaluating edge would have forced the meet to
-//! `⊥`.
+//! edge. This module is a view over one solved round of the session's
+//! pipeline ([`AnalysisSession::provenance`]): it reads the round's call
+//! graph, jump functions, `VAL` sets and SSA forms, and records, for
+//! every slot that ends `Const`, the **justifying edges**: the reachable
+//! call sites whose jump functions evaluate to exactly that constant
+//! under the final `VAL` sets. By the meet semantics a final `Const`
+//! value always has at least one such edge (or, for `main`'s globals, a
+//! compile-time initializer seed): a `⊤` edge never contributes and a
+//! `⊥`-evaluating edge would have forced the meet to `⊥`.
 //!
 //! Each edge carries its **representation level** — the weakest forward
 //! jump function implementation (Table 2 column) able to express it:
@@ -24,36 +25,27 @@
 //!
 //! The module also decomposes the study's substitution counts (Figure
 //! 7/8) by provenance level. The attribution pass replays the exact
-//! SCCP walk `crate::subst` counts with ([`for_each_counted_use`] is
-//! shared), tracking for every SSA name the set of constant entry slots
-//! it was derived from; a counted use is attributed to the maximum
-//! ledger level of its dependency slots, or to `local` when it owes
-//! nothing to interprocedural propagation. Because walk and inputs are
-//! identical, per-level totals sum to the substitution count by
-//! construction.
+//! SCCP walk `crate::subst` counts with (`seeded_sccp` and
+//! `for_each_counted_use` are shared), tracking for every SSA name the
+//! set of constant entry slots it was derived from; a counted use is
+//! attributed to the maximum ledger level of its dependency slots, or to
+//! `local` when it owes nothing to interprocedural propagation. Because
+//! walk and inputs are identical, per-level totals sum to the
+//! substitution count by construction.
 
-use crate::binding::solve_binding_budgeted;
-use crate::driver::{AnalysisConfig, SolverKind};
-use crate::forward::{build_forward_jfs_budgeted, ForwardJumpFns};
+use crate::driver::AnalysisConfig;
+use crate::forward::ForwardJumpFns;
 use crate::jump::{JumpFn, JumpFunctionKind};
-use crate::retjf::{
-    build_return_jfs_budgeted, ReturnJumpFns, RjfComposer, RjfConstEval, RjfLattice,
-};
-use crate::solver::{entry_env_of, solve_traced, ValSets};
-use crate::subst::for_each_counted_use;
-use ipcp_analysis::sccp::{bottom_entry, sccp, SccpConfig, SccpResult};
-use ipcp_analysis::symeval::{
-    symbolic_eval_with, CallSymbolics, NoCallSymbolics, Sym, SymEvalOptions,
-};
-use ipcp_analysis::{
-    augment_global_vars, compute_modref_budgeted, slot_of_var, Budget, CallGraph, CallLattice,
-    LatticeVal, ModKills, PessimisticCalls, Slot,
-};
+use crate::retjf::{ReturnJumpFns, RjfComposer, RjfConstEval};
+use crate::session::{AnalysisSession, SolvedRound};
+use crate::solver::ValSets;
+use crate::subst::{for_each_counted_use, seeded_sccp};
+use ipcp_analysis::sccp::SccpResult;
+use ipcp_analysis::symeval::{symbolic_eval_with, CallSymbolics, Sym, SymEvalOptions};
+use ipcp_analysis::{slot_of_var, CallGraph, LatticeVal, Slot};
 use ipcp_ir::{BlockId, GlobalId, Instr, ProcId, Procedure, Program, VarKind};
-use ipcp_obs::{NoopSink, ObsSink, SpanGuard};
-use ipcp_ssa::{
-    build_ssa, KillOracle, SsaInstr, SsaName, SsaOperand, SsaProc, SsaTerminator, WorstCaseKills,
-};
+use ipcp_obs::{NoopSink, ObsSink};
+use ipcp_ssa::{SsaInstr, SsaName, SsaOperand, SsaProc, SsaTerminator};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Mutex;
 
@@ -159,172 +151,99 @@ pub struct Provenance {
     pub attribution: Attribution,
 }
 
-/// Builds the provenance ledger for `program` under `config`.
-///
-/// Runs one round of the reference pipeline with unlimited fuel; the
-/// `complete_propagation` flag is ignored (the ledger explains the
-/// first-round `VAL` sets, which is exact for every Table 2
-/// configuration).
+/// Builds the provenance ledger for `program` under `config` in a fresh
+/// session ([`AnalysisSession::provenance`]).
 pub fn analyze_provenance(program: &Program, config: &AnalysisConfig) -> Provenance {
-    analyze_provenance_obs(program, config, &NoopSink)
+    AnalysisSession::new(program).provenance(config, &NoopSink)
 }
 
-/// [`analyze_provenance`] with solver lattice transitions and a
-/// `provenance` phase span reported to `sink`.
-pub fn analyze_provenance_obs(
-    program: &Program,
+/// A recorded ledger still missing the program it indexes into, which
+/// the round lends to [`record`] and hands over once it ends.
+pub(crate) struct Record {
+    ledger: Vec<BTreeMap<Slot, SlotProvenance>>,
+    rjf_chains: Vec<Vec<RjfRecovery>>,
+    attribution: Attribution,
+}
+
+impl Record {
+    /// The provenance of `program`, the round's (augmented) program.
+    pub(crate) fn into_provenance(self, program: Program) -> Provenance {
+        Provenance {
+            program,
+            ledger: self.ledger,
+            rjf_chains: self.rjf_chains,
+            attribution: self.attribution,
+        }
+    }
+}
+
+/// Records the ledger, return-jump-function chains and per-level
+/// attribution of one solved round under `config`.
+pub(crate) fn record(
+    round: &SolvedRound<'_>,
     config: &AnalysisConfig,
     sink: &dyn ObsSink,
-) -> Provenance {
-    let _span = SpanGuard::enter(sink, "provenance", "phase");
-    let budget = Budget::unlimited();
-    let mut program = program.clone();
-    let cg = CallGraph::new(&program);
-    let modref = compute_modref_budgeted(&program, &cg, &budget);
-    augment_global_vars(&mut program, &modref);
-    let program = program;
-
-    let mod_kills;
-    let kills: &dyn KillOracle = if config.mod_info {
-        mod_kills = ModKills::new(&program, &modref);
-        &mod_kills
-    } else {
-        &WorstCaseKills
-    };
-    let sym_options = SymEvalOptions {
-        gated_phis: config.gsa,
-    };
-    let rjfs = if config.return_jump_functions {
-        build_return_jfs_budgeted(&program, &cg, kills, sym_options, &budget)
-    } else {
-        ReturnJumpFns::empty(program.procs.len())
-    };
-    let rjf_recovery = config.return_jump_functions && config.mod_info;
-    let const_eval = RjfConstEval { rjfs: &rjfs };
-    let composer = RjfComposer { rjfs: &rjfs };
-    let call_sym: &dyn CallSymbolics = if !rjf_recovery {
-        &NoCallSymbolics
-    } else if config.rjf_full_composition {
-        &composer
-    } else {
-        &const_eval
-    };
-
-    // Conditional propagation's feasibility SCCP models calls through
-    // the same lattice the driver uses: return-jump-function recovery
-    // when available, pessimistic otherwise.
-    let rjf_lattice = RjfLattice { rjfs: &rjfs };
-    let feas_calls: &dyn CallLattice = if rjf_recovery {
-        &rjf_lattice
-    } else {
-        &PessimisticCalls
-    };
-
-    let solved: Option<(ForwardJumpFns, ValSets)> = if config.interprocedural {
-        let jfs = build_forward_jfs_budgeted(
-            &program,
-            &cg,
-            &modref,
-            config.jump_function,
-            kills,
-            call_sym,
-            sym_options,
-            &budget,
-        );
-        let vals = if config.branch_feasibility {
-            // Pruned (infeasible) edges either evaluate away from the
-            // final constant — and drop out of the ledger by the exact
-            // match below — or agree with it, in which case listing
-            // them as justification is harmless.
-            crate::cond::solve_cond_traced(
-                &program, &cg, &modref, &jfs, kills, feas_calls, &budget, sink,
-            )
-        } else {
-            match config.solver {
-                SolverKind::CallGraph => solve_traced(&program, &cg, &modref, &jfs, &budget, sink),
-                SolverKind::BindingGraph => {
-                    solve_binding_budgeted(&program, &cg, &modref, &jfs, &budget)
-                }
-            }
-        };
-        Some((jfs, vals))
-    } else {
-        None
-    };
-
-    let ledger = build_ledger(&program, &cg, solved.as_ref());
+) -> Record {
+    let program = round.program;
+    let vals = round.vals.as_deref();
+    let ledger = build_ledger(program, round.cg, round.jfs.as_ref().zip(vals));
     sink.count(
         "provenance.constants",
         ledger.iter().map(BTreeMap::len).sum::<usize>() as u64,
     );
 
-    // Replay each reachable caller's symbolic evaluation with a
-    // recording wrapper to capture which callee slots were recovered
-    // through return jump functions (the `explain` chain).
+    let rjf_recovery = config.return_jump_functions && config.mod_info;
+    let const_eval = RjfConstEval { rjfs: round.rjfs };
+    let composer = RjfComposer { rjfs: round.rjfs };
+    let call_sym: &dyn CallSymbolics = if config.rjf_full_composition {
+        &composer
+    } else {
+        &const_eval
+    };
+    let sym_options = SymEvalOptions {
+        gated_phis: config.gsa,
+    };
+
     let mut rjf_chains: Vec<Vec<RjfRecovery>> = vec![Vec::new(); program.procs.len()];
-    if rjf_recovery {
-        for p in program.proc_ids() {
-            if !cg.is_reachable(p) {
-                continue;
-            }
+    let mut attribution = Attribution::default();
+    for pid in program.proc_ids() {
+        if !round.cg.is_reachable(pid) {
+            continue;
+        }
+        let proc = program.proc(pid);
+        let ssa = round.ssa(pid);
+
+        // Replay the symbolic evaluation with a recording wrapper to
+        // capture which callee slots were recovered through return jump
+        // functions (the `explain` chain; empty without call sites).
+        if rjf_recovery && !round.cg.sites(pid).is_empty() {
             let recorder = Recording {
                 inner: call_sym,
                 log: Mutex::new(Vec::new()),
             };
-            let proc = program.proc(p);
-            let ssa = build_ssa(&program, proc, kills);
             let _ = symbolic_eval_with(proc, &ssa, &recorder, sym_options);
             let mut log = recorder.log.into_inner().expect("recorder lock");
             log.sort_by_key(|r| (r.callee.index(), r.slot, r.value));
             log.dedup();
-            rjf_chains[p.index()] = log;
+            rjf_chains[pid.index()] = log;
         }
-    }
 
-    // Attribution: the exact SCCP + counted-use walk of the counting
-    // pass, with constant-entry-slot dependency tracking on top.
-    let vals_ref = solved.as_ref().map(|(_, v)| v);
-    let rjf_lattice = RjfLattice { rjfs: &rjfs };
-    let calls: &dyn CallLattice = if rjf_recovery {
-        &rjf_lattice
-    } else {
-        &PessimisticCalls
-    };
-    let mut attribution = Attribution::default();
-    for pid in program.proc_ids() {
-        if !cg.is_reachable(pid) {
+        // Attribution: the exact SCCP + counted-use walk of the counting
+        // pass, with constant-entry-slot dependency tracking on top.
+        // Without constant entry slots every dependency set is empty, so
+        // every counted use is local: the stored count is the answer.
+        let Some(vals) = vals.filter(|_| !ledger[pid.index()].is_empty()) else {
+            attribution.local += round.count(pid);
             continue;
-        }
-        let proc = program.proc(pid);
-        let ssa = build_ssa(&program, proc, kills);
-        let result = match vals_ref {
-            Some(v) => {
-                let env = entry_env_of(&program, pid, v);
-                sccp(
-                    proc,
-                    &ssa,
-                    &SccpConfig {
-                        entry_env: &env,
-                        calls,
-                    },
-                )
-            }
-            None => sccp(
-                proc,
-                &ssa,
-                &SccpConfig {
-                    entry_env: &bottom_entry,
-                    calls,
-                },
-            ),
         };
+        let result = seeded_sccp(program, round.calls, Some(vals), pid, &ssa);
         let deps = const_slot_deps(
             proc,
             pid,
             &ssa,
             &result,
-            vals_ref,
-            if rjf_recovery { Some(&rjfs) } else { None },
+            vals,
+            rjf_recovery.then_some(round.rjfs),
         );
         for_each_counted_use(proc, &ssa, &result, &mut |n| {
             let d = &deps[n.index()];
@@ -342,8 +261,7 @@ pub fn analyze_provenance_obs(
         });
     }
 
-    Provenance {
-        program,
+    Record {
         ledger,
         rjf_chains,
         attribution,
@@ -357,7 +275,7 @@ pub fn analyze_provenance_obs(
 fn build_ledger(
     program: &Program,
     cg: &CallGraph,
-    solved: Option<&(ForwardJumpFns, ValSets)>,
+    solved: Option<(&ForwardJumpFns, &ValSets)>,
 ) -> Vec<BTreeMap<Slot, SlotProvenance>> {
     let mut ledger: Vec<BTreeMap<Slot, SlotProvenance>> =
         vec![BTreeMap::new(); program.procs.len()];
@@ -542,13 +460,10 @@ fn const_slot_deps(
     pid: ProcId,
     ssa: &SsaProc,
     result: &SccpResult,
-    vals: Option<&ValSets>,
+    vals: &ValSets,
     rjfs: Option<&ReturnJumpFns>,
 ) -> Vec<BTreeSet<Slot>> {
     let mut deps: Vec<BTreeSet<Slot>> = vec![BTreeSet::new(); ssa.name_count()];
-    let Some(vals) = vals else {
-        return deps;
-    };
     for (&var, &name) in &ssa.entry_names {
         if let Some(slot) = slot_of_var(proc, var) {
             if vals.value(pid, slot).as_const().is_some() {

@@ -46,8 +46,9 @@
 use crate::diskcache::DiskCache;
 use crate::driver::AnalysisConfig;
 use crate::jump::JumpFunctionKind;
+use crate::provenance::{analyze_provenance, Provenance};
 use crate::session::AnalysisSession;
-use ipcp_obs::{parse_json, Histogram, Json};
+use ipcp_obs::{parse_json, Histogram, Json, NoopSink};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -228,7 +229,11 @@ pub fn render_explain(
     proc: &str,
     param: Option<&str>,
 ) -> Result<String, String> {
-    let prov = crate::provenance::analyze_provenance(program, config);
+    explain_report(&analyze_provenance(program, config), proc, param)
+}
+
+/// [`render_explain`]'s text from an already recorded ledger.
+fn explain_report(prov: &Provenance, proc: &str, param: Option<&str>) -> Result<String, String> {
     let mut out = prov.explain(proc, param)?;
     if param.is_none() {
         out.push('\n');
@@ -571,13 +576,14 @@ impl Server {
                 Ok(crate::report::analyze_to_string(&outcome))
             }
             Op::Explain => {
+                // A view over the tenant's own round-0 artifacts, read
+                // under the lock `analyze` holds while it fills them.
+                let prov = {
+                    let _live = tenant.live.lock().expect("tenant live lock");
+                    tenant.session.provenance(&config, &NoopSink)
+                };
                 let proc = req.proc.as_deref().unwrap_or_default();
-                render_explain(
-                    tenant.session.program(),
-                    &config,
-                    proc,
-                    req.param.as_deref(),
-                )
+                explain_report(&prov, proc, req.param.as_deref())
             }
             _ => unreachable!("only query ops memoize"),
         }

@@ -71,6 +71,7 @@ use crate::driver::{
 };
 use crate::forward::{kind_weight, proc_estimate, site_jfs_for_proc, ForwardJumpFns, SiteJumpFns};
 use crate::jump::{JumpFn, JumpFunctionKind};
+use crate::provenance::Provenance;
 use crate::retjf::{build_rjf_for_proc, ReturnJumpFns, RjfComposer, RjfConstEval, RjfLattice};
 use crate::solver::{entry_constants_fp, entry_env_of, solve_traced, ValSets};
 use crate::subst::{count_one_proc, SubstitutionCounts};
@@ -598,6 +599,52 @@ impl RoundCtx {
     }
 }
 
+/// One round's artifacts through the solve, as
+/// [`AnalysisSession::with_solved_round`] lends them to the rest of the
+/// round.
+pub(crate) struct SolvedRound<'a> {
+    session: &'a AnalysisSession,
+    /// The round's program, augmented with global pseudo-variables.
+    pub(crate) program: &'a Program,
+    pub(crate) cg: &'a CallGraph,
+    ctx: &'a RoundCtx,
+    kills: &'a dyn KillOracle,
+    pub(crate) rjfs: &'a ReturnJumpFns,
+    /// Call effects as SCCP models them: through the return jump
+    /// functions under recovery, pessimistic otherwise.
+    pub(crate) calls: &'a dyn CallLattice,
+    /// Forward jump functions (interprocedural configurations only).
+    pub(crate) jfs: Option<ForwardJumpFns>,
+    /// The solved `VAL` sets (interprocedural configurations only).
+    pub(crate) vals: Option<Arc<ValSets>>,
+}
+
+impl SolvedRound<'_> {
+    /// `pid`'s SSA form, from the store.
+    pub(crate) fn ssa(&self, pid: ProcId) -> Arc<SsaProc> {
+        self.session
+            .cached_ssa(self.program, pid, self.kills, self.ctx)
+    }
+
+    /// `pid`'s substitution count under the round's `VAL` sets: the
+    /// stored one, else counted without storing it (only `analyze` fills
+    /// the count store).
+    pub(crate) fn count(&self, pid: ProcId) -> usize {
+        let vals = self.vals.as_deref();
+        let key = self.ctx.entry_key(self.program, pid, vals);
+        let stored = self
+            .session
+            .store
+            .substs
+            .read()
+            .expect("subst store lock")
+            .get(&key)
+            .copied();
+        stored
+            .unwrap_or_else(|| count_one_proc(self.program, self.calls, vals, pid, &self.ssa(pid)))
+    }
+}
+
 /// A memoized pass manager over one program. See the module docs.
 pub struct AnalysisSession {
     base: Program,
@@ -941,11 +988,8 @@ impl AnalysisSession {
         loop {
             self.stats.lock().unwrap().rounds += 1;
 
-            // Program-level artifacts: fingerprint, call graph, MOD/REF.
-            // The call graph is built against the pre-augmentation
-            // program, exactly like the single-shot pipeline (call edges
-            // are unaffected by augmentation). Round 0 always runs over
-            // the pristine program, whose fingerprint is precomputed.
+            // Round 0 always runs over the pristine program, whose
+            // fingerprint is precomputed.
             let start = Instant::now();
             let state_fp = if first_round {
                 self.base_fp
@@ -955,163 +999,65 @@ impl AnalysisSession {
             first_round = false;
             self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
 
-            let cg = {
-                let _span = SpanGuard::enter(sink, "call_graph", "phase");
-                self.cached_call_graph(&program, state_fp)
-            };
-            let modref = self.cached_modref(&program, &cg, state_fp, budget, jobs, sink);
-            augment_global_vars(&mut program, &modref);
-
-            let closure_fps = {
-                let _span = SpanGuard::enter(sink, "closures", "phase");
-                self.cached_closures(&program, &cg, state_fp, jobs)
-            };
-
-            let round = RoundCtx {
+            // DCE rewrites are collected while the round borrows
+            // `program` and applied after the borrows end.
+            let (substitutions, vals, changed, new_procs) = self.with_solved_round(
+                &mut program,
                 state_fp,
-                closure_fps,
-                mod_info: config.mod_info,
-                gsa: config.gsa,
-                mode: call_sym_mode(config),
-            };
-
-            // Incrementality audit, round 0 only: the pristine program's
-            // key components are the ones worth diffing (DCE rounds feed
-            // on round-0 artifacts). Attribute every would-be
-            // recomputation to the component that moved.
-            if let Some(actx) = audit.take() {
-                let start = Instant::now();
-                let mut ledger = Ledger {
-                    base_fp: self.base_fp,
-                    globals_fp: round.closure_fps.globals,
-                    procs: program
-                        .procs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| LedgerProc {
-                            name: p.name.clone(),
-                            own_fp: round.closure_fps.own[i],
-                            closure_fp: round.closure_fps.closures[i],
-                        })
-                        .collect(),
-                    facets: render_facets(config),
-                    outcome_keys: actx
-                        .prev
-                        .as_ref()
-                        .map(|p| p.outcome_keys.clone())
-                        .unwrap_or_default(),
-                };
-                if let Some(key) = actx.outcome_key {
-                    ledger.remember_outcome_key(key);
-                }
-                let report = diff_ledgers(actx.prev.as_ref(), &ledger, actx.disk);
-                self.commit_audit(report, ledger);
-                self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
-            }
-
-            // Everything below borrows `program` immutably; DCE rewrites
-            // are collected and applied after the borrows end.
-            let (substitutions, vals, changed, new_procs) = {
-                let program = &program;
-                let mod_kills;
-                let kills: &dyn KillOracle = if config.mod_info {
-                    mod_kills = ModKills::new(program, &modref);
-                    &mod_kills
-                } else {
-                    &WorstCaseKills
-                };
-                let sym_options = SymEvalOptions {
-                    gated_phis: config.gsa,
-                };
-
-                let rjfs: ReturnJumpFns = if config.return_jump_functions {
-                    let _span = SpanGuard::enter(sink, "return_jfs", "phase");
-                    self.cached_return_jfs(
-                        program,
-                        &cg,
-                        &round,
-                        kills,
-                        sym_options,
-                        budget,
-                        jobs,
-                        sink,
-                    )
-                } else {
-                    ReturnJumpFns::empty(program.procs.len())
-                };
-                rjfs.emit_counters(sink);
-                stats.return_jfs = rjfs.useful_count();
-
-                let rjf_lattice = RjfLattice { rjfs: &rjfs };
-                let calls: &dyn CallLattice = if round.mode != CallSymMode::Pessimistic {
-                    &rjf_lattice
-                } else {
-                    &PessimisticCalls
-                };
-
-                let vals: Option<Arc<ValSets>> = if config.interprocedural {
-                    let jfs = {
-                        let _span = SpanGuard::enter(sink, "forward_jfs", "phase");
-                        self.cached_forward_jfs(
-                            program,
-                            &cg,
-                            &modref,
-                            config.jump_function,
-                            &rjfs,
-                            &round,
-                            kills,
-                            sym_options,
-                            budget,
+                config,
+                budget,
+                jobs,
+                sink,
+                &mut stats,
+                audit.take(),
+                |r| {
+                    // Spent once the solve has read them.
+                    drop(r.jfs);
+                    let substitutions = {
+                        let _span = SpanGuard::enter(sink, "substitute", "phase");
+                        self.cached_subst(
+                            r.program,
+                            r.cg,
+                            r.calls,
+                            r.vals.as_deref(),
+                            r.ctx,
+                            r.kills,
                             jobs,
-                            sink,
                         )
                     };
-                    jfs.emit_counters(sink);
-                    stats.forward_jfs = jfs.count();
-                    stats.useful_forward_jfs = jfs.useful_count();
-                    let v = {
-                        let _span = SpanGuard::enter(sink, "solve", "phase");
-                        self.cached_solve(
-                            program, &cg, &modref, &jfs, config, &round, kills, calls, budget, sink,
-                        )
-                    };
-                    sink.count("solver.iterations", v.iterations() as u64);
-                    stats.solver_iterations += v.iterations();
-                    stats.pruned_call_edges += v.pruned_call_edges();
-                    Some(v)
-                } else {
-                    None
-                };
+                    sink.count("subst.total", substitutions.total as u64);
 
-                let substitutions = {
-                    let _span = SpanGuard::enter(sink, "substitute", "phase");
-                    self.cached_subst(program, &cg, calls, vals.as_deref(), &round, kills, jobs)
-                };
-                sink.count("subst.total", substitutions.total as u64);
-
-                let mut changed = false;
-                let mut new_procs = Vec::new();
-                if config.complete_propagation {
-                    let _span = SpanGuard::enter(sink, "dce", "phase");
-                    let start = Instant::now();
-                    // Every procedure is rewritten (like the single-shot
-                    // loop), not just the changed ones — the `changed`
-                    // flag only decides whether another round runs.
-                    let pids: Vec<ProcId> = program.proc_ids().collect();
-                    let steps = par_map_obs(jobs, &pids, sink, "dce.proc", |_, &pid| {
-                        self.dce_step_for_proc(program, pid, &round, kills, calls, vals.as_deref())
-                    });
-                    for (pid, (step, fuel)) in pids.into_iter().zip(steps) {
-                        budget.checkpoint(Phase::Sccp, fuel);
-                        changed |= step.changed;
-                        new_procs.push((pid, step.proc));
+                    let mut changed = false;
+                    let mut new_procs = Vec::new();
+                    if config.complete_propagation {
+                        let _span = SpanGuard::enter(sink, "dce", "phase");
+                        let start = Instant::now();
+                        // Every procedure is rewritten (like the single-shot
+                        // loop), not just the changed ones — the `changed`
+                        // flag only decides whether another round runs.
+                        let pids: Vec<ProcId> = r.program.proc_ids().collect();
+                        let steps = par_map_obs(jobs, &pids, sink, "dce.proc", |_, &pid| {
+                            self.dce_step_for_proc(
+                                r.program,
+                                pid,
+                                r.ctx,
+                                r.kills,
+                                r.calls,
+                                r.vals.as_deref(),
+                            )
+                        });
+                        for (pid, (step, fuel)) in pids.into_iter().zip(steps) {
+                            budget.checkpoint(Phase::Sccp, fuel);
+                            changed |= step.changed;
+                            new_procs.push((pid, step.proc));
+                        }
+                        if jobs > 1 {
+                            self.phase_span(SessionPhase::Dce, start.elapsed());
+                        }
                     }
-                    if jobs > 1 {
-                        self.phase_span(SessionPhase::Dce, start.elapsed());
-                    }
-                }
-                (substitutions, vals, changed, new_procs)
-            };
+                    (substitutions, r.vals, changed, new_procs)
+                },
+            );
 
             for (pid, proc) in new_procs {
                 *program.proc_mut(pid) = proc;
@@ -1145,6 +1091,187 @@ impl AnalysisSession {
                 robustness: budget.report(),
             };
         }
+    }
+
+    /// Runs one round of the pipeline through the solve, every artifact
+    /// from the store (computed and inserted on a miss), and hands the
+    /// artifacts to `rest`: call graph, MOD/REF, augmentation of
+    /// `program` (whose fingerprint is `state_fp`), closure fingerprints,
+    /// the incrementality audit when `audit` is given, return and
+    /// forward jump functions and the `VAL` sets. `analyze` runs each of
+    /// its rounds through here; [`Self::provenance`] runs round 0.
+    #[allow(clippy::too_many_arguments)]
+    fn with_solved_round<R>(
+        &self,
+        program: &mut Program,
+        state_fp: u64,
+        config: &AnalysisConfig,
+        budget: &Budget,
+        jobs: usize,
+        sink: &dyn ObsSink,
+        stats: &mut PhaseStats,
+        audit: Option<AuditCtx>,
+        rest: impl FnOnce(SolvedRound<'_>) -> R,
+    ) -> R {
+        // The call graph is built against the pre-augmentation program,
+        // exactly like the single-shot pipeline (call edges are
+        // unaffected by augmentation).
+        let cg = {
+            let _span = SpanGuard::enter(sink, "call_graph", "phase");
+            self.cached_call_graph(program, state_fp)
+        };
+        let modref = self.cached_modref(program, &cg, state_fp, budget, jobs, sink);
+        augment_global_vars(program, &modref);
+        let program = &*program;
+
+        let closure_fps = {
+            let _span = SpanGuard::enter(sink, "closures", "phase");
+            self.cached_closures(program, &cg, state_fp, jobs)
+        };
+
+        let round = RoundCtx {
+            state_fp,
+            closure_fps,
+            mod_info: config.mod_info,
+            gsa: config.gsa,
+            mode: call_sym_mode(config),
+        };
+
+        // Incrementality audit, round 0 only: the pristine program's key
+        // components are the ones worth diffing (DCE rounds feed on
+        // round-0 artifacts). Attribute every would-be recomputation to
+        // the component that moved.
+        if let Some(actx) = audit {
+            let start = Instant::now();
+            let mut ledger = Ledger {
+                base_fp: self.base_fp,
+                globals_fp: round.closure_fps.globals,
+                procs: program
+                    .procs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| LedgerProc {
+                        name: p.name.clone(),
+                        own_fp: round.closure_fps.own[i],
+                        closure_fp: round.closure_fps.closures[i],
+                    })
+                    .collect(),
+                facets: render_facets(config),
+                outcome_keys: actx
+                    .prev
+                    .as_ref()
+                    .map(|p| p.outcome_keys.clone())
+                    .unwrap_or_default(),
+            };
+            if let Some(key) = actx.outcome_key {
+                ledger.remember_outcome_key(key);
+            }
+            let report = diff_ledgers(actx.prev.as_ref(), &ledger, actx.disk);
+            self.commit_audit(report, ledger);
+            self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
+        }
+
+        let mod_kills;
+        let kills: &dyn KillOracle = if config.mod_info {
+            mod_kills = ModKills::new(program, &modref);
+            &mod_kills
+        } else {
+            &WorstCaseKills
+        };
+        let sym_options = SymEvalOptions {
+            gated_phis: config.gsa,
+        };
+
+        let rjfs: ReturnJumpFns = if config.return_jump_functions {
+            let _span = SpanGuard::enter(sink, "return_jfs", "phase");
+            self.cached_return_jfs(program, &cg, &round, kills, sym_options, budget, jobs, sink)
+        } else {
+            ReturnJumpFns::empty(program.procs.len())
+        };
+        rjfs.emit_counters(sink);
+        stats.return_jfs = rjfs.useful_count();
+
+        let rjf_lattice = RjfLattice { rjfs: &rjfs };
+        let calls: &dyn CallLattice = if round.mode != CallSymMode::Pessimistic {
+            &rjf_lattice
+        } else {
+            &PessimisticCalls
+        };
+
+        let (jfs, vals) = if config.interprocedural {
+            let jfs = {
+                let _span = SpanGuard::enter(sink, "forward_jfs", "phase");
+                self.cached_forward_jfs(
+                    program,
+                    &cg,
+                    &modref,
+                    config.jump_function,
+                    &rjfs,
+                    &round,
+                    kills,
+                    sym_options,
+                    budget,
+                    jobs,
+                    sink,
+                )
+            };
+            jfs.emit_counters(sink);
+            stats.forward_jfs = jfs.count();
+            stats.useful_forward_jfs = jfs.useful_count();
+            let v = {
+                let _span = SpanGuard::enter(sink, "solve", "phase");
+                self.cached_solve(
+                    program, &cg, &modref, &jfs, config, &round, kills, calls, budget, sink,
+                )
+            };
+            sink.count("solver.iterations", v.iterations() as u64);
+            stats.solver_iterations += v.iterations();
+            stats.pruned_call_edges += v.pruned_call_edges();
+            (Some(jfs), Some(v))
+        } else {
+            (None, None)
+        };
+
+        rest(SolvedRound {
+            session: self,
+            program,
+            cg: &cg,
+            ctx: &round,
+            kills,
+            rjfs: &rjfs,
+            calls,
+            jfs,
+            vals,
+        })
+    }
+
+    /// The provenance ledger of `config` (see [`crate::provenance`]): a
+    /// view over round 0's artifacts — call graph, MOD/REF, return and
+    /// forward jump functions, the solved `VAL` sets and per-procedure
+    /// SSA — taken from the store like `analyze`'s own round 0, so after
+    /// an `analyze` under the same configuration every lookup hits and
+    /// nothing is inserted. What it computes itself is the ledger, the
+    /// return-jump-function chain replay and the attribution SCCP.
+    ///
+    /// Runs with unlimited fuel and ignores `complete_propagation` (the
+    /// ledger explains the first-round `VAL` sets, which is exact for
+    /// every Table 2 configuration). Never consults or writes the disk
+    /// cache, and never touches the incrementality audit or its ledger.
+    pub fn provenance(&self, config: &AnalysisConfig, sink: &dyn ObsSink) -> Provenance {
+        let _span = SpanGuard::enter(sink, "provenance", "phase");
+        let mut program = self.base.clone();
+        let record = self.with_solved_round(
+            &mut program,
+            self.base_fp,
+            config,
+            &Budget::unlimited(),
+            crate::parallel::effective_jobs(config),
+            sink,
+            &mut PhaseStats::default(),
+            None,
+            |r| crate::provenance::record(&r, config, sink),
+        );
+        record.into_provenance(program)
     }
 
     /// Closure fingerprints of the augmented program, cached by the
@@ -2126,6 +2253,72 @@ main\ncall f(0)\nend\n";
         assert!(counts > 0, "per-procedure counts are cached");
         assert!(store.approx_bytes() < store.len() as u64 * 2048);
         assert!(store.approx_bytes() >= (store.len() - counts) as u64 * 2048);
+    }
+
+    #[test]
+    fn provenance_after_analyze_is_pure_store_hits() {
+        let dir = std::env::temp_dir().join(format!("ipcp-session-prov-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(crate::diskcache::DiskCache::open(&dir).unwrap());
+        for src in [OCEAN_LIKE, DEAD_GUARD] {
+            let program = ipcp_ir::compile_to_ir(src).unwrap();
+            let mut session = AnalysisSession::new(&program);
+            session.attach_disk_cache(Arc::clone(&cache));
+            session.set_audit_label("prog.mf");
+            for (i, config) in sweep_configs().iter().enumerate() {
+                session.analyze(config);
+                let store_len = session.store().len();
+                let footprint = session.approx_footprint_bytes();
+                let misses = session.stats().total_misses();
+                let audit = session.last_audit().expect("an unmetered run audits");
+                let ledger = crate::audit::load_ledger(&dir, "prog.mf");
+                let disk = cache.stats();
+
+                let prov = session.provenance(config, &NoopSink);
+
+                let what = format!("config #{i}");
+                assert_eq!(session.store().len(), store_len, "{what}: store size");
+                assert_eq!(session.approx_footprint_bytes(), footprint, "{what}");
+                assert_eq!(session.stats().total_misses(), misses, "{what}: misses");
+                let after = session.last_audit().expect("audit kept");
+                assert!(Arc::ptr_eq(&after, &audit), "{what}: audit committed");
+                assert_eq!(crate::audit::load_ledger(&dir, "prog.mf"), ledger, "{what}");
+                assert_eq!(cache.stats(), disk, "{what}: disk cache touched");
+
+                // The view renders what a fresh session records.
+                let fresh = crate::provenance::analyze_provenance(&program, config);
+                assert_eq!(prov.attribution, fresh.attribution, "{what}");
+                for proc in &program.procs {
+                    assert_eq!(
+                        prov.explain(&proc.name, None),
+                        fresh.explain(&proc.name, None),
+                        "{what}: {}",
+                        proc.name
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn analyze_after_provenance_matches_reference_pipeline() {
+        // Provenance fills the store first; `analyze` then replays the
+        // artifacts it cached, fuel included.
+        for src in [OCEAN_LIKE, DEAD_GUARD] {
+            let program = ipcp_ir::compile_to_ir(src).unwrap();
+            for (i, config) in sweep_configs().iter().enumerate() {
+                let session = AnalysisSession::new(&program);
+                session.provenance(config, &NoopSink);
+                let got = session.analyze(config);
+                let want = analyze_with_budget_reference(
+                    &program,
+                    config,
+                    &Budget::for_limit(config.fuel),
+                );
+                assert_outcomes_equal(&got, &want, &format!("config #{i}"));
+            }
+        }
     }
 
     #[test]

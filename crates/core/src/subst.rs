@@ -64,9 +64,23 @@ pub(crate) fn count_one_proc(
     pid: ipcp_ir::ProcId,
     ssa: &ipcp_ssa::SsaProc,
 ) -> usize {
+    let result = seeded_sccp(program, calls, vals, pid, ssa);
+    let mut count = 0usize;
+    for_each_counted_use(program.proc(pid), ssa, &result, &mut |_| count += 1);
+    count
+}
+
+/// SCCP of one procedure seeded with its entry constants from `vals`
+/// (every entry ⊥ without them): the walk the counting pass counts over.
+pub(crate) fn seeded_sccp(
+    program: &Program,
+    calls: &dyn CallLattice,
+    vals: Option<&ValSets>,
+    pid: ipcp_ir::ProcId,
+    ssa: &ipcp_ssa::SsaProc,
+) -> ipcp_analysis::SccpResult {
     let proc = program.proc(pid);
-    let bottom = ipcp_analysis::sccp::bottom_entry;
-    let result = match vals {
+    match vals {
         Some(v) => {
             let env = entry_env_of(program, pid, v);
             sccp(
@@ -82,15 +96,11 @@ pub(crate) fn count_one_proc(
             proc,
             ssa,
             &SccpConfig {
-                entry_env: &bottom,
+                entry_env: &ipcp_analysis::sccp::bottom_entry,
                 calls,
             },
         ),
-    };
-
-    let mut count = 0usize;
-    for_each_counted_use(proc, ssa, &result, &mut |_| count += 1);
-    count
+    }
 }
 
 /// Visits every *counted* use of one procedure: each executable textual

@@ -573,12 +573,10 @@ impl Lowerer<'_> {
             }
             ExprKind::CallFn(name, args) => {
                 if dst_base == Base::Int {
-                    let args_vec: Vec<Expr> = args.clone();
-                    self.lower_call(name, &args_vec, Some(dst));
+                    self.lower_call(name, args, Some(dst));
                 } else {
                     let t = self.new_temp(Base::Int);
-                    let args_vec: Vec<Expr> = args.clone();
-                    self.lower_call(name, &args_vec, Some(t));
+                    self.lower_call(name, args, Some(t));
                     self.emit(Instr::IntToReal {
                         dst,
                         src: Operand::Var(t),
@@ -635,8 +633,7 @@ impl Lowerer<'_> {
             }
             ExprKind::CallFn(name, args) => {
                 let t = self.new_temp(Base::Int);
-                let args_vec: Vec<Expr> = args.clone();
-                self.lower_call(name, &args_vec, Some(t));
+                self.lower_call(name, args, Some(t));
                 Operand::Var(t)
             }
             ExprKind::Unary(op, operand) => {

@@ -82,12 +82,27 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
+    /// Consumes the current token. Tokens behind the cursor are never
+    /// read again, so each is moved out (a payload-free `Eof` is left in
+    /// its place); the final `Eof` stays put, so bumping at the end of
+    /// input returns it again.
     fn bump(&mut self) -> Token {
-        let tok = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        if self.pos + 1 == self.tokens.len() {
+            return self.tokens[self.pos].clone();
         }
+        let span = self.tokens[self.pos].span;
+        let tok = std::mem::replace(&mut self.tokens[self.pos], Token::new(TokenKind::Eof, span));
+        self.pos += 1;
         tok
+    }
+
+    /// Consumes the current token, which the caller peeked to be an
+    /// identifier, and returns its name.
+    fn bump_ident(&mut self) -> String {
+        match self.bump().kind {
+            TokenKind::Ident(name) => name,
+            other => unreachable!("peeked an identifier, found {other:?}"),
+        }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -142,18 +157,15 @@ impl Parser {
     }
 
     fn ident(&mut self, ctx: &str) -> PResult<(String, Span)> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.peek_span();
-                self.bump();
-                Ok((name, span))
-            }
-            other => Err(self.error(format!(
+        if !matches!(self.peek(), TokenKind::Ident(_)) {
+            return Err(self.error(format!(
                 "expected identifier {}, found {}",
                 ctx,
-                other.describe()
-            ))),
+                self.peek().describe()
+            )));
         }
+        let span = self.peek_span();
+        Ok((self.bump_ident(), span))
     }
 
     // ---- top level ----------------------------------------------------
@@ -203,7 +215,7 @@ impl Parser {
                 return Err(self.error("only integer scalar globals may have initializers"));
             }
             let neg = self.eat(&TokenKind::Minus);
-            match self.peek().clone() {
+            match *self.peek() {
                 TokenKind::Int(v) => {
                     self.bump();
                     init = Some(if neg { v.wrapping_neg() } else { v });
@@ -212,7 +224,7 @@ impl Parser {
                     self.bump();
                     init = Some(i64::MIN);
                 }
-                other => {
+                ref other => {
                     return Err(self.error(format!(
                         "global initializer must be an integer literal, found {}",
                         other.describe()
@@ -231,12 +243,12 @@ impl Parser {
     }
 
     fn array_len(&mut self) -> PResult<u32> {
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(v) if v > 0 && v <= u32::MAX as i64 => {
                 self.bump();
                 Ok(v as u32)
             }
-            other => Err(self.error(format!(
+            ref other => Err(self.error(format!(
                 "array length must be a positive integer literal, found {}",
                 other.describe()
             ))),
@@ -380,7 +392,7 @@ impl Parser {
 
     fn stmt_inner(&mut self) -> PResult<Stmt> {
         let start = self.peek_span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Ident(_) => self.assign_stmt(),
             TokenKind::KwIf => {
                 self.bump();
@@ -499,7 +511,9 @@ impl Parser {
                     span,
                 })
             }
-            other => Err(self.error(format!("expected a statement, found {}", other.describe()))),
+            ref other => {
+                Err(self.error(format!("expected a statement, found {}", other.describe())))
+            }
         }
     }
 
@@ -713,7 +727,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> PResult<Expr> {
         let span = self.peek_span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok(Expr {
@@ -737,8 +751,8 @@ impl Parser {
                     span: span.merge(rp.span),
                 })
             }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Ident(_) => {
+                let name = self.bump_ident();
                 if self.eat(&TokenKind::LParen) {
                     let args = self.args()?;
                     let rp = self.expect(&TokenKind::RParen, "after arguments")?;
@@ -753,7 +767,7 @@ impl Parser {
                     })
                 }
             }
-            other => Err(self.error(format!(
+            ref other => Err(self.error(format!(
                 "expected an expression, found {}",
                 other.describe()
             ))),

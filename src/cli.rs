@@ -703,8 +703,11 @@ pub fn execute(cli: &Cli, source: &str) -> Result<String, String> {
                 .analyze_checked_obs(&cli.config, &sink)
                 .map_err(|e| e.to_string())?;
             let mut out = crate::core::obs::prometheus_text(&sink.snapshot());
-            let prov = crate::core::analyze_provenance(&program, &cli.config);
-            let a = prov.attribution;
+            // Attribution reads the round-0 artifacts the analysis just
+            // left in the session's store.
+            let a = session
+                .provenance(&cli.config, &crate::core::obs::NoopSink)
+                .attribution;
             out.push_str(
                 "# HELP ipcp_substitutions_by_level Substitutions attributed to each \
                  jump-function provenance level.\n\

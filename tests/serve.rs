@@ -251,6 +251,99 @@ fn concurrent_tenants_share_the_disk_cache_without_recomputation() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+/// `explain` is a view over the tenant's own session: concurrent
+/// `analyze` and `explain` requests on one fresh tenant, at every
+/// level and in both orders, each answer exactly like the one-shot CLI.
+#[test]
+fn concurrent_analyze_and_explain_on_one_tenant_match_one_shot() {
+    let socket = temp_path("explain_race.sock");
+    let levels = ["poly", "pass", "intra", "literal", "cond"];
+    let goldens: Vec<(String, String)> = levels
+        .iter()
+        .map(|level| {
+            (
+                one_shot(&["analyze", "heat.mf", "--level", level], HEAT),
+                one_shot(&["explain", "heat.mf", "compute", "--level", level], HEAT),
+            )
+        })
+        .collect();
+
+    let handle = spawn(ServeConfig::new(&socket)).expect("daemon starts");
+    let threads = 2 * levels.len();
+    // Every client connects, then all send their first request at once.
+    let start = std::sync::Barrier::new(threads);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (socket, start) = (&socket, &start);
+            let (level, (ga, ge)) = (levels[t / 2], &goldens[t / 2]);
+            scope.spawn(move || {
+                let mut client = Client::connect(socket).expect("connects");
+                start.wait();
+                let mut ops = [
+                    ("analyze", vec![("source", HEAT), ("level", level)], ga),
+                    (
+                        "explain",
+                        vec![("source", HEAT), ("proc", "compute"), ("level", level)],
+                        ge,
+                    ),
+                ];
+                if t % 2 == 1 {
+                    ops.reverse();
+                }
+                for (op, fields, golden) in &ops {
+                    let out = client
+                        .call(t as u64, op, fields)
+                        .expect("transport")
+                        .into_result()
+                        .expect("op ok");
+                    assert_eq!(out, **golden, "thread {t}: {op} at {level} drifted");
+                }
+            });
+        }
+    });
+    let mut control = Client::connect(&socket).expect("connects");
+    control
+        .call(99, "shutdown", &[])
+        .expect("transport")
+        .into_result()
+        .expect("shutdown ok");
+    let summary = handle.join().expect("clean exit");
+    assert_eq!(summary.tenants, 1, "{summary:?}");
+}
+
+/// `explain` commits no incrementality audit: `why` reads the same
+/// before and after one, even when the explain runs under another
+/// level (whose facets an audit would report as changed).
+#[test]
+fn explain_leaves_why_unchanged() {
+    let socket = temp_path("explain_why.sock");
+    let golden_explain = one_shot(
+        &["explain", "heat.mf", "compute", "--level", "literal"],
+        HEAT,
+    );
+    let handle = spawn(ServeConfig::new(&socket)).expect("daemon starts");
+    let mut client = Client::connect(&socket).expect("connects");
+    let mut call = |id: u64, op: &str, fields: &[(&str, &str)]| {
+        client
+            .call(id, op, fields)
+            .expect("transport")
+            .into_result()
+            .unwrap_or_else(|e| panic!("{op} failed: {e}"))
+    };
+    call(1, "analyze", &[("source", HEAT)]);
+    let before = call(2, "why", &[("source", HEAT)]);
+    let explain = call(
+        3,
+        "explain",
+        &[("source", HEAT), ("proc", "compute"), ("level", "literal")],
+    );
+    assert_eq!(explain, golden_explain);
+    let after = call(4, "why", &[("source", HEAT)]);
+    assert_eq!(before, after, "explain moved the audit");
+    call(5, "shutdown", &[]);
+    handle.join().expect("clean exit");
+}
+
 #[test]
 fn tenant_byte_budget_evicts_lru_sessions_without_changing_output() {
     let socket = temp_path("evict.sock");
