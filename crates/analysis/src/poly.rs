@@ -12,9 +12,10 @@
 //! back to an opaque expression node.
 
 use crate::modref::Slot;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Maximum number of terms a polynomial may hold.
 pub const MAX_TERMS: usize = 32;
@@ -43,10 +44,58 @@ impl Default for PolyCaps {
 
 /// A power product of slots, e.g. `arg0^2 * g3`. The empty monomial is
 /// the constant term.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+///
+/// Up to two factors are held inline; longer products spill to the heap.
+/// Equality, order, hashing and `Debug` see only the sorted factor slice,
+/// whichever storage holds it.
+#[derive(Clone, Default)]
 pub struct Monomial {
-    /// `(slot, exponent)` pairs, sorted by slot, exponents ≥ 1.
-    factors: Vec<(Slot, u32)>,
+    factors: Factors,
+}
+
+/// The factor storage of a [`Monomial`]: `(slot, exponent)` pairs,
+/// sorted by slot, exponents ≥ 1.
+#[derive(Clone)]
+enum Factors {
+    /// At most two factors; entries past `len` are unused.
+    Inline { len: u8, buf: [(Slot, u32); 2] },
+    /// Three or more factors.
+    Heap(Vec<(Slot, u32)>),
+}
+
+impl Default for Factors {
+    fn default() -> Self {
+        Factors::Inline {
+            len: 0,
+            buf: [(Slot::Result, 0); 2],
+        }
+    }
+}
+
+impl Factors {
+    fn as_slice(&self) -> &[(Slot, u32)] {
+        match self {
+            Factors::Inline { len, buf } => &buf[..usize::from(*len)],
+            Factors::Heap(v) => v,
+        }
+    }
+
+    /// Appends a factor whose slot is greater than every slot held.
+    fn push(&mut self, factor: (Slot, u32), capacity: usize) {
+        match self {
+            Factors::Inline { len, buf } if usize::from(*len) < buf.len() => {
+                buf[usize::from(*len)] = factor;
+                *len += 1;
+            }
+            Factors::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(capacity.max(buf.len() + 1));
+                v.extend_from_slice(buf);
+                v.push(factor);
+                *self = Factors::Heap(v);
+            }
+            Factors::Heap(v) => v.push(factor),
+        }
+    }
 }
 
 impl Monomial {
@@ -57,36 +106,55 @@ impl Monomial {
 
     /// The monomial `slot^1`.
     pub fn var(slot: Slot) -> Self {
-        Monomial {
-            factors: vec![(slot, 1)],
-        }
+        let mut m = Monomial::unit();
+        m.factors.push((slot, 1), 1);
+        m
     }
 
     /// Total degree.
     pub fn degree(&self) -> u32 {
-        self.factors.iter().map(|&(_, e)| e).sum()
+        self.factors().iter().map(|&(_, e)| e).sum()
     }
 
     /// Product of two monomials.
     pub fn mul(&self, other: &Monomial) -> Monomial {
-        let mut factors: BTreeMap<Slot, u32> = self.factors.iter().copied().collect();
-        for &(s, e) in &other.factors {
-            *factors.entry(s).or_insert(0) += e;
+        let (a, b) = (self.factors(), other.factors());
+        let capacity = a.len() + b.len();
+        let mut out = Monomial::unit();
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let factor = match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    i += 1;
+                    a[i - 1]
+                }
+                Ordering::Greater => {
+                    j += 1;
+                    b[j - 1]
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    (a[i - 1].0, a[i - 1].1 + b[j - 1].1)
+                }
+            };
+            out.factors.push(factor, capacity);
         }
-        Monomial {
-            factors: factors.into_iter().collect(),
+        for &factor in a[i..].iter().chain(&b[j..]) {
+            out.factors.push(factor, capacity);
         }
+        out
     }
 
     /// The factors, sorted by slot.
     pub fn factors(&self) -> &[(Slot, u32)] {
-        &self.factors
+        self.factors.as_slice()
     }
 
     /// Evaluates with wrapping arithmetic; `None` if any slot is unmapped.
     pub fn eval(&self, env: &dyn Fn(Slot) -> Option<i64>) -> Option<i64> {
         let mut acc = 1i64;
-        for &(s, e) in &self.factors {
+        for &(s, e) in self.factors() {
             let v = env(s)?;
             for _ in 0..e {
                 acc = acc.wrapping_mul(v);
@@ -96,12 +164,46 @@ impl Monomial {
     }
 }
 
+impl PartialEq for Monomial {
+    fn eq(&self, other: &Self) -> bool {
+        self.factors() == other.factors()
+    }
+}
+
+impl Eq for Monomial {}
+
+impl PartialOrd for Monomial {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Monomial {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.factors().cmp(other.factors())
+    }
+}
+
+impl Hash for Monomial {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.factors().hash(state);
+    }
+}
+
+impl fmt::Debug for Monomial {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Monomial")
+            .field("factors", &self.factors())
+            .finish()
+    }
+}
+
 impl fmt::Display for Monomial {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.factors.is_empty() {
+        if self.factors().is_empty() {
             return f.write_str("1");
         }
-        for (i, (s, e)) in self.factors.iter().enumerate() {
+        for (i, (s, e)) in self.factors().iter().enumerate() {
             if i > 0 {
                 f.write_str("*")?;
             }
@@ -116,46 +218,99 @@ impl fmt::Display for Monomial {
 }
 
 /// A multivariate polynomial with `i64` coefficients (wrapping).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// Terms are kept sorted by monomial, with cancelled terms removed. A
+/// one-term polynomial (a constant or a pass-through slot, the shapes
+/// jump functions nearly always take) is held inline; others keep their
+/// terms in one vector, which the zero polynomial leaves unallocated.
+/// Equality, hashing and `Debug` see only the sorted term slice,
+/// whichever storage holds it; `Debug` renders it as a map.
+#[derive(Clone, Default)]
 pub struct Poly {
-    /// Terms with non-zero coefficients only.
-    terms: BTreeMap<Monomial, i64>,
+    terms: Terms,
+}
+
+/// The term storage of a [`Poly`].
+#[derive(Clone)]
+enum Terms {
+    /// Exactly one term.
+    One((Monomial, i64)),
+    /// Zero, or two or more, terms.
+    Many(Vec<(Monomial, i64)>),
+}
+
+impl Default for Terms {
+    fn default() -> Self {
+        Terms::Many(Vec::new())
+    }
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[(Monomial, i64)] {
+        match self {
+            Terms::One(t) => std::slice::from_ref(t),
+            Terms::Many(v) => v,
+        }
+    }
+
+    /// Terms from a sorted vector, a single term moved inline.
+    fn from_vec(mut v: Vec<(Monomial, i64)>) -> Terms {
+        if v.len() == 1 {
+            Terms::One(v.pop().expect("one term"))
+        } else {
+            Terms::Many(v)
+        }
+    }
+
+    /// Appends a term whose monomial is greater than every one held.
+    fn push(&mut self, term: (Monomial, i64), capacity: usize) {
+        match self {
+            Terms::Many(v) if v.is_empty() => *self = Terms::One(term),
+            Terms::Many(v) => v.push(term),
+            Terms::One(_) => {
+                let mut v = Vec::with_capacity(capacity.max(2));
+                if let Terms::One(first) = std::mem::take(self) {
+                    v.push(first);
+                }
+                v.push(term);
+                *self = Terms::Many(v);
+            }
+        }
+    }
 }
 
 impl Poly {
     /// The constant polynomial `c`.
     pub fn constant(c: i64) -> Poly {
-        let mut terms = BTreeMap::new();
-        if c != 0 {
-            terms.insert(Monomial::unit(), c);
+        if c == 0 {
+            return Poly::default();
         }
-        Poly { terms }
+        Poly {
+            terms: Terms::One((Monomial::unit(), c)),
+        }
     }
 
     /// The polynomial `slot`.
     pub fn var(slot: Slot) -> Poly {
-        let mut terms = BTreeMap::new();
-        terms.insert(Monomial::var(slot), 1);
-        Poly { terms }
+        Poly {
+            terms: Terms::One((Monomial::var(slot), 1)),
+        }
+    }
+
+    fn term_slice(&self) -> &[(Monomial, i64)] {
+        self.terms.as_slice()
     }
 
     /// Whether this is the zero polynomial.
     pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
+        self.term_slice().is_empty()
     }
 
     /// The constant value, if this polynomial is constant.
     pub fn as_const(&self) -> Option<i64> {
-        match self.terms.len() {
-            0 => Some(0),
-            1 => {
-                let (m, &c) = self.terms.iter().next().expect("one term");
-                if m.degree() == 0 {
-                    Some(c)
-                } else {
-                    None
-                }
-            }
+        match self.term_slice() {
+            [] => Some(0),
+            [(m, c)] if m.degree() == 0 => Some(*c),
             _ => None,
         }
     }
@@ -163,37 +318,37 @@ impl Poly {
     /// The single slot, if this polynomial is exactly `1 * slot` — the
     /// shape the *pass-through parameter jump function* transmits.
     pub fn as_var(&self) -> Option<Slot> {
-        if self.terms.len() != 1 {
-            return None;
-        }
-        let (m, &c) = self.terms.iter().next().expect("one term");
-        if c == 1 && m.factors().len() == 1 && m.factors()[0].1 == 1 {
-            Some(m.factors()[0].0)
-        } else {
-            None
+        match self.term_slice() {
+            [(m, 1)] => match m.factors() {
+                &[(slot, 1)] => Some(slot),
+                _ => None,
+            },
+            _ => None,
         }
     }
 
     /// Number of terms.
     pub fn term_count(&self) -> usize {
-        self.terms.len()
+        self.term_slice().len()
     }
 
     /// Total degree (0 for constants and zero).
     pub fn degree(&self) -> u32 {
-        self.terms.keys().map(Monomial::degree).max().unwrap_or(0)
+        self.term_slice()
+            .iter()
+            .map(|(m, _)| m.degree())
+            .max()
+            .unwrap_or(0)
     }
 
     /// The slots this polynomial depends on (the jump function's
     /// *support*).
     pub fn support(&self) -> BTreeSet<Slot> {
-        let mut s = BTreeSet::new();
-        for m in self.terms.keys() {
-            for &(slot, _) in m.factors() {
-                s.insert(slot);
-            }
-        }
-        s
+        self.term_slice()
+            .iter()
+            .flat_map(|(m, _)| m.factors())
+            .map(|&(slot, _)| slot)
+            .collect()
     }
 
     /// Sum, or `None` if the result would exceed [`MAX_TERMS`].
@@ -203,39 +358,59 @@ impl Poly {
 
     /// Sum under explicit size bounds.
     pub fn checked_add_with(&self, other: &Poly, caps: &PolyCaps) -> Option<Poly> {
-        let mut terms = self.terms.clone();
-        for (m, &c) in &other.terms {
-            match terms.entry(m.clone()) {
-                Entry::Vacant(e) => {
-                    e.insert(c);
+        let (a, b) = (self.term_slice(), other.term_slice());
+        let capacity = a.len() + b.len();
+        let mut terms = Terms::default();
+        let mut len = 0;
+        let (mut i, mut j) = (0, 0);
+        // A sorted merge; the result only grows, so it fails as soon as
+        // it passes the term cap.
+        while i < a.len() || j < b.len() {
+            let order = match (a.get(i), b.get(j)) {
+                (Some((ma, _)), Some((mb, _))) => ma.cmp(mb),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let term = match order {
+                Ordering::Less => {
+                    i += 1;
+                    a[i - 1].clone()
                 }
-                Entry::Occupied(mut e) => {
-                    let v = e.get().wrapping_add(c);
+                Ordering::Greater => {
+                    j += 1;
+                    b[j - 1].clone()
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    let v = a[i - 1].1.wrapping_add(b[j - 1].1);
                     if v == 0 {
-                        e.remove();
-                    } else {
-                        *e.get_mut() = v;
+                        continue;
                     }
+                    (a[i - 1].0.clone(), v)
                 }
+            };
+            len += 1;
+            if len > caps.max_terms {
+                return None;
             }
+            terms.push(term, capacity);
         }
-        if terms.len() > caps.max_terms {
-            None
-        } else {
-            Some(Poly { terms })
-        }
+        Some(Poly { terms })
     }
 
     /// Negation.
     #[must_use]
     pub fn neg(&self) -> Poly {
-        Poly {
-            terms: self
-                .terms
-                .iter()
-                .map(|(m, &c)| (m.clone(), c.wrapping_neg()))
-                .collect(),
-        }
+        let terms = match &self.terms {
+            Terms::One((m, c)) => Terms::One((m.clone(), c.wrapping_neg())),
+            Terms::Many(v) => Terms::Many(
+                v.iter()
+                    .map(|(m, c)| (m.clone(), c.wrapping_neg()))
+                    .collect(),
+            ),
+        };
+        Poly { terms }
     }
 
     /// Difference, or `None` on overflow of the term bound.
@@ -255,41 +430,49 @@ impl Poly {
     }
 
     /// Product under explicit size bounds.
+    ///
+    /// Term products accumulate in row-major order (each term of `self`
+    /// against every term of `other`), and the product fails as soon as
+    /// the *intermediate* term count passes the cap, even if later
+    /// cancellation would bring it back under. A product coefficient that
+    /// wraps to zero still enters as a term; only cancellation between
+    /// products removes one.
     pub fn checked_mul_with(&self, other: &Poly, caps: &PolyCaps) -> Option<Poly> {
-        let mut terms: BTreeMap<Monomial, i64> = BTreeMap::new();
-        for (ma, &ca) in &self.terms {
-            for (mb, &cb) in &other.terms {
+        let (a, b) = (self.term_slice(), other.term_slice());
+        let mut acc: Vec<(Monomial, i64)> = Vec::new();
+        for (ma, ca) in a {
+            for (mb, cb) in b {
                 let m = ma.mul(mb);
                 if m.degree() > caps.max_degree {
                     return None;
                 }
-                let c = ca.wrapping_mul(cb);
-                match terms.entry(m) {
-                    Entry::Vacant(e) => {
-                        e.insert(c);
-                    }
-                    Entry::Occupied(mut e) => {
-                        let v = e.get().wrapping_add(c);
+                let c = ca.wrapping_mul(*cb);
+                match acc.binary_search_by(|(t, _)| t.cmp(&m)) {
+                    Err(at) => acc.insert(at, (m, c)),
+                    Ok(at) => {
+                        let v = acc[at].1.wrapping_add(c);
                         if v == 0 {
-                            e.remove();
+                            acc.remove(at);
                         } else {
-                            *e.get_mut() = v;
+                            acc[at].1 = v;
                         }
                     }
                 }
-                if terms.len() > caps.max_terms {
+                if acc.len() > caps.max_terms {
                     return None;
                 }
             }
         }
-        Some(Poly { terms })
+        Some(Poly {
+            terms: Terms::from_vec(acc),
+        })
     }
 
     /// Evaluates with wrapping arithmetic; `None` if any needed slot is
     /// unmapped.
     pub fn eval(&self, env: &dyn Fn(Slot) -> Option<i64>) -> Option<i64> {
         let mut acc = 0i64;
-        for (m, &c) in &self.terms {
+        for (m, c) in self.term_slice() {
             acc = acc.wrapping_add(c.wrapping_mul(m.eval(env)?));
         }
         Some(acc)
@@ -297,16 +480,47 @@ impl Poly {
 
     /// Iterates over `(monomial, coefficient)` terms.
     pub fn terms(&self) -> impl Iterator<Item = (&Monomial, i64)> {
-        self.terms.iter().map(|(m, &c)| (m, c))
+        self.term_slice().iter().map(|(m, c)| (m, *c))
+    }
+}
+
+impl PartialEq for Poly {
+    fn eq(&self, other: &Self) -> bool {
+        self.term_slice() == other.term_slice()
+    }
+}
+
+impl Eq for Poly {}
+
+impl Hash for Poly {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.term_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Poly {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// The term slice rendered as the map it reads as.
+        struct TermMap<'a>(&'a [(Monomial, i64)]);
+        impl fmt::Debug for TermMap<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(m, c)| (m, c)))
+                    .finish()
+            }
+        }
+        f.debug_struct("Poly")
+            .field("terms", &TermMap(self.term_slice()))
+            .finish()
     }
 }
 
 impl fmt::Display for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms.is_empty() {
+        if self.is_zero() {
             return f.write_str("0");
         }
-        for (i, (m, c)) in self.terms.iter().enumerate() {
+        for (i, (m, c)) in self.term_slice().iter().enumerate() {
             if i > 0 {
                 f.write_str(" + ")?;
             }

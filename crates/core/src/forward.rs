@@ -23,6 +23,7 @@ use ipcp_analysis::symeval::{symbolic_eval_budgeted, CallSymbolics, SymEvalOptio
 use ipcp_analysis::{Budget, CallGraph, ModRefInfo, Phase, Slot, SlotTable};
 use ipcp_ir::{ProcId, Program, VarKind};
 use ipcp_ssa::{build_ssa, KillOracle, SsaInstr, SsaOperand};
+use std::sync::Arc;
 
 /// Jump functions of one call site.
 #[derive(Debug, Clone)]
@@ -39,10 +40,12 @@ pub struct SiteJumpFns {
 }
 
 /// Forward jump functions for every call site of every procedure,
-/// parallel to [`CallGraph::sites`].
+/// parallel to [`CallGraph::sites`]. Each procedure's site vector is
+/// shared, so a table assembled from a session's stored vectors copies
+/// no jump function.
 #[derive(Debug, Clone)]
 pub struct ForwardJumpFns {
-    per_proc: Vec<Vec<SiteJumpFns>>,
+    per_proc: Vec<Arc<Vec<SiteJumpFns>>>,
 }
 
 impl ForwardJumpFns {
@@ -51,16 +54,19 @@ impl ForwardJumpFns {
         &self.per_proc[p.index()]
     }
 
+    /// Every call site of every procedure, in `ProcId` order.
+    fn all_sites(&self) -> impl Iterator<Item = &SiteJumpFns> {
+        self.per_proc.iter().flat_map(|sites| sites.iter())
+    }
+
     /// Total number of constructed (site, slot) jump functions.
     pub fn count(&self) -> usize {
-        self.per_proc.iter().flatten().map(|s| s.jfs.len()).sum()
+        self.all_sites().map(|s| s.jfs.len()).sum()
     }
 
     /// Total number of non-⊥ jump functions.
     pub fn useful_count(&self) -> usize {
-        self.per_proc
-            .iter()
-            .flatten()
+        self.all_sites()
             .flat_map(|s| s.jfs.values())
             .filter(|jf| !jf.is_bottom())
             .count()
@@ -68,7 +74,7 @@ impl ForwardJumpFns {
 
     /// Assembles a table from per-procedure site vectors (used by the
     /// session, which caches those vectors individually).
-    pub(crate) fn from_parts(per_proc: Vec<Vec<SiteJumpFns>>) -> Self {
+    pub(crate) fn from_parts(per_proc: Vec<Arc<Vec<SiteJumpFns>>>) -> Self {
         ForwardJumpFns { per_proc }
     }
 
@@ -80,7 +86,7 @@ impl ForwardJumpFns {
             return;
         }
         let (mut consts, mut pass, mut exprs, mut bottoms) = (0u64, 0u64, 0u64, 0u64);
-        for jf in self.per_proc.iter().flatten().flat_map(|s| s.jfs.values()) {
+        for jf in self.all_sites().flat_map(|s| s.jfs.values()) {
             match jf {
                 JumpFn::Const(_) => consts += 1,
                 JumpFn::PassThrough(_) => pass += 1,
@@ -88,7 +94,7 @@ impl ForwardJumpFns {
                 JumpFn::Bottom => bottoms += 1,
             }
         }
-        sink.count("jf.sites", self.per_proc.iter().flatten().count() as u64);
+        sink.count("jf.sites", self.all_sites().count() as u64);
         sink.count("jf.const", consts);
         sink.count("jf.pass_through", pass);
         sink.count("jf.expr", exprs);
@@ -241,7 +247,7 @@ struct ForwardPass<'a> {
 }
 
 impl BudgetedProcPass for ForwardPass<'_> {
-    type Acc = Vec<Vec<SiteJumpFns>>;
+    type Acc = Vec<Arc<Vec<SiteJumpFns>>>;
     type Kind = JumpFunctionKind;
 
     fn phase(&self) -> Phase {
@@ -272,7 +278,7 @@ impl BudgetedProcPass for ForwardPass<'_> {
 
     fn build(
         &self,
-        acc: &mut Vec<Vec<SiteJumpFns>>,
+        acc: &mut Vec<Arc<Vec<SiteJumpFns>>>,
         p: ProcId,
         kind: JumpFunctionKind,
         budget: &Budget,
@@ -280,7 +286,7 @@ impl BudgetedProcPass for ForwardPass<'_> {
         let proc = self.program.proc(p);
         let ssa = build_ssa(self.program, proc, self.kills);
         let sym = symbolic_eval_budgeted(proc, &ssa, self.call_sym, self.options, budget);
-        acc.push(site_jfs_for_proc(
+        acc.push(Arc::new(site_jfs_for_proc(
             self.program,
             self.cg,
             self.modref,
@@ -288,11 +294,16 @@ impl BudgetedProcPass for ForwardPass<'_> {
             p,
             &ssa,
             &sym,
-        ));
+        )));
     }
 
-    fn fallback(&self, acc: &mut Vec<Vec<SiteJumpFns>>, p: ProcId) {
-        acc.push(bottom_sites_for_proc(self.program, self.cg, self.modref, p));
+    fn fallback(&self, acc: &mut Vec<Arc<Vec<SiteJumpFns>>>, p: ProcId) {
+        acc.push(Arc::new(bottom_sites_for_proc(
+            self.program,
+            self.cg,
+            self.modref,
+            p,
+        )));
     }
 }
 
@@ -433,7 +444,7 @@ pub fn build_literal_jfs_fast(
                 jfs,
             });
         }
-        per_proc.push(sites);
+        per_proc.push(Arc::new(sites));
     }
     ForwardJumpFns { per_proc }
 }

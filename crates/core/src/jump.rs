@@ -153,68 +153,20 @@ impl fmt::Display for JumpFn {
     }
 }
 
-/// A handle into a [`JumpFnArena`] slab.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct JumpFnRef(u32);
-
-/// An arena of jump functions: one contiguous slab per table, addressed
-/// by [`JumpFnRef`] index handles.
-///
-/// At the ~20-procedure scale of the paper's suite, holding each
-/// procedure's jump functions in its own `BTreeMap` was fine; at 100k
-/// procedures the per-map node allocations dominate, and evaluation
-/// chases cold pointers. Tables that arena-allocate instead keep every
-/// jump function of the table in one slab — the per-slot structures
-/// shrink to `(Slot, JumpFnRef)` pairs, and evaluation walks contiguous
-/// memory.
-///
-/// Slabs report their peak size through [`arena_high_water`] so the
-/// scale bench's memory column can come from the tool itself.
-#[derive(Debug, Clone, Default)]
-pub struct JumpFnArena {
-    fns: Vec<JumpFn>,
-}
-
-/// Process-wide high-water mark of the largest jump-function slab, in
-/// entries (see [`arena_high_water`]).
+/// Process-wide high-water mark of the largest return-jump-function
+/// table, in entries (see [`arena_high_water`]).
 static ARENA_HIGH_WATER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
-/// The largest jump-function slab allocated by this process so far, in
-/// entries — the arena high-water mark surfaced by `--timings` and
-/// `ipcp metrics`.
+/// The largest return-jump-function table built by this process so far,
+/// in jump functions across all its procedures — the high-water mark
+/// surfaced by `--timings` and `ipcp metrics`.
 pub fn arena_high_water() -> usize {
     ARENA_HIGH_WATER.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-impl JumpFnArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocates `jf` into the slab and returns its handle.
-    pub fn alloc(&mut self, jf: JumpFn) -> JumpFnRef {
-        let i = u32::try_from(self.fns.len()).expect("jump-function arena overflow");
-        self.fns.push(jf);
-        ARENA_HIGH_WATER.fetch_max(self.fns.len(), std::sync::atomic::Ordering::Relaxed);
-        JumpFnRef(i)
-    }
-
-    /// Resolves a handle.
-    #[inline]
-    pub fn get(&self, r: JumpFnRef) -> &JumpFn {
-        &self.fns[r.0 as usize]
-    }
-
-    /// Number of allocated jump functions.
-    pub fn len(&self) -> usize {
-        self.fns.len()
-    }
-
-    /// Whether the slab is empty.
-    pub fn is_empty(&self) -> bool {
-        self.fns.is_empty()
-    }
+/// Raises [`arena_high_water`] to `entries` if that is higher.
+pub(crate) fn note_table_size(entries: usize) {
+    ARENA_HIGH_WATER.fetch_max(entries, std::sync::atomic::Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -317,18 +269,6 @@ mod tests {
             Some(Slot::Formal(0))
         );
         assert!(JumpFn::Bottom.to_expr().is_none());
-    }
-
-    #[test]
-    fn arena_allocates_and_resolves() {
-        let mut arena = JumpFnArena::new();
-        assert!(arena.is_empty());
-        let a = arena.alloc(JumpFn::Const(3));
-        let b = arena.alloc(JumpFn::PassThrough(Slot::Formal(1)));
-        assert_eq!(arena.len(), 2);
-        assert_eq!(arena.get(a).as_const(), Some(3));
-        assert_eq!(arena.get(b), &JumpFn::PassThrough(Slot::Formal(1)));
-        assert!(arena_high_water() >= 2);
     }
 
     #[test]

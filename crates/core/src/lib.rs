@@ -102,7 +102,7 @@ pub use ipcp_analysis::{
     Budget, ExhaustionPolicy, FaultInjector, FuelSource, IoFaultInjector, IoFaultKind, IoOp,
     LatticeVal, Phase, RobustnessReport, Slot,
 };
-pub use jump::{arena_high_water, JumpFn, JumpFnArena, JumpFnRef, JumpFunctionKind};
+pub use jump::{arena_high_water, JumpFn, JumpFunctionKind};
 pub use optimize::{optimize, OptimizeConfig, OptimizeStats};
 pub use parallel::{effective_jobs, Parallelism};
 pub use provenance::{

@@ -19,24 +19,28 @@
 //! extension toggle in the driver.
 
 use crate::framework::{run_budgeted_pass, BudgetedProcPass, Rung};
-use crate::jump::{JumpFn, JumpFnArena, JumpFnRef, JumpFunctionKind};
+use crate::jump::{note_table_size, JumpFn, JumpFunctionKind};
 use ipcp_analysis::symeval::{symbolic_eval_budgeted, CallSymbolics, Sym, SymEvalOptions};
-use ipcp_analysis::{Budget, CallGraph, LatticeVal, Phase, Slot, SlotTable};
+use ipcp_analysis::{Budget, CallGraph, LatticeVal, Phase, Slot};
 use ipcp_ir::{GlobalId, ProcId, Program};
 use ipcp_ssa::{build_ssa, KillOracle, SsaTerminator};
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// One procedure's return jump functions, by slot.
+pub(crate) type RjfTable = BTreeMap<Slot, JumpFn>;
 
 /// Return jump functions of every procedure, keyed by slot and expressed
 /// over the owning procedure's entry slots.
 ///
-/// Storage is arena-flat: every jump function of the table lives in one
-/// [`JumpFnArena`] slab, and the per-procedure tables are dense
-/// [`SlotTable`]s of [`JumpFnRef`] index handles — two contiguous
-/// allocations per procedure instead of a `BTreeMap` of heap nodes.
+/// Each procedure's table is shared: a table assembled from a session's
+/// stored per-procedure tables copies no jump function, and procedures
+/// without return jump functions all share one empty table.
 #[derive(Debug, Clone, Default)]
 pub struct ReturnJumpFns {
-    arena: JumpFnArena,
-    per_proc: Vec<SlotTable<JumpFnRef>>,
+    per_proc: Vec<Arc<RjfTable>>,
+    /// Jump functions installed so far, across all procedures.
+    entries: usize,
 }
 
 impl ReturnJumpFns {
@@ -44,24 +48,19 @@ impl ReturnJumpFns {
     /// every lookup misses, so every call effect is ⊥).
     pub fn empty(proc_count: usize) -> Self {
         ReturnJumpFns {
-            arena: JumpFnArena::new(),
-            per_proc: vec![SlotTable::new(); proc_count],
+            per_proc: vec![Arc::default(); proc_count],
+            entries: 0,
         }
     }
 
     /// The return jump function of `(p, slot)`, if one was built.
     pub fn get(&self, p: ProcId, slot: Slot) -> Option<&JumpFn> {
-        self.per_proc
-            .get(p.index())
-            .and_then(|m| m.get(&slot))
-            .map(|&r| self.arena.get(r))
+        self.per_proc.get(p.index()).and_then(|m| m.get(&slot))
     }
 
     /// Iterates over the slots of `p` with return jump functions.
     pub fn slots(&self, p: ProcId) -> impl Iterator<Item = (&Slot, &JumpFn)> {
-        self.per_proc[p.index()]
-            .iter()
-            .map(|(s, &r)| (s, self.arena.get(r)))
+        self.per_proc[p.index()].iter()
     }
 
     /// Total number of non-⊥ return jump functions.
@@ -69,17 +68,16 @@ impl ReturnJumpFns {
         self.per_proc
             .iter()
             .flat_map(|m| m.values())
-            .filter(|&&r| !self.arena.get(r).is_bottom())
+            .filter(|jf| !jf.is_bottom())
             .count()
     }
 
     /// Installs the slot table of `p` (used by the session when it
     /// assembles a table from cached per-procedure pieces).
-    pub(crate) fn set_proc(&mut self, p: ProcId, map: BTreeMap<Slot, JumpFn>) {
-        self.per_proc[p.index()] = map
-            .into_iter()
-            .map(|(s, jf)| (s, self.arena.alloc(jf)))
-            .collect();
+    pub(crate) fn set_proc(&mut self, p: ProcId, table: Arc<RjfTable>) {
+        self.entries += table.len();
+        note_table_size(self.entries);
+        self.per_proc[p.index()] = table;
     }
 
     /// Records table-shape counters (slot totals per jump-function form)
@@ -89,12 +87,7 @@ impl ReturnJumpFns {
             return;
         }
         let (mut consts, mut pass, mut exprs, mut bottoms) = (0u64, 0u64, 0u64, 0u64);
-        for jf in self
-            .per_proc
-            .iter()
-            .flat_map(|m| m.values())
-            .map(|&r| self.arena.get(r))
-        {
+        for jf in self.per_proc.iter().flat_map(|m| m.values()) {
             match jf {
                 JumpFn::Const(_) => consts += 1,
                 JumpFn::PassThrough(_) => pass += 1,
@@ -197,7 +190,7 @@ impl BudgetedProcPass for RjfPass<'_> {
     fn build(&self, acc: &mut ReturnJumpFns, p: ProcId, _kind: (), budget: &Budget) {
         let ssa = build_ssa(self.program, self.program.proc(p), self.kills);
         let map = build_rjf_for_proc(self.program, p, acc, &ssa, self.options, budget);
-        acc.set_proc(p, map);
+        acc.set_proc(p, Arc::new(map));
     }
 
     fn fallback(&self, _acc: &mut ReturnJumpFns, _p: ProcId) {
@@ -220,7 +213,7 @@ pub(crate) fn build_rjf_for_proc(
     ssa: &ipcp_ssa::SsaProc,
     options: SymEvalOptions,
     budget: &Budget,
-) -> BTreeMap<Slot, JumpFn> {
+) -> RjfTable {
     let proc = program.proc(pid);
     let composer = SourceComposer { src: rjfs };
     let sym = symbolic_eval_budgeted(proc, ssa, &composer, options, budget);
@@ -304,7 +297,7 @@ impl RjfSource for ReturnJumpFns {
 /// cloned, so building an SCC costs O(SCC), not O(program).
 pub(crate) struct SccOverlay<'a> {
     base: &'a ReturnJumpFns,
-    local: Vec<(ProcId, BTreeMap<Slot, JumpFn>)>,
+    local: Vec<(ProcId, Arc<RjfTable>)>,
 }
 
 impl<'a> SccOverlay<'a> {
@@ -317,7 +310,7 @@ impl<'a> SccOverlay<'a> {
     }
 
     /// Records `p`'s freshly built table; later members see it.
-    pub(crate) fn push(&mut self, p: ProcId, map: BTreeMap<Slot, JumpFn>) {
+    pub(crate) fn push(&mut self, p: ProcId, map: Arc<RjfTable>) {
         self.local.push((p, map));
     }
 }
@@ -649,6 +642,25 @@ mod tests {
         let empty = ReturnJumpFns::empty(p.procs.len());
         assert!(empty.get(ipcp_ir::ProcId(0), Slot::Formal(0)).is_none());
         assert_eq!(empty.useful_count(), 0);
+    }
+
+    #[test]
+    fn installed_tables_raise_the_high_water_mark() {
+        let mut rjfs = ReturnJumpFns::empty(2);
+        let one = RjfTable::from([(Slot::Formal(0), JumpFn::Const(3))]);
+        rjfs.set_proc(ProcId(0), Arc::new(one));
+        let two = RjfTable::from([
+            (Slot::Formal(0), JumpFn::Const(3)),
+            (Slot::Formal(1), JumpFn::PassThrough(Slot::Formal(0))),
+        ]);
+        rjfs.set_proc(ProcId(1), Arc::new(two));
+        // The count is cumulative over every installed table.
+        assert_eq!(rjfs.entries, 3);
+        assert!(crate::jump::arena_high_water() >= 3);
+        assert_eq!(
+            rjfs.get(ProcId(1), Slot::Formal(0)),
+            Some(&JumpFn::Const(3))
+        );
     }
 
     #[test]

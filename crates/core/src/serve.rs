@@ -243,19 +243,28 @@ fn explain_report(prov: &Provenance, proc: &str, param: Option<&str>) -> Result<
 }
 
 fn escape_json(out: &mut String, text: &str) {
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every escaped character is ASCII, so runs between them are copied
+    // whole: a request carries a whole program, and most of it is plain.
+    let mut plain = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&text[plain..i]);
+        if escaped.is_empty() {
+            out.push_str(&format!("\\u{b:04x}"));
+        } else {
+            out.push_str(escaped);
         }
+        plain = i + 1;
     }
+    out.push_str(&text[plain..]);
 }
 
 /// The wire response minus its `{"id":N,` prefix. Escaping dominates
@@ -724,28 +733,65 @@ impl Server {
 
 // ---- the socket loop ------------------------------------------------------
 
+/// Newline-delimited framing over a byte stream, for both ends of a
+/// connection. A request carries a whole program and arrives over
+/// several reads; each byte is scanned for the delimiter once.
+struct Lines {
+    buf: Vec<u8>,
+    /// Length of the prefix of `buf` already scanned: it holds no `\n`.
+    scanned: usize,
+    chunk: Vec<u8>,
+}
+
+impl Default for Lines {
+    fn default() -> Self {
+        Lines {
+            buf: Vec::new(),
+            scanned: 0,
+            chunk: vec![0; 64 * 1024],
+        }
+    }
+}
+
+impl Lines {
+    /// Removes and returns the next complete line, without its `\n`.
+    fn next_line(&mut self) -> Option<Vec<u8>> {
+        let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+            self.scanned = self.buf.len();
+            return None;
+        };
+        let rest = self.buf.split_off(self.scanned + pos + 1);
+        let mut line = std::mem::replace(&mut self.buf, rest);
+        line.pop();
+        self.scanned = 0;
+        Some(line)
+    }
+
+    /// Appends one read from `stream`; `Ok(0)` at end of stream.
+    fn fill(&mut self, stream: &mut UnixStream) -> io::Result<usize> {
+        let n = stream.read(&mut self.chunk)?;
+        self.buf.extend_from_slice(&self.chunk[..n]);
+        Ok(n)
+    }
+}
+
 fn handle_connection(server: &Arc<Server>, mut stream: UnixStream) {
     // Short read timeouts keep the thread responsive to shutdown while
     // a client holds its connection open idle.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
+    let mut lines = Lines::default();
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-            let response = server.handle_line(text.trim_end_matches('\r'));
-            if stream
-                .write_all(response.as_bytes())
-                .and_then(|()| stream.write_all(b"\n"))
-                .is_err()
-            {
+        while let Some(line) = lines.next_line() {
+            let text = String::from_utf8_lossy(&line);
+            let mut response = server.handle_line(text.trim_end_matches('\r'));
+            response.push('\n');
+            if stream.write_all(response.as_bytes()).is_err() {
                 return;
             }
         }
-        match stream.read(&mut chunk) {
+        match lines.fill(&mut stream) {
             Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -895,7 +941,7 @@ pub fn request_line(id: u64, op: &str, fields: &[(&str, &str)]) -> String {
 /// A blocking line-delimited client for tests, benches, and tooling.
 pub struct Client {
     stream: UnixStream,
-    buf: Vec<u8>,
+    lines: Lines,
 }
 
 impl Client {
@@ -912,7 +958,7 @@ impl Client {
                 Ok(stream) => {
                     return Ok(Client {
                         stream,
-                        buf: Vec::new(),
+                        lines: Lines::default(),
                     });
                 }
                 Err(e) => last = e,
@@ -928,23 +974,25 @@ impl Client {
     ///
     /// Transport errors (the daemon died or the connection broke).
     pub fn call_raw(&mut self, line: &str) -> io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        let mut chunk = [0u8; 4096];
+        // One write for the line and its delimiter, so the daemon wakes
+        // once per request.
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.stream.write_all(&framed)?;
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-                return Ok(text);
+            if let Some(line) = self.lines.next_line() {
+                return Ok(String::from_utf8(line)
+                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()));
             }
-            match self.stream.read(&mut chunk) {
+            match self.lines.fill(&mut self.stream) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "daemon closed the connection",
                     ));
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -1007,6 +1055,42 @@ mod tests {
         let line = request_line(3, "analyze", &[("source", "main\n  x = \"1\"\nend\n")]);
         let req = parse_request(&line).expect("roundtrips");
         assert_eq!(req.source, "main\n  x = \"1\"\nend\n");
+    }
+
+    #[test]
+    fn escaping_copies_plain_runs_and_escapes_every_control_character() {
+        let text = "é\"a\\b\u{1}\tc\r\n\u{1f}ü";
+        let mut out = String::new();
+        escape_json(&mut out, text);
+        assert_eq!(out, "é\\\"a\\\\b\\u0001\\tc\\r\\n\\u001fü");
+        let line = request_line(1, "analyze", &[("source", text)]);
+        assert_eq!(parse_request(&line).expect("roundtrips").source, text);
+    }
+
+    #[test]
+    fn lines_arrive_whole_across_reads() {
+        let (mut tx, mut rx) = UnixStream::pair().expect("socket pair");
+        let long = "x".repeat(200_000);
+        let writer = std::thread::spawn(move || {
+            tx.write_all(format!("{long}\nshort\r\n").as_bytes())
+                .expect("write");
+            for piece in ["sp", "lit\n"] {
+                tx.write_all(piece.as_bytes()).expect("write");
+                tx.flush().expect("flush");
+            }
+        });
+        let mut lines = Lines::default();
+        let mut got = Vec::new();
+        while got.len() < 3 {
+            match lines.next_line() {
+                Some(line) => got.push(String::from_utf8(line).expect("utf-8")),
+                None => assert!(lines.fill(&mut rx).expect("read") > 0),
+            }
+        }
+        writer.join().expect("writer");
+        assert_eq!(got[0].len(), 200_000);
+        assert_eq!(got[1..], ["short\r", "split"]);
+        assert!(lines.next_line().is_none());
     }
 
     #[test]

@@ -70,9 +70,11 @@ use crate::driver::{
     SolverKind,
 };
 use crate::forward::{kind_weight, proc_estimate, site_jfs_for_proc, ForwardJumpFns, SiteJumpFns};
-use crate::jump::{JumpFn, JumpFunctionKind};
+use crate::jump::JumpFunctionKind;
 use crate::provenance::Provenance;
-use crate::retjf::{build_rjf_for_proc, ReturnJumpFns, RjfComposer, RjfConstEval, RjfLattice};
+use crate::retjf::{
+    build_rjf_for_proc, ReturnJumpFns, RjfComposer, RjfConstEval, RjfLattice, RjfTable,
+};
 use crate::solver::{entry_constants_fp, entry_env_of, solve_traced, ValSets};
 use crate::subst::{count_one_proc, SubstitutionCounts};
 use ipcp_analysis::dce::dce_round_budgeted;
@@ -483,8 +485,59 @@ struct ProcCount {
     miss: Option<EntryKey>,
     /// Worker time, SSA lookup included.
     time: Duration,
-    /// Whether the SSA lookup of a computed count hit, and its time.
-    ssa: Option<(bool, Duration)>,
+    /// The SSA lookup of a computed count.
+    ssa: PhaseTally,
+}
+
+/// One phase's store traffic and compute time, tallied by fan-out
+/// workers and recorded on the session stats once per fan-out.
+#[derive(Debug, Default, Clone, Copy)]
+struct PhaseTally {
+    hits: u64,
+    misses: u64,
+    wall: Duration,
+}
+
+impl PhaseTally {
+    /// Counts one lookup, a hit or a miss, and the time booked to it.
+    fn add(&mut self, hit: bool, wall: Duration) {
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        self.wall += wall;
+    }
+
+    fn merge(&mut self, other: &PhaseTally) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.wall += other.wall;
+    }
+
+    /// Adds the tally to `phase`'s counter; a phase with no lookups is
+    /// left untouched.
+    fn record(&self, stats: &mut SessionStats, phase: SessionPhase) {
+        if self.hits + self.misses > 0 {
+            stats.traffic(phase, self.hits, self.misses);
+            stats.record_wall(phase, self.wall);
+        }
+    }
+}
+
+/// The tallies of one per-procedure fan-out: SSA lookups, symbolic
+/// values (forward fan-out only), and the phase the fan-out builds
+/// (return or forward jump functions).
+#[derive(Debug, Default, Clone, Copy)]
+struct FanoutTally {
+    ssa: PhaseTally,
+    symvals: PhaseTally,
+    main: PhaseTally,
+}
+
+impl FanoutTally {
+    fn merge(&mut self, other: &FanoutTally) {
+        self.ssa.merge(&other.ssa);
+        self.symvals.merge(&other.symvals);
+        self.main.merge(&other.main);
+    }
 }
 
 /// The session-scoped artifact store. Every map is keyed by content
@@ -503,7 +556,7 @@ pub struct ArtifactStore {
     /// so the state fingerprint determines them).
     closures: RwLock<HashMap<u64, Arc<ClosureData>>>,
     ssas: RwLock<HashMap<SsaKey, Arc<SsaProc>>>,
-    rjf_procs: RwLock<HashMap<RjfKey, Cached<BTreeMap<Slot, JumpFn>>>>,
+    rjf_procs: RwLock<HashMap<RjfKey, Cached<RjfTable>>>,
     syms: RwLock<HashMap<SymKey, Cached<SymMap>>>,
     forward_procs: RwLock<HashMap<ForwardKey, Cached<Vec<SiteJumpFns>>>>,
     solves: RwLock<HashMap<SolveKey, Cached<ValSets>>>,
@@ -1377,25 +1430,28 @@ impl AnalysisSession {
         kills: &dyn KillOracle,
         round: &RoundCtx,
     ) -> Arc<SsaProc> {
-        let start = Instant::now();
-        let (ssa, hit) = self.ssa_lookup(program, pid, kills, round);
-        let mut stats = self.stats.lock().expect("session stats lock");
-        stats.traffic(SessionPhase::Ssa, u64::from(hit), u64::from(!hit));
-        stats.record_wall(SessionPhase::Ssa, start.elapsed());
+        let mut tally = PhaseTally::default();
+        let ssa = self.tallied_ssa(program, pid, kills, round, &mut tally);
+        tally.record(
+            &mut self.stats.lock().expect("session stats lock"),
+            SessionPhase::Ssa,
+        );
         ssa
     }
 
-    /// `pid`'s SSA form from the store, built and inserted on a miss;
-    /// `true` on a hit. Records no stats, so a fan-out can tally its
-    /// traffic and record it once instead of locking the stats per
-    /// procedure.
-    fn ssa_lookup(
+    /// `pid`'s SSA form from the store, built and inserted on a miss.
+    /// Its traffic and lookup time go into `tally` rather than the stats,
+    /// so a fan-out can record them once instead of locking the stats
+    /// per procedure.
+    fn tallied_ssa(
         &self,
         program: &Program,
         pid: ProcId,
         kills: &dyn KillOracle,
         round: &RoundCtx,
-    ) -> (Arc<SsaProc>, bool) {
+        tally: &mut PhaseTally,
+    ) -> Arc<SsaProc> {
+        let start = Instant::now();
         let key = SsaKey {
             closure_fp: round.closure_fps[pid.index()],
             mod_info: round.mod_info,
@@ -1408,7 +1464,8 @@ impl AnalysisSession {
             .get(&key)
             .cloned();
         if let Some(ssa) = hit {
-            return (ssa, true);
+            tally.add(true, start.elapsed());
+            return ssa;
         }
         let ssa = Arc::new(build_ssa(program, program.proc(pid), kills));
         self.store
@@ -1416,7 +1473,8 @@ impl AnalysisSession {
             .write()
             .expect("SSA store lock")
             .insert(key, Arc::clone(&ssa));
-        (ssa, false)
+        tally.add(false, start.elapsed());
+        ssa
     }
 
     /// One procedure's return-jump-function table, cached, with the fuel
@@ -1430,6 +1488,7 @@ impl AnalysisSession {
     /// the returned fuel in deterministic merge order. Only consumption
     /// *totals* are observable under unmetered budgets, so the reordering
     /// is invisible.
+    #[allow(clippy::too_many_arguments)]
     fn rjf_for_proc(
         &self,
         program: &Program,
@@ -1438,7 +1497,8 @@ impl AnalysisSession {
         round: &RoundCtx,
         kills: &dyn KillOracle,
         options: SymEvalOptions,
-    ) -> (BTreeMap<Slot, JumpFn>, u64) {
+        tally: &mut FanoutTally,
+    ) -> (Arc<RjfTable>, u64) {
         let key = RjfKey {
             closure_fp: round.closure_fps[pid.index()],
             mod_info: round.mod_info,
@@ -1446,25 +1506,26 @@ impl AnalysisSession {
         };
         let hit = self.store.rjf_procs.read().unwrap().get(&key).cloned();
         if let Some(cached) = hit {
-            self.phase_hit(SessionPhase::ReturnJf);
-            return ((*cached.value).clone(), cached.fuel);
+            tally.main.add(true, Duration::ZERO);
+            return (cached.value, cached.fuel);
         }
-        self.phase_miss(SessionPhase::ReturnJf);
         let scratch = Budget::unlimited();
         // Mirror the single-shot builder's per-procedure draw.
         scratch.checkpoint(Phase::ReturnJf, 1);
-        let ssa = self.cached_ssa(program, pid, kills, round);
+        let ssa = self.tallied_ssa(program, pid, kills, round, &mut tally.ssa);
         let start = Instant::now();
-        let map = build_rjf_for_proc(program, pid, rjfs, &ssa, options, &scratch);
+        let map = Arc::new(build_rjf_for_proc(
+            program, pid, rjfs, &ssa, options, &scratch,
+        ));
         let fuel = scratch.fuel_consumed();
         self.store.rjf_procs.write().unwrap().insert(
             key,
             Cached {
-                value: Arc::new(map.clone()),
+                value: Arc::clone(&map),
                 fuel,
             },
         );
-        self.phase_wall(SessionPhase::ReturnJf, start.elapsed());
+        tally.main.add(false, start.elapsed());
         (map, fuel)
     }
 
@@ -1504,6 +1565,7 @@ impl AnalysisSession {
             })
             .collect();
         let start = Instant::now();
+        let mut tally = FanoutTally::default();
         for wave in scc_waves(cg) {
             // Narrow or featherweight waves can't amortize a spawn; the
             // cost gate runs them inline and saves the fork/join for
@@ -1516,37 +1578,47 @@ impl AnalysisSession {
             let wave_jobs = wave_jobs(jobs, wave.len(), units);
             let built = par_map_obs(wave_jobs, &wave, sink, "return_jfs.proc", |_, &scc_idx| {
                 let scc = &sccs[scc_idx];
+                let mut tally = FanoutTally::default();
+                let mut out = Vec::with_capacity(scc.len());
                 if let [pid] = scc[..] {
-                    let (map, fuel) = self.rjf_for_proc(program, pid, &rjfs, round, kills, options);
-                    vec![(pid, map, fuel)]
+                    let (map, fuel) =
+                        self.rjf_for_proc(program, pid, &rjfs, round, kills, options, &mut tally);
+                    out.push((pid, map, fuel));
                 } else {
                     // Recursive SCC: members read each other's partial
                     // tables, so give the SCC a copy-free overlay and run
                     // its members in the sequential bottom-up order.
                     let mut overlay = crate::retjf::SccOverlay::new(&rjfs);
-                    let mut out = Vec::with_capacity(scc.len());
                     for &pid in scc {
-                        let (map, fuel) =
-                            self.rjf_for_proc(program, pid, &overlay, round, kills, options);
-                        overlay.push(pid, map.clone());
+                        let (map, fuel) = self.rjf_for_proc(
+                            program, pid, &overlay, round, kills, options, &mut tally,
+                        );
+                        overlay.push(pid, Arc::clone(&map));
                         out.push((pid, map, fuel));
                     }
-                    out
                 }
+                (out, tally)
             });
-            for (pid, map, fuel) in built.into_iter().flatten() {
-                budget.checkpoint(Phase::ReturnJf, fuel);
-                rjfs.set_proc(pid, map);
+            for (members, worker) in built {
+                tally.merge(&worker);
+                for (pid, map, fuel) in members {
+                    budget.checkpoint(Phase::ReturnJf, fuel);
+                    rjfs.set_proc(pid, map);
+                }
             }
         }
+        let mut stats = self.stats.lock().expect("session stats lock");
+        tally.ssa.record(&mut stats, SessionPhase::Ssa);
+        tally.main.record(&mut stats, SessionPhase::ReturnJf);
         if jobs > 1 {
-            self.phase_span(SessionPhase::ReturnJf, start.elapsed());
+            stats.record_span(SessionPhase::ReturnJf, start.elapsed());
         }
         rjfs
     }
 
     /// One procedure's symbolic values, cached, with the fuel to replay
     /// (misses meter on a private scratch budget; see [`Self::rjf_for_proc`]).
+    #[allow(clippy::too_many_arguments)]
     fn sym_for_proc(
         &self,
         program: &Program,
@@ -1555,6 +1627,7 @@ impl AnalysisSession {
         kills: &dyn KillOracle,
         call_sym: &dyn CallSymbolics,
         options: SymEvalOptions,
+        tally: &mut FanoutTally,
     ) -> (Arc<SymMap>, u64) {
         let key = SymKey {
             closure_fp: round.closure_fps[pid.index()],
@@ -1564,11 +1637,10 @@ impl AnalysisSession {
         };
         let hit = self.store.syms.read().unwrap().get(&key).cloned();
         if let Some(cached) = hit {
-            self.phase_hit(SessionPhase::SymVals);
+            tally.symvals.add(true, Duration::ZERO);
             return (cached.value, cached.fuel);
         }
-        self.phase_miss(SessionPhase::SymVals);
-        let ssa = self.cached_ssa(program, pid, kills, round);
+        let ssa = self.tallied_ssa(program, pid, kills, round, &mut tally.ssa);
         let start = Instant::now();
         let scratch = Budget::unlimited();
         let sym = Arc::new(symbolic_eval_budgeted(
@@ -1586,7 +1658,7 @@ impl AnalysisSession {
                 fuel,
             },
         );
-        self.phase_wall(SessionPhase::SymVals, start.elapsed());
+        tally.symvals.add(false, start.elapsed());
         (sym, fuel)
     }
 
@@ -1604,7 +1676,8 @@ impl AnalysisSession {
         round: &RoundCtx,
         kills: &dyn KillOracle,
         sym: &SymMap,
-    ) -> Vec<SiteJumpFns> {
+        tally: &mut FanoutTally,
+    ) -> Arc<Vec<SiteJumpFns>> {
         let key = ForwardKey {
             closure_fp: round.closure_fps[pid.index()],
             mod_info: round.mod_info,
@@ -1614,21 +1687,20 @@ impl AnalysisSession {
         };
         let hit = self.store.forward_procs.read().unwrap().get(&key).cloned();
         if let Some(cached) = hit {
-            self.phase_hit(SessionPhase::ForwardJf);
-            return (*cached.value).clone();
+            tally.main.add(true, Duration::ZERO);
+            return cached.value;
         }
-        self.phase_miss(SessionPhase::ForwardJf);
-        let ssa = self.cached_ssa(program, pid, kills, round);
+        let ssa = self.tallied_ssa(program, pid, kills, round, &mut tally.ssa);
         let start = Instant::now();
-        let sites = site_jfs_for_proc(program, cg, modref, kind, pid, &ssa, sym);
+        let sites = Arc::new(site_jfs_for_proc(program, cg, modref, kind, pid, &ssa, sym));
         self.store.forward_procs.write().unwrap().insert(
             key,
             Cached {
-                value: Arc::new(sites.clone()),
+                value: Arc::clone(&sites),
                 fuel: 0,
             },
         );
-        self.phase_wall(SessionPhase::ForwardJf, start.elapsed());
+        tally.main.add(false, start.elapsed());
         sites
     }
 
@@ -1662,19 +1734,21 @@ impl AnalysisSession {
         let pids: Vec<ProcId> = program.proc_ids().collect();
         let start = Instant::now();
         let built = par_map_obs(jobs, &pids, sink, "forward_jfs.proc", |_, &pid| {
+            let mut tally = FanoutTally::default();
             // Symbolic values are resolved (computed or fuel-replayed)
             // even when the site table hits, so consumption matches the
             // single-shot builder, which evaluates every procedure.
-            let (sym, sym_fuel) = self.sym_for_proc(program, pid, round, kills, call_sym, options);
-            let sites =
-                self.forward_sites_for_proc(program, cg, modref, kind, pid, round, kills, &sym);
-            (sym_fuel, sites)
+            let (sym, sym_fuel) =
+                self.sym_for_proc(program, pid, round, kills, call_sym, options, &mut tally);
+            let sites = self.forward_sites_for_proc(
+                program, cg, modref, kind, pid, round, kills, &sym, &mut tally,
+            );
+            (sym_fuel, sites, tally)
         });
-        if jobs > 1 {
-            self.phase_span(SessionPhase::ForwardJf, start.elapsed());
-        }
+        let span = start.elapsed();
         let mut per_proc = Vec::with_capacity(pids.len());
-        for (pid, (sym_fuel, sites)) in pids.into_iter().zip(built) {
+        let mut tally = FanoutTally::default();
+        for (pid, (sym_fuel, sites, worker)) in pids.into_iter().zip(built) {
             // The per-procedure construction checkpoint. Unmetered
             // budgets always afford the requested rung, so the precision
             // ladder of the single-shot builder never engages here.
@@ -1683,7 +1757,15 @@ impl AnalysisSession {
                 kind_weight(kind).saturating_mul(proc_estimate(program.proc(pid))),
             );
             budget.checkpoint(Phase::SymEval, sym_fuel);
+            tally.merge(&worker);
             per_proc.push(sites);
+        }
+        let mut stats = self.stats.lock().expect("session stats lock");
+        tally.ssa.record(&mut stats, SessionPhase::Ssa);
+        tally.symvals.record(&mut stats, SessionPhase::SymVals);
+        tally.main.record(&mut stats, SessionPhase::ForwardJf);
+        if jobs > 1 {
+            stats.record_span(SessionPhase::ForwardJf, span);
         }
         ForwardJumpFns::from_parts(per_proc)
     }
@@ -1787,9 +1869,7 @@ impl AnalysisSession {
                 match stored.get(&key) {
                     Some(&n) => out.n = n,
                     None => {
-                        let ssa_start = Instant::now();
-                        let (ssa, hit) = self.ssa_lookup(program, pid, kills, round);
-                        out.ssa = Some((hit, ssa_start.elapsed()));
+                        let ssa = self.tallied_ssa(program, pid, kills, round, &mut out.ssa);
                         out.n = count_one_proc(program, calls, vals, pid, &ssa);
                         out.miss = Some(key);
                     }
@@ -1801,25 +1881,19 @@ impl AnalysisSession {
         drop(stored);
         let mut per_proc = Vec::with_capacity(pids.len());
         let mut misses = Vec::new();
-        let (mut hits, mut ssa_hits, mut ssa_misses) = (0, 0, 0);
-        let (mut wall, mut ssa_wall) = (Duration::ZERO, Duration::ZERO);
+        let (mut ssa, mut subst) = (PhaseTally::default(), PhaseTally::default());
         for (&pid, count) in pids.iter().zip(counted) {
             per_proc.push(count.n);
-            wall += count.time;
-            if let Some((hit, time)) = count.ssa {
-                ssa_hits += u64::from(hit);
-                ssa_misses += u64::from(!hit);
-                ssa_wall += time;
-                wall = wall.saturating_sub(time);
-            }
+            ssa.merge(&count.ssa);
+            subst.wall += count.time.saturating_sub(count.ssa.wall);
             match count.miss {
                 Some(key) => misses.push((key, count.n)),
-                None if cg.is_reachable(pid) => hits += 1,
+                None if cg.is_reachable(pid) => subst.hits += 1,
                 None => {}
             }
         }
         let insert = Instant::now();
-        let miss_count = misses.len() as u64;
+        subst.misses = misses.len() as u64;
         if !misses.is_empty() {
             self.store
                 .substs
@@ -1827,13 +1901,11 @@ impl AnalysisSession {
                 .expect("subst store lock")
                 .extend(misses);
         }
-        wall += insert.elapsed();
+        subst.wall += insert.elapsed();
         {
             let mut stats = self.stats.lock().expect("session stats lock");
-            stats.traffic(SessionPhase::Ssa, ssa_hits, ssa_misses);
-            stats.record_wall(SessionPhase::Ssa, ssa_wall);
-            stats.traffic(SessionPhase::Subst, hits, miss_count);
-            stats.record_wall(SessionPhase::Subst, wall);
+            ssa.record(&mut stats, SessionPhase::Ssa);
+            subst.record(&mut stats, SessionPhase::Subst);
             if jobs > 1 {
                 stats.record_span(SessionPhase::Subst, start.elapsed());
             }

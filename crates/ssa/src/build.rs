@@ -95,21 +95,39 @@ pub fn build_ssa(program: &Program, proc: &Procedure, kills: &dyn KillOracle) ->
     // ---- phi placement (minimal SSA) -------------------------------------
     // phi_vars[block] = variables needing a phi there, in insertion order.
     let mut phi_vars: Vec<Vec<VarId>> = vec![Vec::new(); proc.blocks.len()];
+    // has_phi[f] == v + 1 marks a phi for variable v at block f: one
+    // stamp vector serves every variable.
+    let mut has_phi: Vec<usize> = vec![0; proc.blocks.len()];
+    let mut work: Vec<BlockId> = Vec::new();
     for v in proc.var_ids() {
         if def_blocks[v.index()].is_empty() || proc.var(v).ty.is_array() {
             continue;
         }
-        let mut work: Vec<BlockId> = def_blocks[v.index()].clone();
+        let stamp = v.index() + 1;
+        work.extend_from_slice(&def_blocks[v.index()]);
         work.sort_unstable();
         work.dedup();
-        let mut has_phi = vec![false; proc.blocks.len()];
         while let Some(b) = work.pop() {
             for &f in df.of(b) {
-                if !has_phi[f.index()] {
-                    has_phi[f.index()] = true;
+                if has_phi[f.index()] != stamp {
+                    has_phi[f.index()] = stamp;
                     phi_vars[f.index()].push(v);
                     work.push(f);
                 }
+            }
+        }
+    }
+
+    // Scalar globals (snapshotted at every call as implicit actuals) and
+    // scalar formals and globals (snapshotted at every return).
+    let mut global_vars: Vec<VarId> = Vec::new();
+    let mut exit_vars: Vec<VarId> = Vec::new();
+    for v in proc.var_ids() {
+        let d = proc.var(v);
+        if d.ty.is_scalar() && (d.kind.is_formal() || d.kind.is_global()) {
+            exit_vars.push(v);
+            if d.kind.is_global() {
+                global_vars.push(v);
             }
         }
     }
@@ -150,6 +168,8 @@ pub fn build_ssa(program: &Program, proc: &Procedure, kills: &dyn KillOracle) ->
         cfg: &cfg,
         dom: &dom,
         call_kills: &call_kills,
+        global_vars: &global_vars,
+        exit_vars: &exit_vars,
         blocks: &mut blocks,
         defs: &mut defs,
         stacks: vec![Vec::new(); nvars],
@@ -175,6 +195,8 @@ struct Renamer<'a> {
     cfg: &'a Cfg,
     dom: &'a DomTree,
     call_kills: &'a HashMap<(BlockId, usize), Vec<VarId>>,
+    global_vars: &'a [VarId],
+    exit_vars: &'a [VarId],
     blocks: &'a mut Vec<Option<SsaBlock>>,
     defs: &'a mut Vec<DefInfo>,
     stacks: Vec<Vec<SsaName>>,
@@ -224,24 +246,21 @@ impl Renamer<'_> {
             ));
             return;
         };
-        let phi_defs: Vec<(VarId, SsaName)> =
-            skeleton.phis.iter().map(|p| (p.var, p.dst)).collect();
-        for (v, n) in phi_defs {
-            self.stacks[v.index()].push(n);
-            pushed.push(v);
+        for p in &skeleton.phis {
+            self.stacks[p.var.index()].push(p.dst);
+            pushed.push(p.var);
         }
 
         // Instructions.
-        let instr_count = self.proc.block(b).instrs.len();
-        let mut ssa_instrs = Vec::with_capacity(instr_count);
-        for i in 0..instr_count {
-            let instr = self.proc.block(b).instrs[i].clone();
-            let ssa = self.rename_instr(b, i, &instr, &mut pushed);
+        let block = self.proc.block(b);
+        let mut ssa_instrs = Vec::with_capacity(block.instrs.len());
+        for (i, instr) in block.instrs.iter().enumerate() {
+            let ssa = self.rename_instr(b, i, instr, &mut pushed);
             ssa_instrs.push(ssa);
         }
 
         // Terminator.
-        let term = match self.proc.block(b).term.clone() {
+        let term = match block.term {
             Terminator::Jump(t) => SsaTerminator::Jump(t),
             Terminator::Branch {
                 cond,
@@ -254,17 +273,10 @@ impl Renamer<'_> {
             },
             Terminator::Return(v) => {
                 let value = v.map(|op| self.rename_operand(op));
-                let exit_vars: Vec<VarId> = self
-                    .proc
-                    .var_ids()
-                    .filter(|&v| {
-                        let d = self.proc.var(v);
-                        d.ty.is_scalar() && (d.kind.is_formal() || d.kind.is_global())
-                    })
-                    .collect();
-                let exit = exit_vars
-                    .into_iter()
-                    .map(|v| (v, self.current(v)))
+                let exit = self
+                    .exit_vars
+                    .iter()
+                    .map(|&v| (v, self.current(v)))
                     .collect();
                 SsaTerminator::Return { value, exit }
             }
@@ -277,7 +289,7 @@ impl Renamer<'_> {
         }
 
         // Fill successor phi arguments.
-        for s in self.proc.block(b).term.successors() {
+        for s in block.term.successors() {
             if !self.cfg.is_reachable(s) {
                 continue;
             }
@@ -300,8 +312,7 @@ impl Renamer<'_> {
         }
 
         // Recurse over dominator-tree children.
-        let children: Vec<BlockId> = self.dom.children(b).to_vec();
-        for c in children {
+        for &c in self.dom.children(b) {
             self.visit(c);
         }
 
@@ -415,24 +426,17 @@ impl Renamer<'_> {
                 }
                 // Snapshot the reaching names of scalar globals (implicit
                 // actual parameters), before any kill.
-                let global_vars: Vec<VarId> = self
-                    .proc
-                    .var_ids()
-                    .filter(|&v| {
-                        let d = self.proc.var(v);
-                        d.ty.is_scalar() && d.kind.is_global()
-                    })
-                    .collect();
-                let globals_in: Vec<(VarId, SsaName)> = global_vars
-                    .into_iter()
-                    .map(|v| (v, self.current(v)))
+                let globals_in: Vec<(VarId, SsaName)> = self
+                    .global_vars
+                    .iter()
+                    .map(|&v| (v, self.current(v)))
                     .collect();
                 // Kills: fresh names after the call.
                 let kill_site = DefSite::CallImplicit { block: b, index: i };
-                let kill_vars = self.call_kills.get(&(b, i)).cloned().unwrap_or_default();
+                let kill_vars = self.call_kills.get(&(b, i)).map_or(&[][..], Vec::as_slice);
                 let kills: Vec<SsaKill> = kill_vars
-                    .into_iter()
-                    .map(|v| SsaKill {
+                    .iter()
+                    .map(|&v| SsaKill {
                         var: v,
                         name: def(self, v, kill_site),
                     })
