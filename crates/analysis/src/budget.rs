@@ -459,8 +459,8 @@ struct BudgetInner {
 /// Shared fuel handle threaded through the analysis phases. Cloning is
 /// cheap and clones draw from the same tank.
 ///
-/// Exhaustion is *sticky*: after the first failed [`checkpoint`]
-/// (`Budget::checkpoint`) every later checkpoint fails too, so a phase
+/// Exhaustion is *sticky*: after the first failed
+/// [`checkpoint`](Budget::checkpoint) every later checkpoint fails too, so a phase
 /// that observed exhaustion can rely on downstream phases observing it
 /// as well.
 #[derive(Clone)]

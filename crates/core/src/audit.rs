@@ -52,7 +52,7 @@ use crate::driver::AnalysisConfig;
 use crate::session::SessionPhase;
 use ipcp_ir::codec::{decode_from_slice, encode_to_vec, ByteReader, Wire, WireError, WireSink};
 use ipcp_ir::fingerprint::Fnv1a;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -231,7 +231,8 @@ impl Ledger {
         }
     }
 
-    fn proc_map(&self) -> BTreeMap<&str, &LedgerProc> {
+    /// The procedures by name, for diffing against another ledger.
+    fn proc_map(&self) -> HashMap<&str, &LedgerProc> {
         self.procs.iter().map(|p| (p.name.as_str(), p)).collect()
     }
 }
@@ -627,9 +628,10 @@ pub fn diff_ledgers(
     current: &Ledger,
     disk: Option<DiskOutcome>,
 ) -> IncrementalAudit {
-    let (changed_procs, globals_changed) = match prev {
-        Some(prev) => {
-            let pm = prev.proc_map();
+    // Built once: every phase below looks procedures up in it.
+    let prev_procs = prev.map(Ledger::proc_map);
+    let (changed_procs, globals_changed) = match (prev, &prev_procs) {
+        (Some(prev), Some(pm)) => {
             let changed: Vec<String> = current
                 .procs
                 .iter()
@@ -638,7 +640,7 @@ pub fn diff_ledgers(
                 .collect();
             (changed, prev.globals_fp != current.globals_fp)
         }
-        None => (Vec::new(), false),
+        _ => (Vec::new(), false),
     };
     let base_changed = prev.is_some_and(|p| p.base_fp != current.base_fp);
     let input_reason = || MissReason::InputChanged {
@@ -674,14 +676,8 @@ pub fn diff_ledgers(
     for phase in PROC_SCOPED {
         let scope_total = current.procs.len() as u64;
         let mut recomputed = Vec::new();
-        match prev {
-            None => {
-                for p in &current.procs {
-                    recomputed.push((p.name.clone(), MissReason::FirstComputation));
-                }
-            }
-            Some(prev) => {
-                let pm = prev.proc_map();
+        match (prev, &prev_procs) {
+            (Some(prev), Some(pm)) => {
                 let facets = changed_facets(&prev.facets, &current.facets, phase.name());
                 for p in &current.procs {
                     match pm.get(p.name.as_str()) {
@@ -699,6 +695,11 @@ pub fn diff_ledgers(
                         }
                         Some(_) => {}
                     }
+                }
+            }
+            _ => {
+                for p in &current.procs {
+                    recomputed.push((p.name.clone(), MissReason::FirstComputation));
                 }
             }
         }
@@ -823,6 +824,50 @@ mod tests {
         assert!(audit.changed_procs.is_empty());
         for phase in &audit.phases {
             assert_eq!(phase.up_to_date, phase.scope_total);
+        }
+    }
+
+    #[test]
+    fn procedures_are_matched_by_name_not_position() {
+        let config = AnalysisConfig::default();
+        let prev = ledger(
+            &[("a", 1, 10), ("b", 2, 20), ("c", 3, 30), ("d", 4, 40)],
+            &config,
+        );
+        // `c` removed, `e` added, the rest reordered: `d` is unchanged,
+        // `b`'s closure moved, `a`'s own fingerprint and closure moved.
+        let cur = ledger(
+            &[("d", 4, 40), ("b", 2, 21), ("e", 5, 50), ("a", 9, 11)],
+            &config,
+        );
+        let audit = diff_ledgers(Some(&prev), &cur, None);
+        assert!(!audit.first_run);
+        assert_eq!(audit.changed_procs, ["e", "a"]);
+        assert!(!audit.globals_changed);
+        let input = MissReason::InputChanged {
+            procs: vec!["e".into(), "a".into()],
+            globals: false,
+        };
+        for phase in &audit.phases {
+            if PROC_SCOPED.contains(&phase.phase) {
+                assert_eq!((phase.scope_total, phase.up_to_date), (4, 1), "{phase:?}");
+                assert_eq!(
+                    phase.recomputed,
+                    [
+                        ("b".to_string(), input.clone()),
+                        ("e".to_string(), MissReason::FirstComputation),
+                        ("a".to_string(), input.clone()),
+                    ],
+                    "{:?}",
+                    phase.phase
+                );
+            } else {
+                // The base fingerprint moved with `a`'s own.
+                assert_eq!(
+                    phase.recomputed,
+                    [(phase.phase.name().to_string(), input.clone())]
+                );
+            }
         }
     }
 

@@ -98,7 +98,7 @@ pub fn solve_cond_budgeted(
 }
 
 /// [`solve_cond_budgeted`] with lattice transitions reported to `sink`
-/// (the `ipcp explain` provenance path): the [`CondProp`] problem run
+/// (the `ipcp explain` provenance path): the `CondProp` problem run
 /// through the generic value-context engine.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_cond_traced(

@@ -171,7 +171,7 @@ pub fn solve(
 }
 
 /// [`solve`] under a fuel budget: each worklist pop costs one unit of
-/// [`Phase::Solver`] fuel. On exhaustion the iteration stops and every
+/// [`Phase::Solver`](ipcp_analysis::Phase::Solver) fuel. On exhaustion the iteration stops and every
 /// tracked slot is lowered to ⊥ — an always-sound (if useless) fixpoint.
 /// Leaving the optimistic intermediate values in place would be unsound:
 /// a slot still at ⊤ or at a constant may not have seen all its call
@@ -193,7 +193,7 @@ pub fn solve_budgeted(
 /// meet. With a disabled sink this *is* `solve_budgeted` (one shared
 /// code path), so results and fuel draw are identical bytes.
 ///
-/// This is the [`ConstProp`] problem run through the generic
+/// This is the `ConstProp` problem run through the generic
 /// value-context engine ([`crate::framework::solve_value_contexts`]);
 /// the bespoke worklist loop it replaced is bit-identical to the
 /// engine's.

@@ -17,7 +17,7 @@ use ipcp_analysis::sccp::{sccp, CallLattice, PessimisticCalls, SccpConfig};
 use ipcp_analysis::symeval::SymEvalOptions;
 use ipcp_analysis::{augment_global_vars, compute_modref, CallGraph, LatticeVal, ModKills};
 use ipcp_ir::VarKind;
-use ipcp_lang::ast::{Expr, ExprKind, LValueKind, Proc, Stmt, StmtKind};
+use ipcp_lang::ast::{Expr, ExprKind, LValueKind, Proc, Stmt, StmtKind, Symbol};
 use ipcp_lang::{pretty, Diagnostics, Span};
 use ipcp_ssa::{build_ssa, KillOracle, WorstCaseKills};
 use std::collections::HashMap;
@@ -95,7 +95,8 @@ pub fn transform_source(
     // ---- per-procedure uniform constants ----------------------------------
     // uniform[proc name][var name] = c when every SSA version of the
     // variable is the same constant (⊤ versions in unreached code ignored).
-    let mut uniform: HashMap<String, HashMap<String, i64>> = HashMap::new();
+    let mut uniform: HashMap<String, HashMap<Symbol, i64>> = HashMap::new();
+    let names = &checked.program.names;
     for pid in program.proc_ids() {
         if !cg.is_reachable(pid) {
             continue;
@@ -137,9 +138,10 @@ pub fn transform_source(
                 .and_modify(|acc| *acc = acc.meet(v))
                 .or_insert(v);
         }
-        let map: HashMap<String, i64> = per_var
+        // Every non-temporary IR variable carries a source name.
+        let map: HashMap<Symbol, i64> = per_var
             .into_iter()
-            .filter_map(|(var, v)| v.as_const().map(|c| (proc.var(var).name.clone(), c)))
+            .filter_map(|(var, v)| Some((names.get(&proc.var(var).name)?, v.as_const()?)))
             .collect();
         uniform.insert(proc.name.clone(), map);
     }
@@ -149,7 +151,7 @@ pub fn transform_source(
     let mut substitutions = 0usize;
     let empty = HashMap::new();
     for proc in &mut ast.procs {
-        let consts = uniform.get(&proc.name).unwrap_or(&empty);
+        let consts = uniform.get(&ast.names[proc.name]).unwrap_or(&empty);
         rewrite_proc(proc, consts, &mut substitutions);
     }
 
@@ -159,13 +161,13 @@ pub fn transform_source(
     })
 }
 
-fn rewrite_proc(proc: &mut Proc, consts: &HashMap<String, i64>, count: &mut usize) {
+fn rewrite_proc(proc: &mut Proc, consts: &HashMap<Symbol, i64>, count: &mut usize) {
     for stmt in &mut proc.body {
         rewrite_stmt(stmt, consts, count);
     }
 }
 
-fn rewrite_stmt(stmt: &mut Stmt, consts: &HashMap<String, i64>, count: &mut usize) {
+fn rewrite_stmt(stmt: &mut Stmt, consts: &HashMap<Symbol, i64>, count: &mut usize) {
     match &mut stmt.kind {
         StmtKind::Assign { target, value } => {
             if let LValueKind::Element(_, idx) = &mut target.kind {
@@ -226,17 +228,17 @@ fn rewrite_stmt(stmt: &mut Stmt, consts: &HashMap<String, i64>, count: &mut usiz
 
 /// Call arguments: a bare name may be bound by reference, so it is left
 /// alone; everything inside a larger expression is fair game.
-fn rewrite_arg(arg: &mut Expr, consts: &HashMap<String, i64>, count: &mut usize) {
+fn rewrite_arg(arg: &mut Expr, consts: &HashMap<Symbol, i64>, count: &mut usize) {
     if matches!(arg.kind, ExprKind::Name(_)) {
         return;
     }
     rewrite_expr(arg, consts, count);
 }
 
-fn rewrite_expr(expr: &mut Expr, consts: &HashMap<String, i64>, count: &mut usize) {
+fn rewrite_expr(expr: &mut Expr, consts: &HashMap<Symbol, i64>, count: &mut usize) {
     match &mut expr.kind {
         ExprKind::Name(name) => {
-            if let Some(&c) = consts.get(name.as_str()) {
+            if let Some(&c) = consts.get(name) {
                 expr.kind = ExprKind::IntLit(c);
                 expr.span = Span::default();
                 *count += 1;

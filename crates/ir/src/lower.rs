@@ -13,6 +13,11 @@
 //!   integer).
 //! * Statements after a `return` in the same block land in an unreachable
 //!   block that still gets a valid terminator.
+//!
+//! The checked AST names things by interned [`Symbol`]; the IR keeps
+//! string names. Lowering copies each name out of the interner once per
+//! IR variable or procedure, and resolves every reference through
+//! symbol-indexed tables, so no name is hashed or compared as text.
 
 use crate::ids::{GlobalId, ProcId, VarId};
 use crate::instr::{CallArg, Instr, Operand, Terminator, TrapKind};
@@ -21,8 +26,9 @@ use crate::program::{GlobalVar, Program};
 use ipcp_lang::ast::{
     self, Base, BinOp, Expr, ExprKind, LValueKind, ProcKind, Stmt, StmtKind, Ty, UnOp,
 };
+use ipcp_lang::symbol::{Symbol, SymbolMap};
 use ipcp_lang::typeck::{CheckedProgram, ProcInfo, VarOrigin};
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Lowers a checked program to IR.
 ///
@@ -31,29 +37,42 @@ use std::collections::HashMap;
 /// Panics on malformed input that the type checker is guaranteed to
 /// reject; feeding an unchecked AST through this function is a bug.
 pub fn lower(checked: &CheckedProgram) -> Program {
+    let names = &checked.program.names;
     let globals: Vec<GlobalVar> = checked
         .program
         .globals
         .iter()
         .map(|g| GlobalVar {
-            name: g.name.clone(),
+            name: names[g.name].to_string(),
             ty: g.ty,
             init: g.init,
         })
         .collect();
 
-    let proc_ids: HashMap<&str, ProcId> = checked
-        .program
-        .procs
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.name.as_str(), ProcId::from_index(i)))
-        .collect();
+    let mut proc_ids = SymbolMap::new(names.len());
+    for (i, p) in checked.program.procs.iter().enumerate() {
+        proc_ids.insert(p.name, i as u32);
+    }
 
+    // One symbol → variable table for the whole program, reloaded for
+    // each procedure, and scratch vectors that keep their capacity from
+    // one procedure to the next.
+    let mut var_ids = SymbolMap::new(names.len());
+    let mut scratch = Scratch::default();
     let mut procs = Vec::with_capacity(checked.program.procs.len());
-    for (idx, ast_proc) in checked.program.procs.iter().enumerate() {
-        let info = &checked.proc_info[idx];
-        procs.push(lower_proc(checked, ast_proc, info, &proc_ids));
+    for (ast_proc, info) in checked.program.procs.iter().zip(&checked.proc_info) {
+        var_ids.clear();
+        for (i, var) in info.vars.iter().enumerate() {
+            var_ids.insert(var.name, i as u32);
+        }
+        procs.push(lower_proc(
+            checked,
+            ast_proc,
+            info,
+            &proc_ids,
+            &var_ids,
+            &mut scratch,
+        ));
     }
 
     let main = checked
@@ -71,14 +90,33 @@ pub fn lower(checked: &CheckedProgram) -> Program {
     }
 }
 
+/// A procedure's variable and block vectors while it is being lowered.
+/// They grow as lowering discovers temporaries and blocks; the finished
+/// procedure gets exact-size copies, and the scratch keeps its capacity
+/// for the next procedure.
+#[derive(Default)]
+struct Scratch {
+    vars: Vec<VarDecl>,
+    blocks: Vec<Block>,
+}
+
 fn lower_proc(
     checked: &CheckedProgram,
     ast_proc: &ast::Proc,
     info: &ProcInfo,
-    proc_ids: &HashMap<&str, ProcId>,
+    proc_ids: &SymbolMap,
+    var_ids: &SymbolMap,
+    scratch: &mut Scratch,
 ) -> Procedure {
-    let mut proc = Procedure::new(ast_proc.name.clone(), ast_proc.kind);
-    proc.num_formals = ast_proc.params.len() as u32;
+    let names = &checked.program.names;
+    let mut proc = Procedure {
+        name: names[ast_proc.name].to_string(),
+        kind: ast_proc.kind,
+        vars: std::mem::take(&mut scratch.vars),
+        num_formals: ast_proc.params.len() as u32,
+        blocks: std::mem::take(&mut scratch.blocks),
+    };
+    proc.add_block(Block::new(Terminator::Return(None)));
     for var in &info.vars {
         let kind = match var.origin {
             VarOrigin::Param(i) => VarKind::Formal(i),
@@ -86,7 +124,7 @@ fn lower_proc(
             VarOrigin::Local => VarKind::Local,
         };
         proc.add_var(VarDecl {
-            name: var.name.clone(),
+            name: names[var.name].to_string(),
             ty: var.ty,
             kind,
         });
@@ -94,8 +132,8 @@ fn lower_proc(
 
     let mut lowerer = Lowerer {
         checked,
-        info,
         proc_ids,
+        var_ids,
         proc,
         current: crate::ids::ENTRY_BLOCK,
     };
@@ -107,13 +145,20 @@ fn lower_proc(
         _ => Terminator::Return(None),
     };
     lowerer.set_term(ret);
-    lowerer.proc
+    let mut proc = lowerer.proc;
+    let vars = proc.vars.drain(..).collect();
+    let blocks = proc.blocks.drain(..).collect();
+    scratch.vars = std::mem::replace(&mut proc.vars, vars);
+    scratch.blocks = std::mem::replace(&mut proc.blocks, blocks);
+    proc
 }
 
 struct Lowerer<'a> {
     checked: &'a CheckedProgram,
-    info: &'a ProcInfo,
-    proc_ids: &'a HashMap<&'a str, ProcId>,
+    /// Procedure name → index.
+    proc_ids: &'a SymbolMap,
+    /// Variable name → index into this procedure's checked variable table.
+    var_ids: &'a SymbolMap,
     proc: Procedure,
     current: crate::ids::BlockId,
 }
@@ -135,8 +180,10 @@ impl Lowerer<'_> {
 
     fn new_temp(&mut self, base: Base) -> VarId {
         let n = self.proc.vars.len();
+        let mut name = String::with_capacity(12);
+        let _ = write!(name, "%t{n}");
         self.proc.add_var(VarDecl {
-            name: format!("%t{n}"),
+            name,
             ty: Ty {
                 base,
                 shape: ast::Shape::Scalar,
@@ -147,14 +194,14 @@ impl Lowerer<'_> {
 
     /// Variable id for a resolved name (same index as the checked symbol
     /// table).
-    fn var_of(&self, name: &str) -> VarId {
-        VarId::from_index(
-            *self
-                .info
-                .by_name
-                .get(name)
-                .unwrap_or_else(|| panic!("unresolved variable `{name}`")),
-        )
+    fn var_of(&self, name: Symbol) -> VarId {
+        match self.var_ids.get(name) {
+            Some(i) => VarId::from_index(i as usize),
+            None => panic!(
+                "unresolved variable `{}`",
+                &self.checked.program.names[name]
+            ),
+        }
     }
 
     fn var_base(&self, v: VarId) -> Base {
@@ -198,11 +245,11 @@ impl Lowerer<'_> {
         match &stmt.kind {
             StmtKind::Assign { target, value } => match &target.kind {
                 LValueKind::Scalar(name) => {
-                    let dst = self.var_of(name);
+                    let dst = self.var_of(*name);
                     self.lower_expr_into(dst, value);
                 }
                 LValueKind::Element(name, idx) => {
-                    let arr = self.var_of(name);
+                    let arr = self.var_of(*name);
                     let index = self.lower_expr(idx);
                     let mut v = self.lower_expr(value);
                     if self.var_base(arr) == Base::Real {
@@ -267,10 +314,10 @@ impl Lowerer<'_> {
                 step,
                 body,
             } => {
-                self.lower_do(var, from, to, step.as_ref(), body);
+                self.lower_do(*var, from, to, step.as_ref(), body);
             }
             StmtKind::Call { name, args } => {
-                self.lower_call(name, args, None);
+                self.lower_call(*name, args, None);
             }
             StmtKind::Return { value } => {
                 let term = match value {
@@ -287,11 +334,11 @@ impl Lowerer<'_> {
             }
             StmtKind::Read { target } => match &target.kind {
                 LValueKind::Scalar(name) => {
-                    let dst = self.var_of(name);
+                    let dst = self.var_of(*name);
                     self.emit(Instr::Read { dst });
                 }
                 LValueKind::Element(name, idx) => {
-                    let arr = self.var_of(name);
+                    let arr = self.var_of(*name);
                     let index = self.lower_expr(idx);
                     let t = self.new_temp(self.var_base(arr));
                     self.emit(Instr::Read { dst: t });
@@ -322,7 +369,14 @@ impl Lowerer<'_> {
         }
     }
 
-    fn lower_do(&mut self, var: &str, from: &Expr, to: &Expr, step: Option<&Expr>, body: &[Stmt]) {
+    fn lower_do(
+        &mut self,
+        var: Symbol,
+        from: &Expr,
+        to: &Expr,
+        step: Option<&Expr>,
+        body: &[Stmt],
+    ) {
         let v = self.var_of(var);
         // Evaluate in source order, then initialize the loop variable.
         let from_op = {
@@ -475,13 +529,13 @@ impl Lowerer<'_> {
 
     // ---- calls ----------------------------------------------------------
 
-    fn lower_call(&mut self, name: &str, args: &[Expr], dst: Option<VarId>) {
-        let callee = *self.proc_ids.get(name).expect("resolved callee");
-        let callee_ast = &self.checked.program.procs[callee.index()];
-        let formal_tys: Vec<Ty> = callee_ast.params.iter().map(|p| p.ty).collect();
+    fn lower_call(&mut self, name: Symbol, args: &[Expr], dst: Option<VarId>) {
+        let callee = ProcId::from_index(self.proc_ids.get(name).expect("resolved callee") as usize);
+        let checked = self.checked;
+        let formals = &checked.program.procs[callee.index()].params;
         let mut call_args = Vec::with_capacity(args.len());
-        for (arg, &formal) in args.iter().zip(formal_tys.iter()) {
-            call_args.push(self.lower_arg(arg, formal));
+        for (arg, formal) in args.iter().zip(formals) {
+            call_args.push(self.lower_arg(arg, formal.ty));
         }
         self.emit(Instr::Call {
             callee,
@@ -491,7 +545,7 @@ impl Lowerer<'_> {
     }
 
     fn lower_arg(&mut self, arg: &Expr, formal: Ty) -> CallArg {
-        if let ExprKind::Name(name) = &arg.kind {
+        if let ExprKind::Name(name) = arg.kind {
             let v = self.var_of(name);
             let actual_ty = self.proc.var(v).ty;
             let compatible =
@@ -558,7 +612,7 @@ impl Lowerer<'_> {
                 }
             }
             ExprKind::Index(name, idx) => {
-                let arr = self.var_of(name);
+                let arr = self.var_of(*name);
                 let index = self.lower_expr(idx);
                 if self.var_base(arr) == dst_base {
                     self.emit(Instr::Load { dst, arr, index });
@@ -573,10 +627,10 @@ impl Lowerer<'_> {
             }
             ExprKind::CallFn(name, args) => {
                 if dst_base == Base::Int {
-                    self.lower_call(name, args, Some(dst));
+                    self.lower_call(*name, args, Some(dst));
                 } else {
                     let t = self.new_temp(Base::Int);
-                    self.lower_call(name, args, Some(t));
+                    self.lower_call(*name, args, Some(t));
                     self.emit(Instr::IntToReal {
                         dst,
                         src: Operand::Var(t),
@@ -623,9 +677,9 @@ impl Lowerer<'_> {
         match &expr.kind {
             ExprKind::IntLit(v) => Operand::Const(*v),
             ExprKind::RealLit(v) => Operand::RealConst(*v),
-            ExprKind::Name(name) => Operand::Var(self.var_of(name)),
+            ExprKind::Name(name) => Operand::Var(self.var_of(*name)),
             ExprKind::Index(name, idx) => {
-                let arr = self.var_of(name);
+                let arr = self.var_of(*name);
                 let index = self.lower_expr(idx);
                 let t = self.new_temp(self.var_base(arr));
                 self.emit(Instr::Load { dst: t, arr, index });
@@ -633,7 +687,7 @@ impl Lowerer<'_> {
             }
             ExprKind::CallFn(name, args) => {
                 let t = self.new_temp(Base::Int);
-                self.lower_call(name, args, Some(t));
+                self.lower_call(*name, args, Some(t));
                 Operand::Var(t)
             }
             ExprKind::Unary(op, operand) => {

@@ -18,8 +18,12 @@
 //!   iterates while `v <= to` (positive step) or `v >= to` (negative step),
 //!   adding `step` after each iteration. A zero step is a runtime error.
 //! * A `func` that falls off the end returns 0.
+//!
+//! Names in the tree are [`Symbol`]s of the [`Program`]'s own
+//! [`Interner`]; `program.names[sym]` is the text.
 
 use crate::span::Span;
+pub use crate::symbol::{Interner, Symbol};
 use std::fmt;
 
 /// Base (element) type of a value.
@@ -112,7 +116,7 @@ impl fmt::Display for Ty {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalDecl {
     /// Variable name; unique among globals.
-    pub name: String,
+    pub name: Symbol,
     /// Declared type.
     pub ty: Ty,
     /// Optional compile-time initializer (integer scalars only).
@@ -146,7 +150,7 @@ impl fmt::Display for ProcKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Parameter name; unique within the procedure.
-    pub name: String,
+    pub name: Symbol,
     /// Declared type (`integer` scalar by default).
     pub ty: Ty,
     /// Source location.
@@ -157,7 +161,7 @@ pub struct Param {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalDecl {
     /// Local name.
-    pub name: String,
+    pub name: Symbol,
     /// Declared type.
     pub ty: Ty,
     /// Source location.
@@ -168,7 +172,7 @@ pub struct LocalDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Proc {
     /// Procedure name; unique program-wide (`main` has the name `main`).
-    pub name: String,
+    pub name: Symbol,
     /// Subroutine / function / main.
     pub kind: ProcKind,
     /// Formal parameters (empty for `main`).
@@ -222,7 +226,7 @@ pub enum StmtKind {
     /// `do var = from, to [, step] ... end`
     Do {
         /// Loop variable (an integer scalar).
-        var: String,
+        var: Symbol,
         /// Initial value.
         from: Expr,
         /// Inclusive bound.
@@ -235,7 +239,7 @@ pub enum StmtKind {
     /// `call name(args)`
     Call {
         /// Callee subroutine name.
-        name: String,
+        name: Symbol,
         /// Actual arguments.
         args: Vec<Expr>,
     },
@@ -269,17 +273,16 @@ pub struct LValue {
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValueKind {
     /// A scalar variable.
-    Scalar(String),
+    Scalar(Symbol),
     /// An array element `name(index)`.
-    Element(String, Box<Expr>),
+    Element(Symbol, Box<Expr>),
 }
 
 impl LValue {
     /// The variable name being assigned (the array name for elements).
-    pub fn name(&self) -> &str {
-        match &self.kind {
-            LValueKind::Scalar(n) => n,
-            LValueKind::Element(n, _) => n,
+    pub fn name(&self) -> Symbol {
+        match self.kind {
+            LValueKind::Scalar(n) | LValueKind::Element(n, _) => n,
         }
     }
 }
@@ -392,16 +395,16 @@ pub enum ExprKind {
     RealLit(f64),
     /// A scalar variable reference, or a whole-array reference in an
     /// argument position.
-    Name(String),
+    Name(Symbol),
     /// `name(args)` before name resolution: either an array element
     /// reference or a function call. The type checker rewrites every
     /// occurrence into [`ExprKind::Index`] or [`ExprKind::CallFn`]; later
     /// phases reject this variant.
-    NameArgs(String, Vec<Expr>),
+    NameArgs(Symbol, Vec<Expr>),
     /// An array element reference (post-resolution).
-    Index(String, Box<Expr>),
+    Index(Symbol, Box<Expr>),
     /// A function call (post-resolution).
-    CallFn(String, Vec<Expr>),
+    CallFn(Symbol, Vec<Expr>),
     /// A unary operation.
     Unary(UnOp, Box<Expr>),
     /// A binary operation.
@@ -418,9 +421,9 @@ impl Expr {
     }
 
     /// Creates a name reference expression.
-    pub fn name(name: impl Into<String>, span: Span) -> Expr {
+    pub fn name(name: Symbol, span: Span) -> Expr {
         Expr {
-            kind: ExprKind::Name(name.into()),
+            kind: ExprKind::Name(name),
             span,
         }
     }
@@ -441,11 +444,14 @@ pub struct Program {
     pub globals: Vec<GlobalDecl>,
     /// All procedures including `main`.
     pub procs: Vec<Proc>,
+    /// The text of every [`Symbol`] in the program.
+    pub names: Interner,
 }
 
 impl Program {
     /// Finds a procedure by name.
     pub fn proc(&self, name: &str) -> Option<&Proc> {
+        let name = self.names.get(name)?;
         self.procs.iter().find(|p| p.name == name)
     }
 
@@ -456,6 +462,7 @@ impl Program {
 
     /// Finds a global by name.
     pub fn global(&self, name: &str) -> Option<&GlobalDecl> {
+        let name = self.names.get(name)?;
         self.globals.iter().find(|g| g.name == name)
     }
 }
@@ -494,19 +501,21 @@ mod tests {
 
     #[test]
     fn lvalue_name() {
+        let a = Interner::new().intern("a");
         let lv = LValue {
-            kind: LValueKind::Element("a".into(), Box::new(Expr::int(1, Span::default()))),
+            kind: LValueKind::Element(a, Box::new(Expr::int(1, Span::default()))),
             span: Span::default(),
         };
-        assert_eq!(lv.name(), "a");
+        assert_eq!(lv.name(), a);
     }
 
     #[test]
     fn program_lookup() {
         let mut p = Program::default();
         assert!(p.main().is_none());
+        let main = p.names.intern("main");
         p.procs.push(Proc {
-            name: "main".into(),
+            name: main,
             kind: ProcKind::Main,
             params: vec![],
             decls: vec![],

@@ -236,13 +236,16 @@ impl<'a> Interp<'a> {
         &self.checked.proc_info[frame.proc_idx]
     }
 
-    fn var_slot(&self, frame: &Frame, name: &str) -> usize {
-        let info = self.info(frame);
-        let idx = *info
-            .by_name
-            .get(name)
-            .unwrap_or_else(|| panic!("unresolved variable `{name}`"));
+    fn var_slot(&self, frame: &Frame, name: Symbol) -> usize {
+        let idx = self
+            .info(frame)
+            .var_index(name)
+            .unwrap_or_else(|| panic!("unresolved variable `{}`", self.name(name)));
         frame.slot_of_var[idx]
+    }
+
+    fn name(&self, sym: Symbol) -> &'a str {
+        &self.checked.program.names[sym]
     }
 
     fn tick(&mut self) -> Result<(), InterpError> {
@@ -316,7 +319,7 @@ impl<'a> Interp<'a> {
                 if step == 0 {
                     return Err(InterpError::ZeroStep);
                 }
-                let var_slot = self.var_slot(frame, var);
+                let var_slot = self.var_slot(frame, *var);
                 let mut i = from;
                 loop {
                     self.tick()?;
@@ -339,7 +342,7 @@ impl<'a> Interp<'a> {
                 }
             }
             StmtKind::Call { name, args } => {
-                let callee = self.checked.proc_index(name).expect("resolved callee");
+                let callee = self.checked.proc_of(*name).expect("resolved callee");
                 let arg_slots = self.bind_args(callee, args, frame, depth)?;
                 self.call(callee, arg_slots, depth + 1)?;
                 Ok(Flow::Normal)
@@ -388,7 +391,7 @@ impl<'a> Interp<'a> {
         for (arg, formal) in args.iter().zip(params.iter()) {
             let slot = if let ExprKind::Name(name) = &arg.kind {
                 let info = self.info(frame);
-                let vidx = info.by_name[name.as_str()];
+                let vidx = info.var_index(*name).expect("resolved variable");
                 let actual_ty = info.vars[vidx].ty;
                 if actual_ty.base == formal.base {
                     // True by-reference binding.
@@ -426,7 +429,7 @@ impl<'a> Interp<'a> {
     ) -> Result<(), InterpError> {
         match &target.kind {
             LValueKind::Scalar(name) => {
-                let slot = self.var_slot(frame, name);
+                let slot = self.var_slot(frame, *name);
                 match (&mut self.slots[slot], value) {
                     (Slot::Int(dst), Value::Int(v)) => *dst = v,
                     (Slot::Real(dst), Value::Int(v)) => *dst = v as f64,
@@ -437,7 +440,7 @@ impl<'a> Interp<'a> {
             }
             LValueKind::Element(name, idx) => {
                 let i = self.eval_int(idx, frame, depth)?;
-                let slot = self.var_slot(frame, name);
+                let slot = self.var_slot(frame, *name);
                 let len = match &self.slots[slot] {
                     Slot::IntArray(v) => v.len(),
                     Slot::RealArray(v) => v.len(),
@@ -445,7 +448,7 @@ impl<'a> Interp<'a> {
                 };
                 if i < 1 || i as u128 > len as u128 {
                     return Err(InterpError::OutOfBounds {
-                        name: name.clone(),
+                        name: self.name(*name).to_string(),
                         index: i,
                         len,
                     });
@@ -473,7 +476,7 @@ impl<'a> Interp<'a> {
             ExprKind::IntLit(v) => Ok(Value::Int(*v)),
             ExprKind::RealLit(v) => Ok(Value::Real(*v)),
             ExprKind::Name(name) => {
-                let slot = self.var_slot(frame, name);
+                let slot = self.var_slot(frame, *name);
                 match &self.slots[slot] {
                     Slot::Int(v) => Ok(Value::Int(*v)),
                     Slot::Real(v) => Ok(Value::Real(*v)),
@@ -482,12 +485,12 @@ impl<'a> Interp<'a> {
             }
             ExprKind::Index(name, idx) => {
                 let i = self.eval_int(idx, frame, depth)?;
-                let slot = self.var_slot(frame, name);
+                let slot = self.var_slot(frame, *name);
                 match &self.slots[slot] {
                     Slot::IntArray(v) => {
                         if i < 1 || i as usize > v.len() {
                             Err(InterpError::OutOfBounds {
-                                name: name.clone(),
+                                name: self.name(*name).to_string(),
                                 index: i,
                                 len: v.len(),
                             })
@@ -498,7 +501,7 @@ impl<'a> Interp<'a> {
                     Slot::RealArray(v) => {
                         if i < 1 || i as usize > v.len() {
                             Err(InterpError::OutOfBounds {
-                                name: name.clone(),
+                                name: self.name(*name).to_string(),
                                 index: i,
                                 len: v.len(),
                             })
@@ -510,7 +513,7 @@ impl<'a> Interp<'a> {
                 }
             }
             ExprKind::CallFn(name, args) => {
-                let callee = self.checked.proc_index(name).expect("resolved callee");
+                let callee = self.checked.proc_of(*name).expect("resolved callee");
                 let arg_slots = self.bind_args(callee, args, frame, depth)?;
                 let ret = self.call(callee, arg_slots, depth + 1)?;
                 // A function that falls off the end returns 0.

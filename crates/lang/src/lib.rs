@@ -10,6 +10,8 @@
 //! The crate provides:
 //!
 //! * [`lexer`] / [`parser`] — source text → [`ast::Program`],
+//! * [`symbol`] — interned identifiers: every name in a parsed program
+//!   is a [`Symbol`] of that program's own [`symbol::Interner`],
 //! * [`typeck`] — name resolution, implicit FORTRAN-style integer locals,
 //!   and type checking, producing a [`typeck::CheckedProgram`],
 //! * [`pretty`] — AST → parseable source text,
@@ -53,12 +55,14 @@ pub mod lexer;
 pub mod parser;
 pub mod pretty;
 pub mod span;
+pub mod symbol;
 pub mod token;
 pub mod typeck;
 
 pub use ast::Program;
 pub use diag::{Diagnostic, Diagnostics};
 pub use span::Span;
+pub use symbol::Symbol;
 pub use typeck::CheckedProgram;
 
 /// Parses and type-checks Minifor source in one step.

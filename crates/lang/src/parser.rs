@@ -30,11 +30,15 @@
 //! `IDENT "(" args ")"` in an expression is ambiguous between an array
 //! element and a function call; the parser emits [`ExprKind::NameArgs`] and
 //! the type checker resolves it.
+//!
+//! Identifiers are interned as they are parsed: the tree names them by
+//! [`Symbol`], and the returned [`Program`] owns the interner.
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Diagnostics, Phase};
 use crate::lexer::lex;
 use crate::span::Span;
+use crate::symbol::Interner;
 use crate::token::{Token, TokenKind};
 
 /// Parses Minifor source into an unresolved [`Program`].
@@ -45,9 +49,11 @@ use crate::token::{Token, TokenKind};
 pub fn parse(source: &str) -> Result<Program, Diagnostics> {
     let tokens = lex(source)?;
     let mut parser = Parser {
+        source,
         tokens,
         pos: 0,
         depth: 0,
+        names: Interner::new(),
     };
     parser.program().map_err(Diagnostics::single)
 }
@@ -64,16 +70,19 @@ pub fn parse(source: &str) -> Result<Program, Diagnostics> {
 /// interpretation) with room to spare.
 const MAX_NESTING_DEPTH: u32 = 64;
 
-struct Parser {
+struct Parser<'a> {
+    source: &'a str,
     tokens: Vec<Token>,
     pos: usize,
     /// Current combined statement + expression nesting depth.
     depth: u32,
+    /// The program's identifiers, interned as they are met.
+    names: Interner,
 }
 
 type PResult<T> = Result<T, Diagnostic>;
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -82,27 +91,27 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
-    /// Consumes the current token. Tokens behind the cursor are never
-    /// read again, so each is moved out (a payload-free `Eof` is left in
-    /// its place); the final `Eof` stays put, so bumping at the end of
-    /// input returns it again.
+    /// Describes the current token for an error message.
+    fn describe_peek(&self) -> String {
+        self.tokens[self.pos].describe(self.source)
+    }
+
+    /// Consumes the current token. The final `Eof` stays put, so bumping
+    /// at the end of input returns it again.
     fn bump(&mut self) -> Token {
-        if self.pos + 1 == self.tokens.len() {
-            return self.tokens[self.pos].clone();
+        let tok = self.tokens[self.pos];
+        if self.pos + 1 < self.tokens.len() {
+            self.pos += 1;
         }
-        let span = self.tokens[self.pos].span;
-        let tok = std::mem::replace(&mut self.tokens[self.pos], Token::new(TokenKind::Eof, span));
-        self.pos += 1;
         tok
     }
 
     /// Consumes the current token, which the caller peeked to be an
-    /// identifier, and returns its name.
-    fn bump_ident(&mut self) -> String {
-        match self.bump().kind {
-            TokenKind::Ident(name) => name,
-            other => unreachable!("peeked an identifier, found {other:?}"),
-        }
+    /// identifier, and returns its interned name.
+    fn bump_ident(&mut self) -> Symbol {
+        let tok = self.bump();
+        debug_assert_eq!(tok.kind, TokenKind::Ident);
+        self.names.intern(tok.text(self.source))
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -126,7 +135,7 @@ impl Parser {
                 "expected {} {}, found {}",
                 kind.describe(),
                 ctx,
-                self.peek().describe()
+                self.describe_peek()
             )))
         }
     }
@@ -141,7 +150,7 @@ impl Parser {
             Err(self.error(format!(
                 "expected end of line {}, found {}",
                 ctx,
-                self.peek().describe()
+                self.describe_peek()
             )))
         }
     }
@@ -156,12 +165,12 @@ impl Parser {
         Diagnostic::new(Phase::Parse, self.peek_span(), msg)
     }
 
-    fn ident(&mut self, ctx: &str) -> PResult<(String, Span)> {
-        if !matches!(self.peek(), TokenKind::Ident(_)) {
+    fn ident(&mut self, ctx: &str) -> PResult<(Symbol, Span)> {
+        if !self.at(&TokenKind::Ident) {
             return Err(self.error(format!(
                 "expected identifier {}, found {}",
                 ctx,
-                self.peek().describe()
+                self.describe_peek()
             )));
         }
         let span = self.peek_span();
@@ -179,15 +188,16 @@ impl Parser {
                 TokenKind::KwProc => program.procs.push(self.procedure(ProcKind::Subroutine)?),
                 TokenKind::KwFunc => program.procs.push(self.procedure(ProcKind::Function)?),
                 TokenKind::KwMain => program.procs.push(self.main_proc()?),
-                other => {
+                _ => {
                     return Err(self.error(format!(
                         "expected `global`, `proc`, `func` or `main`, found {}",
-                        other.describe()
+                        self.describe_peek()
                     )))
                 }
             }
             self.skip_seps();
         }
+        program.names = std::mem::take(&mut self.names);
         Ok(program)
     }
 
@@ -224,10 +234,10 @@ impl Parser {
                     self.bump();
                     init = Some(i64::MIN);
                 }
-                ref other => {
+                _ => {
                     return Err(self.error(format!(
                         "global initializer must be an integer literal, found {}",
-                        other.describe()
+                        self.describe_peek()
                     )))
                 }
             }
@@ -248,9 +258,9 @@ impl Parser {
                 self.bump();
                 Ok(v as u32)
             }
-            ref other => Err(self.error(format!(
+            _ => Err(self.error(format!(
                 "array length must be a positive integer literal, found {}",
-                other.describe()
+                self.describe_peek()
             ))),
         }
     }
@@ -289,7 +299,7 @@ impl Parser {
         self.expect_sep("after `main`")?;
         let (decls, body) = self.proc_body()?;
         Ok(Proc {
-            name: "main".into(),
+            name: self.names.intern("main"),
             kind: ProcKind::Main,
             params: vec![],
             decls,
@@ -393,7 +403,7 @@ impl Parser {
     fn stmt_inner(&mut self) -> PResult<Stmt> {
         let start = self.peek_span();
         match *self.peek() {
-            TokenKind::Ident(_) => self.assign_stmt(),
+            TokenKind::Ident => self.assign_stmt(),
             TokenKind::KwIf => {
                 self.bump();
                 let cond = self.expr()?;
@@ -511,9 +521,10 @@ impl Parser {
                     span,
                 })
             }
-            ref other => {
-                Err(self.error(format!("expected a statement, found {}", other.describe())))
-            }
+            _ => Err(self.error(format!(
+                "expected a statement, found {}",
+                self.describe_peek()
+            ))),
         }
     }
 
@@ -751,7 +762,7 @@ impl Parser {
                     span: span.merge(rp.span),
                 })
             }
-            TokenKind::Ident(_) => {
+            TokenKind::Ident => {
                 let name = self.bump_ident();
                 if self.eat(&TokenKind::LParen) {
                     let args = self.args()?;
@@ -767,9 +778,9 @@ impl Parser {
                     })
                 }
             }
-            ref other => Err(self.error(format!(
+            _ => Err(self.error(format!(
                 "expected an expression, found {}",
-                other.describe()
+                self.describe_peek()
             ))),
         }
     }
@@ -903,14 +914,14 @@ mod tests {
             parse_ok("main\ndo i = 1, 10\ns = s + i\nend\ndo j = 10, 1, -2\ns = s - j\nend\nend\n");
         match &p.procs[0].body[0].kind {
             StmtKind::Do { var, step, .. } => {
-                assert_eq!(var, "i");
+                assert_eq!(&p.names[*var], "i");
                 assert!(step.is_none());
             }
             other => panic!("expected do, got {other:?}"),
         }
         match &p.procs[0].body[1].kind {
             StmtKind::Do { var, step, .. } => {
-                assert_eq!(var, "j");
+                assert_eq!(&p.names[*var], "j");
                 assert!(step.is_some());
             }
             other => panic!("expected do, got {other:?}"),

@@ -4,6 +4,8 @@
 //! round-trip tests exploit. Resolved nodes ([`ExprKind::Index`] /
 //! [`ExprKind::CallFn`]) print identically to their unresolved
 //! [`ExprKind::NameArgs`] form, so checked programs also round-trip.
+//!
+//! Names print as their text in the program's [`Interner`].
 
 use crate::ast::*;
 use std::fmt::Write as _;
@@ -12,7 +14,7 @@ use std::fmt::Write as _;
 pub fn program_to_string(program: &Program) -> String {
     let mut out = String::new();
     for g in &program.globals {
-        write_global(&mut out, g);
+        write_global(&mut out, &program.names, g);
     }
     if !program.globals.is_empty() {
         out.push('\n');
@@ -21,29 +23,31 @@ pub fn program_to_string(program: &Program) -> String {
         if i > 0 {
             out.push('\n');
         }
-        write_proc(&mut out, p);
+        write_proc(&mut out, &program.names, p);
     }
     out
 }
 
-/// Renders a single expression as source text.
-pub fn expr_to_string(expr: &Expr) -> String {
+/// Renders a single expression as source text; `names` is the interner
+/// of the program the expression belongs to.
+pub fn expr_to_string(names: &Interner, expr: &Expr) -> String {
     let mut out = String::new();
-    write_expr(&mut out, expr, 0);
+    write_expr(&mut out, names, expr, 0);
     out
 }
 
-/// Renders a single statement (with trailing newline) at indent level 0.
-pub fn stmt_to_string(stmt: &Stmt) -> String {
+/// Renders a single statement (with trailing newline) at indent level 0;
+/// `names` is the interner of the program the statement belongs to.
+pub fn stmt_to_string(names: &Interner, stmt: &Stmt) -> String {
     let mut out = String::new();
-    write_stmt(&mut out, stmt, 0);
+    write_stmt(&mut out, names, stmt, 0);
     out
 }
 
-fn write_global(out: &mut String, g: &GlobalDecl) {
+fn write_global(out: &mut String, names: &Interner, g: &GlobalDecl) {
     out.push_str("global ");
     write_ty_prefix(out, g.ty);
-    out.push_str(&g.name);
+    out.push_str(&names[g.name]);
     write_ty_suffix(out, g.ty);
     if let Some(v) = g.init {
         let _ = write!(out, " = {v}");
@@ -67,17 +71,17 @@ fn write_ty_suffix(out: &mut String, ty: Ty) {
     }
 }
 
-fn write_proc(out: &mut String, p: &Proc) {
+fn write_proc(out: &mut String, names: &Interner, p: &Proc) {
     match p.kind {
         ProcKind::Main => out.push_str("main\n"),
         kind => {
-            let _ = write!(out, "{kind} {}(", p.name);
+            let _ = write!(out, "{kind} {}(", &names[p.name]);
             for (i, param) in p.params.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
                 write_ty_prefix(out, param.ty);
-                out.push_str(&param.name);
+                out.push_str(&names[param.name]);
                 write_ty_suffix(out, param.ty);
             }
             out.push_str(")\n");
@@ -89,12 +93,12 @@ fn write_proc(out: &mut String, p: &Proc) {
             Base::Int => "integer ",
             Base::Real => "real ",
         });
-        out.push_str(&d.name);
+        out.push_str(&names[d.name]);
         write_ty_suffix(out, d.ty);
         out.push('\n');
     }
     for s in &p.body {
-        write_stmt(out, s, 1);
+        write_stmt(out, names, s, 1);
     }
     out.push_str("end\n");
 }
@@ -105,13 +109,13 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
+fn write_stmt(out: &mut String, names: &Interner, stmt: &Stmt, level: usize) {
     indent(out, level);
     match &stmt.kind {
         StmtKind::Assign { target, value } => {
-            write_lvalue(out, target);
+            write_lvalue(out, names, target);
             out.push_str(" = ");
-            write_expr(out, value, 0);
+            write_expr(out, names, value, 0);
             out.push('\n');
         }
         StmtKind::If {
@@ -120,16 +124,16 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             else_blk,
         } => {
             out.push_str("if ");
-            write_expr(out, cond, 0);
+            write_expr(out, names, cond, 0);
             out.push_str(" then\n");
             for s in then_blk {
-                write_stmt(out, s, level + 1);
+                write_stmt(out, names, s, level + 1);
             }
             if !else_blk.is_empty() {
                 indent(out, level);
                 out.push_str("else\n");
                 for s in else_blk {
-                    write_stmt(out, s, level + 1);
+                    write_stmt(out, names, s, level + 1);
                 }
             }
             indent(out, level);
@@ -137,10 +141,10 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
         }
         StmtKind::While { cond, body } => {
             out.push_str("while ");
-            write_expr(out, cond, 0);
+            write_expr(out, names, cond, 0);
             out.push_str(" do\n");
             for s in body {
-                write_stmt(out, s, level + 1);
+                write_stmt(out, names, s, level + 1);
             }
             indent(out, level);
             out.push_str("end\n");
@@ -152,65 +156,65 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             step,
             body,
         } => {
-            let _ = write!(out, "do {var} = ");
-            write_expr(out, from, 0);
+            let _ = write!(out, "do {} = ", &names[*var]);
+            write_expr(out, names, from, 0);
             out.push_str(", ");
-            write_expr(out, to, 0);
+            write_expr(out, names, to, 0);
             if let Some(step) = step {
                 out.push_str(", ");
-                write_expr(out, step, 0);
+                write_expr(out, names, step, 0);
             }
             out.push('\n');
             for s in body {
-                write_stmt(out, s, level + 1);
+                write_stmt(out, names, s, level + 1);
             }
             indent(out, level);
             out.push_str("end\n");
         }
         StmtKind::Call { name, args } => {
-            let _ = write!(out, "call {name}(");
-            write_args(out, args);
+            let _ = write!(out, "call {}(", &names[*name]);
+            write_args(out, names, args);
             out.push_str(")\n");
         }
         StmtKind::Return { value } => {
             out.push_str("return");
             if let Some(v) = value {
                 out.push(' ');
-                write_expr(out, v, 0);
+                write_expr(out, names, v, 0);
             }
             out.push('\n');
         }
         StmtKind::Read { target } => {
             out.push_str("read(");
-            write_lvalue(out, target);
+            write_lvalue(out, names, target);
             out.push_str(")\n");
         }
         StmtKind::Print { value } => {
             out.push_str("print(");
-            write_expr(out, value, 0);
+            write_expr(out, names, value, 0);
             out.push_str(")\n");
         }
     }
 }
 
-fn write_lvalue(out: &mut String, lv: &LValue) {
+fn write_lvalue(out: &mut String, names: &Interner, lv: &LValue) {
     match &lv.kind {
-        LValueKind::Scalar(name) => out.push_str(name),
+        LValueKind::Scalar(name) => out.push_str(&names[*name]),
         LValueKind::Element(name, idx) => {
-            out.push_str(name);
+            out.push_str(&names[*name]);
             out.push('(');
-            write_expr(out, idx, 0);
+            write_expr(out, names, idx, 0);
             out.push(')');
         }
     }
 }
 
-fn write_args(out: &mut String, args: &[Expr]) {
+fn write_args(out: &mut String, names: &Interner, args: &[Expr]) {
     for (i, a) in args.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        write_expr(out, a, 0);
+        write_expr(out, names, a, 0);
     }
 }
 
@@ -230,7 +234,7 @@ fn precedence(kind: &ExprKind) -> u8 {
     }
 }
 
-fn write_expr(out: &mut String, expr: &Expr, min_prec: u8) {
+fn write_expr(out: &mut String, names: &Interner, expr: &Expr, min_prec: u8) {
     let prec = precedence(&expr.kind);
     let parens = prec < min_prec;
     if parens {
@@ -253,32 +257,32 @@ fn write_expr(out: &mut String, expr: &Expr, min_prec: u8) {
                 let _ = write!(out, "{v:?}");
             }
         }
-        ExprKind::Name(name) => out.push_str(name),
+        ExprKind::Name(name) => out.push_str(&names[*name]),
         ExprKind::NameArgs(name, args) | ExprKind::CallFn(name, args) => {
-            out.push_str(name);
+            out.push_str(&names[*name]);
             out.push('(');
-            write_args(out, args);
+            write_args(out, names, args);
             out.push(')');
         }
         ExprKind::Index(name, idx) => {
-            out.push_str(name);
+            out.push_str(&names[*name]);
             out.push('(');
-            write_expr(out, idx, 0);
+            write_expr(out, names, idx, 0);
             out.push(')');
         }
         ExprKind::Unary(op, operand) => {
             let _ = write!(out, "{op}");
-            write_expr(out, operand, prec + 1);
+            write_expr(out, names, operand, prec + 1);
         }
         ExprKind::Binary(op, lhs, rhs) => {
             // Comparisons are non-associative: a comparison operand at the
             // same precedence level must be parenthesized on either side.
             let lhs_prec = if op.is_comparison() { prec + 1 } else { prec };
-            write_expr(out, lhs, lhs_prec);
+            write_expr(out, names, lhs, lhs_prec);
             let _ = write!(out, " {op} ");
             // The right operand needs strictly higher precedence: all our
             // binary operators are left-associative.
-            write_expr(out, rhs, prec + 1);
+            write_expr(out, names, rhs, prec + 1);
         }
     }
     if parens {
@@ -348,7 +352,7 @@ mod tests {
         let mut ast = parse("main\nx = 0 - 1 * 2\nend\n").unwrap();
         ast.procs[0].body[0].kind = crate::ast::StmtKind::Assign {
             target: crate::ast::LValue {
-                kind: crate::ast::LValueKind::Scalar("x".into()),
+                kind: crate::ast::LValueKind::Scalar(ast.names.intern("x")),
                 span: crate::span::Span::default(),
             },
             value: Expr::int(i64::MIN, crate::span::Span::default()),
@@ -386,7 +390,7 @@ mod tests {
         let ast = parse("main\nx = a + b(2) * f(3, 4)\nend\n").unwrap();
         match &ast.procs[0].body[0].kind {
             crate::ast::StmtKind::Assign { value, .. } => {
-                assert_eq!(expr_to_string(value), "a + b(2) * f(3, 4)");
+                assert_eq!(expr_to_string(&ast.names, value), "a + b(2) * f(3, 4)");
             }
             other => panic!("{other:?}"),
         }
@@ -400,6 +404,9 @@ mod tests {
     #[test]
     fn stmt_to_string_has_newline() {
         let ast = parse("main\nprint(3)\nend\n").unwrap();
-        assert_eq!(stmt_to_string(&ast.procs[0].body[0]), "print(3)\n");
+        assert_eq!(
+            stmt_to_string(&ast.names, &ast.procs[0].body[0]),
+            "print(3)\n"
+        );
     }
 }

@@ -4,10 +4,11 @@ use crate::span::Span;
 use std::fmt;
 
 /// The kind of a lexical token.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TokenKind {
-    /// An identifier such as `matmul`.
-    Ident(String),
+    /// An identifier such as `matmul`. It carries no text: the token's
+    /// span names it in the source.
+    Ident,
     /// An integer literal. Stored as `i64`; the lexer rejects overflow.
     Int(i64),
     /// The integer literal `9223372036854775808` (2^63). Its magnitude
@@ -124,11 +125,13 @@ impl TokenKind {
         })
     }
 
-    /// A short human-readable description used in parse errors.
+    /// A short human-readable description used in parse errors. An
+    /// identifier is described without its name; [`Token::describe`]
+    /// adds it.
     pub fn describe(&self) -> String {
         use TokenKind::*;
         match self {
-            Ident(name) => format!("identifier `{name}`"),
+            Ident => "identifier".into(),
             Int(v) => format!("integer literal `{v}`"),
             IntMinMagnitude => "integer literal `9223372036854775808` (only valid \
                                 immediately after a unary `-`)"
@@ -181,7 +184,7 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token together with its source span.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Token {
     /// The token's kind and payload.
     pub kind: TokenKind,
@@ -193,6 +196,20 @@ impl Token {
     /// Creates a token.
     pub fn new(kind: TokenKind, span: Span) -> Self {
         Token { kind, span }
+    }
+
+    /// The token's text in `source`, the text it was lexed from.
+    pub fn text(self, source: &str) -> &str {
+        &source[self.span.start as usize..self.span.end as usize]
+    }
+
+    /// A short human-readable description used in parse errors, naming
+    /// an identifier by its text in `source`.
+    pub fn describe(self, source: &str) -> String {
+        match self.kind {
+            TokenKind::Ident => format!("identifier `{}`", self.text(source)),
+            kind => kind.describe(),
+        }
     }
 }
 
@@ -221,5 +238,14 @@ mod tests {
         for t in all {
             assert!(!t.describe().is_empty(), "{t:?}");
         }
+    }
+
+    #[test]
+    fn identifiers_are_described_by_their_source_text() {
+        let tok = Token::new(TokenKind::Ident, Span::new(4, 7));
+        assert_eq!(tok.text("x = foo + 1"), "foo");
+        assert_eq!(tok.describe("x = foo + 1"), "identifier `foo`");
+        let tok = Token::new(TokenKind::Int(12), Span::new(0, 2));
+        assert_eq!(tok.describe("12"), "integer literal `12`");
     }
 }

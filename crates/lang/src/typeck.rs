@@ -9,11 +9,15 @@
 //! Minifor follows FORTRAN's implicit-declaration convention: an undeclared
 //! scalar name becomes an integer local on first use. Variables may not
 //! share a name with any procedure.
+//!
+//! Names are resolved through tables indexed by [`Symbol`], one slot per
+//! symbol of the program's interner; the per-procedure scope is cleared
+//! by bumping a generation rather than by rebuilding it.
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Diagnostics, Phase};
 use crate::span::Span;
-use std::collections::HashMap;
+use crate::symbol::SymbolMap;
 
 /// How a variable came to exist in a procedure's scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +46,7 @@ impl VarOrigin {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VarInfo {
     /// Source name.
-    pub name: String,
+    pub name: Symbol,
     /// Resolved type.
     pub ty: Ty,
     /// Parameter / local / global.
@@ -54,16 +58,22 @@ pub struct VarInfo {
 pub struct ProcInfo {
     /// Every variable the procedure can touch: parameters first (in
     /// declaration order), then declared locals, then globals and implicit
-    /// locals in order of first reference.
+    /// locals in order of first reference. Names are unique.
     pub vars: Vec<VarInfo>,
-    /// Name → index into [`ProcInfo::vars`].
-    pub by_name: HashMap<String, usize>,
 }
 
 impl ProcInfo {
+    /// Index into [`ProcInfo::vars`] of the variable named `name`.
+    ///
+    /// This scans the table. A pass that resolves every name of a
+    /// procedure loads the table into a [`SymbolMap`] instead.
+    pub fn var_index(&self, name: Symbol) -> Option<usize> {
+        self.vars.iter().position(|v| v.name == name)
+    }
+
     /// Looks up a variable by name.
-    pub fn var(&self, name: &str) -> Option<&VarInfo> {
-        self.by_name.get(name).map(|&i| &self.vars[i])
+    pub fn var(&self, name: Symbol) -> Option<&VarInfo> {
+        self.var_index(name).map(|i| &self.vars[i])
     }
 }
 
@@ -79,6 +89,11 @@ pub struct CheckedProgram {
 impl CheckedProgram {
     /// Index of the procedure named `name`.
     pub fn proc_index(&self, name: &str) -> Option<usize> {
+        self.proc_of(self.program.names.get(name)?)
+    }
+
+    /// Index of the procedure whose name is the symbol `name`.
+    pub fn proc_of(&self, name: Symbol) -> Option<usize> {
         self.program.procs.iter().position(|p| p.name == name)
     }
 }
@@ -90,35 +105,50 @@ impl CheckedProgram {
 /// Returns every semantic error found: duplicate or conflicting
 /// declarations, unknown or mis-used names, arity and type mismatches,
 /// a missing `main`, and misuse of `return`.
-pub fn check(program: Program) -> Result<CheckedProgram, Diagnostics> {
-    let mut checker = Checker::new(&program);
-    checker.check_toplevel(&program);
+pub fn check(mut program: Program) -> Result<CheckedProgram, Diagnostics> {
+    let Program {
+        globals,
+        procs,
+        names,
+    } = &mut program;
+    let mut checker = Checker::new(globals, procs, names);
+    checker.check_toplevel(globals, procs);
+    let proc_info: Vec<ProcInfo> = procs.iter_mut().map(|p| checker.check_proc(p)).collect();
 
-    let mut program = program;
-    let mut proc_info = Vec::with_capacity(program.procs.len());
-    for proc in &mut program.procs {
-        let info = checker.check_proc(proc);
-        proc_info.push(info);
-    }
-
-    if checker.errors.is_empty() {
+    let mut errors = checker.errors;
+    if errors.is_empty() {
         Ok(CheckedProgram { program, proc_info })
     } else {
-        checker.errors.sort_by_key(|d| (d.span.start, d.span.end));
-        Err(Diagnostics::new(checker.errors))
+        errors.sort_by_key(|d| (d.span.start, d.span.end));
+        Err(Diagnostics::new(errors))
     }
 }
 
 /// Signature of a procedure as seen by its callers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Sig {
     kind: ProcKind,
-    params: Vec<Ty>,
+    /// The formals' types: `Checker::param_tys[start..end]`.
+    params: (u32, u32),
 }
 
-struct Checker {
-    sigs: HashMap<String, Sig>,
-    globals: HashMap<String, (u32, Ty)>,
+/// Resolves names through tables indexed by [`Symbol`]: no name is
+/// hashed or copied while checking.
+struct Checker<'p> {
+    names: &'p Interner,
+    globals: &'p [GlobalDecl],
+    /// Name → index of the first procedure with that name.
+    proc_of: SymbolMap,
+    /// Per procedure, in program order.
+    sigs: Vec<Sig>,
+    /// Every procedure's formal types, concatenated.
+    param_tys: Vec<Ty>,
+    /// Name → index of the first global with that name.
+    global_of: SymbolMap,
+    /// The current procedure's scope: name → index into `vars`.
+    scope: SymbolMap,
+    /// The current procedure's variables.
+    vars: Vec<VarInfo>,
     errors: Vec<Diagnostic>,
 }
 
@@ -131,22 +161,37 @@ enum ExprTy {
     Err,
 }
 
-impl Checker {
-    fn new(program: &Program) -> Self {
-        let mut sigs = HashMap::new();
-        for p in &program.procs {
-            sigs.entry(p.name.clone()).or_insert_with(|| Sig {
+impl<'p> Checker<'p> {
+    fn new(globals: &'p [GlobalDecl], procs: &[Proc], names: &'p Interner) -> Self {
+        let mut proc_of = SymbolMap::new(names.len());
+        let mut sigs = Vec::with_capacity(procs.len());
+        let mut param_tys = Vec::with_capacity(procs.iter().map(|p| p.params.len()).sum());
+        for (i, p) in procs.iter().enumerate() {
+            if !proc_of.contains(p.name) {
+                proc_of.insert(p.name, i as u32);
+            }
+            let start = param_tys.len() as u32;
+            param_tys.extend(p.params.iter().map(|q| q.ty));
+            sigs.push(Sig {
                 kind: p.kind,
-                params: p.params.iter().map(|q| q.ty).collect(),
+                params: (start, param_tys.len() as u32),
             });
         }
-        let mut globals = HashMap::new();
-        for (i, g) in program.globals.iter().enumerate() {
-            globals.entry(g.name.clone()).or_insert((i as u32, g.ty));
+        let mut global_of = SymbolMap::new(names.len());
+        for (i, g) in globals.iter().enumerate() {
+            if !global_of.contains(g.name) {
+                global_of.insert(g.name, i as u32);
+            }
         }
         Checker {
-            sigs,
+            names,
             globals,
+            proc_of,
+            sigs,
+            param_tys,
+            global_of,
+            scope: SymbolMap::new(names.len()),
+            vars: Vec::new(),
             errors: Vec::new(),
         }
     }
@@ -155,112 +200,148 @@ impl Checker {
         self.errors.push(Diagnostic::new(Phase::Check, span, msg));
     }
 
-    fn check_toplevel(&mut self, program: &Program) {
-        let mut seen_globals: HashMap<&str, Span> = HashMap::new();
-        for g in &program.globals {
-            if seen_globals.insert(&g.name, g.span).is_some() {
-                self.error(g.span, format!("duplicate global `{}`", g.name));
+    /// The text of `sym`, for a diagnostic.
+    fn name(&self, sym: Symbol) -> &'p str {
+        &self.names[sym]
+    }
+
+    fn check_toplevel(&mut self, globals: &[GlobalDecl], procs: &[Proc]) {
+        // `scope` is idle until the first procedure: it serves as the
+        // set of names seen so far.
+        for g in globals {
+            if self.scope.contains(g.name) {
+                self.error(g.span, format!("duplicate global `{}`", self.name(g.name)));
             }
-            if self.sigs.contains_key(&g.name) {
+            self.scope.insert(g.name, 0);
+            if self.proc_of.contains(g.name) {
                 self.error(
                     g.span,
-                    format!("global `{}` conflicts with a procedure name", g.name),
+                    format!(
+                        "global `{}` conflicts with a procedure name",
+                        self.name(g.name)
+                    ),
                 );
             }
         }
-        let mut seen_procs: HashMap<&str, Span> = HashMap::new();
+        self.scope.clear();
         let mut mains = 0usize;
-        for p in &program.procs {
-            if seen_procs.insert(&p.name, p.span).is_some() {
-                self.error(p.span, format!("duplicate procedure `{}`", p.name));
+        for p in procs {
+            if self.scope.contains(p.name) {
+                self.error(
+                    p.span,
+                    format!("duplicate procedure `{}`", self.name(p.name)),
+                );
             }
+            self.scope.insert(p.name, 0);
             if p.kind == ProcKind::Main {
                 mains += 1;
             }
         }
+        self.scope.clear();
         if mains == 0 {
             self.error(Span::default(), "program has no `main`");
         }
     }
 
     fn check_proc(&mut self, proc: &mut Proc) -> ProcInfo {
-        let mut scope = Scope::new();
+        self.scope.clear();
+        self.vars.clear();
         for (i, param) in proc.params.iter().enumerate() {
-            if self.sigs.contains_key(&param.name) {
+            if self.proc_of.contains(param.name) {
                 self.error(
                     param.span,
-                    format!("parameter `{}` conflicts with a procedure name", param.name),
+                    format!(
+                        "parameter `{}` conflicts with a procedure name",
+                        self.name(param.name)
+                    ),
                 );
             }
-            if scope
-                .insert(param.name.clone(), param.ty, VarOrigin::Param(i as u32))
-                .is_err()
+            if self
+                .declare(param.name, param.ty, VarOrigin::Param(i as u32))
+                .is_none()
             {
-                self.error(param.span, format!("duplicate parameter `{}`", param.name));
+                self.error(
+                    param.span,
+                    format!("duplicate parameter `{}`", self.name(param.name)),
+                );
             }
         }
         for decl in &proc.decls {
-            if self.sigs.contains_key(&decl.name) {
+            if self.proc_of.contains(decl.name) {
                 self.error(
                     decl.span,
-                    format!("local `{}` conflicts with a procedure name", decl.name),
+                    format!(
+                        "local `{}` conflicts with a procedure name",
+                        self.name(decl.name)
+                    ),
                 );
             }
-            if scope
-                .insert(decl.name.clone(), decl.ty, VarOrigin::Local)
-                .is_err()
-            {
+            if self.declare(decl.name, decl.ty, VarOrigin::Local).is_none() {
                 self.error(
                     decl.span,
-                    format!("`{}` is already declared in this procedure", decl.name),
+                    format!(
+                        "`{}` is already declared in this procedure",
+                        self.name(decl.name)
+                    ),
                 );
             }
         }
 
         let kind = proc.kind;
-        let mut body = std::mem::take(&mut proc.body);
-        for stmt in &mut body {
-            self.check_stmt(stmt, kind, &mut scope);
+        for stmt in &mut proc.body {
+            self.check_stmt(stmt, kind);
         }
-        proc.body = body;
 
         ProcInfo {
-            by_name: scope.by_name,
-            vars: scope.vars,
+            vars: self.vars.as_slice().to_vec(),
         }
+    }
+
+    /// Adds `name` to the current scope; `None` if it is already there.
+    fn declare(&mut self, name: Symbol, ty: Ty, origin: VarOrigin) -> Option<usize> {
+        if self.scope.contains(name) {
+            return None;
+        }
+        let idx = self.vars.len();
+        self.scope.insert(name, idx as u32);
+        self.vars.push(VarInfo { name, ty, origin });
+        Some(idx)
     }
 
     /// Resolves `name` to a variable, creating an implicit integer local if
     /// it is entirely unknown. Returns `None` (after reporting) if the name
     /// is a procedure.
-    fn resolve_var(&mut self, name: &str, span: Span, scope: &mut Scope) -> Option<usize> {
-        if let Some(&idx) = scope.by_name.get(name) {
-            return Some(idx);
+    fn resolve_var(&mut self, name: Symbol, span: Span) -> Option<usize> {
+        if let Some(idx) = self.scope.get(name) {
+            return Some(idx as usize);
         }
-        if let Some(&(gidx, ty)) = self.globals.get(name) {
-            let idx = scope
-                .insert(name.to_string(), ty, VarOrigin::Global(gidx))
+        if let Some(gidx) = self.global_of.get(name) {
+            let ty = self.globals[gidx as usize].ty;
+            let idx = self
+                .declare(name, ty, VarOrigin::Global(gidx))
                 .expect("global not yet in scope");
             return Some(idx);
         }
-        if self.sigs.contains_key(name) {
-            self.error(span, format!("`{name}` is a procedure, not a variable"));
+        if self.proc_of.contains(name) {
+            self.error(
+                span,
+                format!("`{}` is a procedure, not a variable", self.name(name)),
+            );
             return None;
         }
         // Implicit integer scalar local, FORTRAN-style.
         Some(
-            scope
-                .insert(name.to_string(), Ty::INT, VarOrigin::Local)
+            self.declare(name, Ty::INT, VarOrigin::Local)
                 .expect("fresh implicit local"),
         )
     }
 
-    fn check_stmt(&mut self, stmt: &mut Stmt, kind: ProcKind, scope: &mut Scope) {
+    fn check_stmt(&mut self, stmt: &mut Stmt, kind: ProcKind) {
         let span = stmt.span;
         match &mut stmt.kind {
             StmtKind::Assign { target, value } => {
-                let vt = self.check_expr(value, scope, false);
-                let tt = self.check_lvalue(target, scope);
+                let vt = self.check_expr(value, false);
+                let tt = self.check_lvalue(target);
                 self.check_store(tt, vt, span);
             }
             StmtKind::If {
@@ -268,17 +349,17 @@ impl Checker {
                 then_blk,
                 else_blk,
             } => {
-                let ct = self.check_expr(cond, scope, false);
+                let ct = self.check_expr(cond, false);
                 self.require_int(ct, cond.span, "`if` condition");
                 for s in then_blk.iter_mut().chain(else_blk.iter_mut()) {
-                    self.check_stmt(s, kind, scope);
+                    self.check_stmt(s, kind);
                 }
             }
             StmtKind::While { cond, body } => {
-                let ct = self.check_expr(cond, scope, false);
+                let ct = self.check_expr(cond, false);
                 self.require_int(ct, cond.span, "`while` condition");
                 for s in body {
-                    self.check_stmt(s, kind, scope);
+                    self.check_stmt(s, kind);
                 }
             }
             StmtKind::Do {
@@ -288,53 +369,60 @@ impl Checker {
                 step,
                 body,
             } => {
-                if let Some(idx) = self.resolve_var(var, span, scope) {
-                    if scope.vars[idx].ty != Ty::INT {
+                let var = *var;
+                if let Some(idx) = self.resolve_var(var, span) {
+                    if self.vars[idx].ty != Ty::INT {
                         self.error(
                             span,
-                            format!("`do` variable `{var}` must be an integer scalar"),
+                            format!(
+                                "`do` variable `{}` must be an integer scalar",
+                                self.name(var)
+                            ),
                         );
                     }
                 }
                 for (e, what) in [
-                    (Some(&mut *from), "initial value"),
-                    (Some(&mut *to), "bound"),
+                    (Some(&mut *from), "`do` initial value"),
+                    (Some(&mut *to), "`do` bound"),
                 ]
                 .into_iter()
-                .chain(std::iter::once((step.as_mut(), "step")))
+                .chain(std::iter::once((step.as_mut(), "`do` step")))
                 {
                     if let Some(e) = e {
-                        let t = self.check_expr(e, scope, false);
-                        self.require_int(t, e.span, &format!("`do` {what}"));
+                        let t = self.check_expr(e, false);
+                        self.require_int(t, e.span, what);
                     }
                 }
                 for s in body {
-                    self.check_stmt(s, kind, scope);
+                    self.check_stmt(s, kind);
                 }
             }
             StmtKind::Call { name, args } => {
-                let name = name.clone();
-                match self.sigs.get(&name).cloned() {
-                    None => self.error(span, format!("unknown procedure `{name}`")),
+                let name = *name;
+                match self.proc_of.get(name).map(|p| self.sigs[p as usize]) {
+                    None => self.error(span, format!("unknown procedure `{}`", self.name(name))),
                     Some(sig) => match sig.kind {
                         ProcKind::Function => {
                             self.error(
                                 span,
-                                format!("`{name}` is a function; call it inside an expression"),
+                                format!(
+                                    "`{}` is a function; call it inside an expression",
+                                    self.name(name)
+                                ),
                             );
                             // Still check args for secondary errors.
-                            self.check_args(&name, &sig.params, args, span, scope);
+                            self.check_args(name, sig, args, span);
                         }
                         ProcKind::Main => self.error(span, "`main` cannot be called"),
                         ProcKind::Subroutine => {
-                            self.check_args(&name, &sig.params, args, span, scope);
+                            self.check_args(name, sig, args, span);
                         }
                     },
                 }
             }
             StmtKind::Return { value } => match (kind, value) {
                 (ProcKind::Function, Some(e)) => {
-                    let t = self.check_expr(e, scope, false);
+                    let t = self.check_expr(e, false);
                     self.require_int(t, e.span, "function return value");
                 }
                 (ProcKind::Function, None) => {
@@ -346,13 +434,13 @@ impl Checker {
                 (_, None) => {}
             },
             StmtKind::Read { target } => {
-                let t = self.check_lvalue(target, scope);
+                let t = self.check_lvalue(target);
                 if matches!(t, ExprTy::Array(_)) {
                     self.error(span, "cannot `read` into a whole array");
                 }
             }
             StmtKind::Print { value } => {
-                let t = self.check_expr(value, scope, false);
+                let t = self.check_expr(value, false);
                 if matches!(t, ExprTy::Array(_)) {
                     self.error(span, "cannot `print` a whole array");
                 }
@@ -374,17 +462,20 @@ impl Checker {
         }
     }
 
-    fn check_lvalue(&mut self, lv: &mut LValue, scope: &mut Scope) -> ExprTy {
+    fn check_lvalue(&mut self, lv: &mut LValue) -> ExprTy {
         let span = lv.span;
         match &mut lv.kind {
             LValueKind::Scalar(name) => {
-                let name = name.clone();
-                match self.resolve_var(&name, span, scope) {
+                let name = *name;
+                match self.resolve_var(name, span) {
                     None => ExprTy::Err,
                     Some(idx) => {
-                        let ty = scope.vars[idx].ty;
+                        let ty = self.vars[idx].ty;
                         if ty.is_array() {
-                            self.error(span, format!("array `{name}` needs an index here"));
+                            self.error(
+                                span,
+                                format!("array `{}` needs an index here", self.name(name)),
+                            );
                             ExprTy::Err
                         } else {
                             ExprTy::Scalar(ty.base)
@@ -393,15 +484,18 @@ impl Checker {
                 }
             }
             LValueKind::Element(name, idx_expr) => {
-                let it = self.check_expr(idx_expr, scope, false);
+                let it = self.check_expr(idx_expr, false);
                 self.require_int(it, idx_expr.span, "array index");
-                let name = name.clone();
-                match self.resolve_var(&name, span, scope) {
+                let name = *name;
+                match self.resolve_var(name, span) {
                     None => ExprTy::Err,
                     Some(idx) => {
-                        let ty = scope.vars[idx].ty;
+                        let ty = self.vars[idx].ty;
                         if ty.is_scalar() {
-                            self.error(span, format!("`{name}` is a scalar and cannot be indexed"));
+                            self.error(
+                                span,
+                                format!("`{}` is a scalar and cannot be indexed", self.name(name)),
+                            );
                             ExprTy::Err
                         } else {
                             ExprTy::Scalar(ty.base)
@@ -412,26 +506,22 @@ impl Checker {
         }
     }
 
-    fn check_args(
-        &mut self,
-        callee: &str,
-        formals: &[Ty],
-        args: &mut [Expr],
-        call_span: Span,
-        scope: &mut Scope,
-    ) {
-        if formals.len() != args.len() {
+    fn check_args(&mut self, callee: Symbol, sig: Sig, args: &mut [Expr], call_span: Span) {
+        let (start, end) = (sig.params.0 as usize, sig.params.1 as usize);
+        if end - start != args.len() {
             self.error(
                 call_span,
                 format!(
-                    "`{callee}` expects {} argument(s), found {}",
-                    formals.len(),
+                    "`{}` expects {} argument(s), found {}",
+                    self.name(callee),
+                    end - start,
                     args.len()
                 ),
             );
         }
-        for (arg, &formal) in args.iter_mut().zip(formals.iter()) {
-            let at = self.check_expr(arg, scope, formal.is_array());
+        for (arg, i) in args.iter_mut().zip(start..end) {
+            let formal = self.param_tys[i];
+            let at = self.check_expr(arg, formal.is_array());
             match (formal.shape, at) {
                 (_, ExprTy::Err) => {}
                 (Shape::Scalar, ExprTy::Scalar(b)) => {
@@ -462,22 +552,25 @@ impl Checker {
 
     /// Checks an expression; `allow_array` permits a bare array name (used
     /// for whole-array actual arguments).
-    fn check_expr(&mut self, expr: &mut Expr, scope: &mut Scope, allow_array: bool) -> ExprTy {
+    fn check_expr(&mut self, expr: &mut Expr, allow_array: bool) -> ExprTy {
         let span = expr.span;
         match &mut expr.kind {
             ExprKind::IntLit(_) => ExprTy::Scalar(Base::Int),
             ExprKind::RealLit(_) => ExprTy::Scalar(Base::Real),
             ExprKind::Name(name) => {
-                let name = name.clone();
-                match self.resolve_var(&name, span, scope) {
+                let name = *name;
+                match self.resolve_var(name, span) {
                     None => ExprTy::Err,
                     Some(idx) => {
-                        let ty = scope.vars[idx].ty;
+                        let ty = self.vars[idx].ty;
                         if ty.is_array() {
                             if allow_array {
                                 ExprTy::Array(ty.base)
                             } else {
-                                self.error(span, format!("array `{name}` needs an index here"));
+                                self.error(
+                                    span,
+                                    format!("array `{}` needs an index here", self.name(name)),
+                                );
                                 ExprTy::Err
                             }
                         } else {
@@ -487,37 +580,42 @@ impl Checker {
                 }
             }
             ExprKind::NameArgs(name, args) => {
-                let name = name.clone();
+                let name = *name;
                 // A visible variable (or global) wins over a function: this
                 // is an array element reference.
-                let is_var = scope.by_name.contains_key(&name) || self.globals.contains_key(&name);
+                let is_var = self.scope.contains(name) || self.global_of.contains(name);
                 if is_var {
-                    let idx = self
-                        .resolve_var(&name, span, scope)
-                        .expect("variable exists");
-                    let ty = scope.vars[idx].ty;
+                    let idx = self.resolve_var(name, span).expect("variable exists");
+                    let ty = self.vars[idx].ty;
                     if args.len() != 1 {
-                        self.error(span, format!("array `{name}` takes exactly one index"));
+                        self.error(
+                            span,
+                            format!("array `{}` takes exactly one index", self.name(name)),
+                        );
                         return ExprTy::Err;
                     }
                     if ty.is_scalar() {
-                        self.error(span, format!("`{name}` is a scalar and cannot be indexed"));
+                        self.error(
+                            span,
+                            format!("`{}` is a scalar and cannot be indexed", self.name(name)),
+                        );
                         return ExprTy::Err;
                     }
                     let mut idx_expr = args.pop().expect("one index");
-                    let it = self.check_expr(&mut idx_expr, scope, false);
+                    let it = self.check_expr(&mut idx_expr, false);
                     self.require_int(it, idx_expr.span, "array index");
                     expr.kind = ExprKind::Index(name, Box::new(idx_expr));
                     ExprTy::Scalar(ty.base)
                 } else {
-                    match self.sigs.get(&name).cloned() {
+                    match self.proc_of.get(name).map(|p| self.sigs[p as usize]) {
                         Some(sig) if sig.kind == ProcKind::Function => {
                             let mut args_taken = std::mem::take(args);
-                            self.check_args(&name, &sig.params, &mut args_taken, span, scope);
+                            self.check_args(name, sig, &mut args_taken, span);
                             expr.kind = ExprKind::CallFn(name, args_taken);
                             ExprTy::Scalar(Base::Int)
                         }
                         Some(_) => {
+                            let name = self.name(name);
                             self.error(
                                 span,
                                 format!("`{name}` is a subroutine; use `call {name}(...)`"),
@@ -525,7 +623,10 @@ impl Checker {
                             ExprTy::Err
                         }
                         None => {
-                            self.error(span, format!("unknown array or function `{name}`"));
+                            self.error(
+                                span,
+                                format!("unknown array or function `{}`", self.name(name)),
+                            );
                             ExprTy::Err
                         }
                     }
@@ -536,7 +637,7 @@ impl Checker {
             }
             ExprKind::Unary(op, operand) => {
                 let op = *op;
-                let t = self.check_expr(operand, scope, false);
+                let t = self.check_expr(operand, false);
                 match (op, t) {
                     (_, ExprTy::Err) => ExprTy::Err,
                     (UnOp::Neg, ExprTy::Scalar(b)) => ExprTy::Scalar(b),
@@ -553,8 +654,8 @@ impl Checker {
             }
             ExprKind::Binary(op, lhs, rhs) => {
                 let op = *op;
-                let lt = self.check_expr(lhs, scope, false);
-                let rt = self.check_expr(rhs, scope, false);
+                let lt = self.check_expr(lhs, false);
+                let rt = self.check_expr(rhs, false);
                 match (lt, rt) {
                     (ExprTy::Err, _) | (_, ExprTy::Err) => ExprTy::Err,
                     (ExprTy::Array(_), _) | (_, ExprTy::Array(_)) => {
@@ -589,30 +690,6 @@ impl Checker {
     }
 }
 
-struct Scope {
-    vars: Vec<VarInfo>,
-    by_name: HashMap<String, usize>,
-}
-
-impl Scope {
-    fn new() -> Self {
-        Scope {
-            vars: Vec::new(),
-            by_name: HashMap::new(),
-        }
-    }
-
-    fn insert(&mut self, name: String, ty: Ty, origin: VarOrigin) -> Result<usize, ()> {
-        if self.by_name.contains_key(&name) {
-            return Err(());
-        }
-        let idx = self.vars.len();
-        self.by_name.insert(name.clone(), idx);
-        self.vars.push(VarInfo { name, ty, origin });
-        Ok(idx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,6 +701,12 @@ mod tests {
             Ok(c) => c,
             Err(e) => panic!("check failed:\n{}", e.render(src)),
         }
+    }
+
+    /// The variable `name` of procedure `proc`.
+    fn var<'c>(c: &'c CheckedProgram, proc: usize, name: &str) -> &'c VarInfo {
+        let sym = c.program.names.get(name).expect("interned name");
+        c.proc_info[proc].var(sym).expect("variable in scope")
     }
 
     fn check_err(src: &str) -> Vec<String> {
@@ -650,33 +733,29 @@ mod tests {
     #[test]
     fn implicit_locals_are_int() {
         let c = check_ok("main\nx = 1\ny = x + 2\nend\n");
-        let info = &c.proc_info[0];
-        assert_eq!(info.var("x").unwrap().ty, Ty::INT);
-        assert_eq!(info.var("x").unwrap().origin, VarOrigin::Local);
-        assert_eq!(info.var("y").unwrap().ty, Ty::INT);
+        assert_eq!(var(&c, 0, "x").ty, Ty::INT);
+        assert_eq!(var(&c, 0, "x").origin, VarOrigin::Local);
+        assert_eq!(var(&c, 0, "y").ty, Ty::INT);
     }
 
     #[test]
     fn params_resolve() {
         let c = check_ok("proc f(a, real b)\nx = a\nend\nmain\nend\n");
-        let info = &c.proc_info[0];
-        assert_eq!(info.var("a").unwrap().origin, VarOrigin::Param(0));
-        assert_eq!(info.var("b").unwrap().origin, VarOrigin::Param(1));
-        assert_eq!(info.var("b").unwrap().ty, Ty::REAL);
+        assert_eq!(var(&c, 0, "a").origin, VarOrigin::Param(0));
+        assert_eq!(var(&c, 0, "b").origin, VarOrigin::Param(1));
+        assert_eq!(var(&c, 0, "b").ty, Ty::REAL);
     }
 
     #[test]
     fn globals_resolve() {
         let c = check_ok("global g = 3\nmain\nx = g\nend\n");
-        let info = &c.proc_info[0];
-        assert_eq!(info.var("g").unwrap().origin, VarOrigin::Global(0));
+        assert_eq!(var(&c, 0, "g").origin, VarOrigin::Global(0));
     }
 
     #[test]
     fn param_shadows_global() {
         let c = check_ok("global g\nproc f(g)\nx = g\nend\nmain\nend\n");
-        let info = &c.proc_info[0];
-        assert_eq!(info.var("g").unwrap().origin, VarOrigin::Param(0));
+        assert_eq!(var(&c, 0, "g").origin, VarOrigin::Param(0));
     }
 
     #[test]
@@ -713,9 +792,8 @@ mod tests {
     #[test]
     fn global_array_element() {
         let c = check_ok("global a(5)\nmain\na(1) = 2\nx = a(1)\nend\n");
-        let info = &c.proc_info[0];
-        assert_eq!(info.var("a").unwrap().origin, VarOrigin::Global(0));
-        assert!(info.var("a").unwrap().ty.is_array());
+        assert_eq!(var(&c, 0, "a").origin, VarOrigin::Global(0));
+        assert!(var(&c, 0, "a").ty.is_array());
     }
 
     #[test]

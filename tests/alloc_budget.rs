@@ -1,4 +1,4 @@
-//! Allocation budget of a cold analysis.
+//! Allocation budgets of the frontend and of a cold analysis.
 //!
 //! Nearly every jump function the paper's study transmits is a constant
 //! or a single pass-through slot, and the per-procedure phases (SSA,
@@ -10,6 +10,12 @@
 //! change that puts one-term polynomials back on the heap, or deep-copies
 //! stored per-procedure artifacts again, fails here rather than only in
 //! a benchmark.
+//!
+//! The frontend has a budget of its own. Identifiers are interned once
+//! per program, so parsing, checking and lowering allocate for the
+//! syntax tree and the IR, not for every occurrence of a name; a change
+//! that puts owned strings back into tokens, the tree or the checker's
+//! tables fails the second test.
 //!
 //! The counting allocator is per thread, and the analysis runs at
 //! `jobs = 1`, so tests running on other threads do not disturb it.
@@ -91,5 +97,28 @@ fn cold_analyze_stays_within_its_allocation_budget() {
         "cold analyze made {n} allocations for {} procedures \
          ({per_proc:.1} per procedure, ceiling {CEILING_PER_PROC})",
         program.procs.len()
+    );
+}
+
+/// Allocations per procedure of `parse` + `check` + `lower`. Measured at
+/// 16.8 on this corpus (the string-keyed frontend made 36.3, one owned
+/// string per identifier token plus copies in the checker's tables);
+/// the ceiling leaves a 10% margin.
+const FRONTEND_CEILING_PER_PROC: f64 = 18.4;
+
+#[test]
+fn frontend_stays_within_its_allocation_budget() {
+    let source = generate_scale(&ScaleSpec::with_procs(1000, 7)).source;
+    let mut procs = 0;
+    let n = allocations(|| {
+        let ast = ipcp::lang::parser::parse(&source).expect("generated corpus parses");
+        let checked = ipcp::lang::typeck::check(ast).expect("generated corpus checks");
+        procs = ipcp::ir::lower::lower(&checked).procs.len();
+    });
+    let per_proc = n as f64 / procs as f64;
+    assert!(
+        per_proc <= FRONTEND_CEILING_PER_PROC,
+        "the frontend made {n} allocations for {procs} procedures \
+         ({per_proc:.1} per procedure, ceiling {FRONTEND_CEILING_PER_PROC})"
     );
 }
