@@ -11,10 +11,13 @@
 //! different constants*. Cloning the procedure per arriving value would
 //! make the slot constant inside each clone.
 
+use crate::driver::AnalysisConfig;
 use crate::forward::ForwardJumpFns;
+use crate::session::AnalysisSession;
 use crate::solver::ValSets;
 use ipcp_analysis::{CallGraph, LatticeVal, Slot};
 use ipcp_ir::{ProcId, Program};
+use ipcp_obs::NoopSink;
 use std::collections::BTreeMap;
 
 /// A slot that would become constant under per-value procedure cloning.
@@ -176,6 +179,24 @@ pub fn apply_cloning(
         }
     }
     (out, clones_created)
+}
+
+/// The cloning report of `program` under `config` (what `ipcp clones`
+/// prints): [`cloning_opportunities`] over the analysis session's solved
+/// round, rendered by [`opportunities_to_string`]. Without
+/// interprocedural propagation there are no forward jump functions and
+/// so no opportunities.
+pub fn clone_report(program: &Program, config: &AnalysisConfig) -> String {
+    let session = AnalysisSession::new(program);
+    let mut round = program.clone();
+    let state_fp = session.base_fingerprint();
+    session.solved_view(&mut round, state_fp, config, &NoopSink, |r| {
+        let ops = match (&r.jfs, r.vals.as_deref()) {
+            (Some(jfs), Some(vals)) => cloning_opportunities(r.program, r.cg, jfs, vals),
+            _ => Vec::new(),
+        };
+        opportunities_to_string(r.program, &ops)
+    })
 }
 
 /// Renders opportunities with source names resolved.

@@ -10,98 +10,31 @@
 //! are known.
 
 use crate::driver::AnalysisConfig;
-use crate::forward::build_forward_jfs_with;
-use crate::retjf::{build_return_jfs_with, ReturnJumpFns, RjfConstEval, RjfLattice};
-use crate::solver::{entry_env_of, solve};
-use ipcp_analysis::sccp::{bottom_entry, sccp, CallLattice, PessimisticCalls, SccpConfig};
+use crate::session::AnalysisSession;
 use ipcp_analysis::subscripts::{count_subscripts, SubscriptCounts};
-use ipcp_analysis::symeval::{CallSymbolics, NoCallSymbolics, SymEvalOptions};
-use ipcp_analysis::{augment_global_vars, compute_modref, CallGraph, ModKills};
 use ipcp_ir::Program;
-use ipcp_ssa::{build_ssa, KillOracle, WorstCaseKills};
+use ipcp_obs::NoopSink;
 
-/// Classifies every subscript in the program under `config`.
+/// Classifies every subscript in the program under `config`, read off
+/// the analysis session's solved round. Every facet of `config` that
+/// shapes that round is honoured; fuel is not (the view runs unmetered).
 pub fn subscript_counts(program: &Program, config: &AnalysisConfig) -> SubscriptCounts {
-    let mut program = program.clone();
-    let cg = CallGraph::new(&program);
-    let modref = compute_modref(&program, &cg);
-    augment_global_vars(&mut program, &modref);
-    let cg = CallGraph::new(&program);
-    let sym_options = SymEvalOptions {
-        gated_phis: config.gsa,
-    };
-
-    let mod_kills;
-    let kills: &dyn KillOracle = if config.mod_info {
-        mod_kills = ModKills::new(&program, &modref);
-        &mod_kills
-    } else {
-        &WorstCaseKills
-    };
-    let rjfs = if config.return_jump_functions {
-        build_return_jfs_with(&program, &cg, kills, sym_options)
-    } else {
-        ReturnJumpFns::empty(program.procs.len())
-    };
-    let rjf_recovery = config.return_jump_functions && config.mod_info;
-    let const_eval = RjfConstEval { rjfs: &rjfs };
-    let vals = if config.interprocedural {
-        let call_sym: &dyn CallSymbolics = if rjf_recovery {
-            &const_eval
-        } else {
-            &NoCallSymbolics
-        };
-        let jfs = build_forward_jfs_with(
-            &program,
-            &cg,
-            &modref,
-            config.jump_function,
-            kills,
-            call_sym,
-            sym_options,
-        );
-        Some(solve(&program, &cg, &modref, &jfs))
-    } else {
-        None
-    };
-    let rjf_lattice = RjfLattice { rjfs: &rjfs };
-    let calls: &dyn CallLattice = if rjf_recovery {
-        &rjf_lattice
-    } else {
-        &PessimisticCalls
-    };
-
-    let mut total = SubscriptCounts::default();
-    for pid in program.proc_ids() {
-        if !cg.is_reachable(pid) {
-            continue;
-        }
-        let proc = program.proc(pid);
-        let ssa = build_ssa(&program, proc, kills);
-        let result = match vals.as_ref() {
-            Some(v) => {
-                let env = entry_env_of(&program, pid, v);
-                sccp(
-                    proc,
-                    &ssa,
-                    &SccpConfig {
-                        entry_env: &env,
-                        calls,
-                    },
-                )
+    let session = AnalysisSession::new(program);
+    let mut round = program.clone();
+    session.solved_view(
+        &mut round,
+        session.base_fingerprint(),
+        config,
+        &NoopSink,
+        |r| {
+            let mut total = SubscriptCounts::default();
+            for pid in r.program.proc_ids().filter(|&pid| r.cg.is_reachable(pid)) {
+                let (ssa, result) = r.sccp(pid);
+                total.absorb(count_subscripts(r.program.proc(pid), &ssa, &result));
             }
-            None => sccp(
-                proc,
-                &ssa,
-                &SccpConfig {
-                    entry_env: &bottom_entry,
-                    calls,
-                },
-            ),
-        };
-        total.absorb(count_subscripts(proc, &ssa, &result));
-    }
-    total
+            total
+        },
+    )
 }
 
 #[cfg(test)]

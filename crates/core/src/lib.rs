@@ -79,7 +79,7 @@ pub mod obs {
 
 pub use audit::{IncrementalAudit, Ledger, MissReason, PhaseAudit};
 pub use binding::{solve_binding, solve_binding_budgeted};
-pub use cloning::{apply_cloning, cloning_opportunities, CloneOpportunity};
+pub use cloning::{apply_cloning, clone_report, cloning_opportunities, CloneOpportunity};
 pub use cond::{solve_cond, solve_cond_budgeted, solve_cond_traced};
 pub use dependence::subscript_counts;
 pub use diskcache::{

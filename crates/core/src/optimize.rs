@@ -10,23 +10,22 @@
 
 use crate::cloning::{apply_cloning, cloning_opportunities};
 use crate::driver::AnalysisConfig;
-use crate::forward::build_forward_jfs_with;
-use crate::retjf::{build_return_jfs_with, ReturnJumpFns, RjfConstEval, RjfLattice};
-use crate::solver::{entry_env_of, solve, ValSets};
-use crate::subst::apply_substitutions;
+use crate::session::AnalysisSession;
+use crate::subst::{seeded_sccp, substitute_proc};
 use ipcp_analysis::dce::dce_round;
-use ipcp_analysis::sccp::{sccp, SccpConfig};
-use ipcp_analysis::symeval::SymEvalOptions;
-use ipcp_analysis::{augment_global_vars, compute_modref, CallGraph, CallLattice, ModKills};
+use ipcp_ir::fingerprint::fingerprint;
 use ipcp_ir::Program;
+use ipcp_obs::NoopSink;
 use ipcp_ssa::build_ssa;
 
 /// Options for [`optimize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizeConfig {
-    /// The analysis configuration (jump function kind, MOD, return JFs,
-    /// gsa, …). `complete_propagation` is ignored: the optimizer always
-    /// iterates substitution + DCE to a fixpoint itself.
+    /// The analysis configuration. Every facet that shapes the solved
+    /// round is honoured, branch feasibility included; fuel is not (the
+    /// optimizer runs unmetered), and `complete_propagation` is ignored:
+    /// the optimizer always iterates substitution + DCE to a fixpoint
+    /// itself.
     pub analysis: AnalysisConfig,
     /// Additionally clone procedures whose slots receive conflicting
     /// constants, then re-analyze (Metzger & Stroud).
@@ -63,89 +62,68 @@ pub struct OptimizeStats {
 
 /// Runs the full optimize pipeline; returns the transformed program and
 /// the work done. The result is observationally equivalent to the input.
+///
+/// Every round is a view over one analysis session's solved round, so
+/// `config.analysis` shapes the analysis exactly as it shapes `analyze`
+/// (fuel, the disk cache and tracing aside), and a later round reuses
+/// the artifacts of every procedure the previous round left unchanged.
+/// Without interprocedural propagation there are no forward jump
+/// functions, so there is nothing to clone.
 pub fn optimize(program: &Program, config: &OptimizeConfig) -> (Program, OptimizeStats) {
+    let session = AnalysisSession::new(program);
     let mut program = program.clone();
+    let mut state_fp = session.base_fingerprint();
     let mut stats = OptimizeStats {
         instrs_before: program.instr_count(),
         ..OptimizeStats::default()
     };
-    let sym_options = SymEvalOptions {
-        gated_phis: config.analysis.gsa,
-    };
 
     for _round in 0..config.max_rounds {
         stats.rounds += 1;
-        let mut changed = false;
-
-        // ---- analyze -----------------------------------------------------
-        // The analysis borrows an immutable view so the transforms below
-        // can mutate `program` (the view and the program are identical at
-        // this point).
-        let pre_cg = CallGraph::new(&program);
-        let modref = compute_modref(&program, &pre_cg);
-        augment_global_vars(&mut program, &modref);
-        let view = program.clone();
-        let cg = CallGraph::new(&view);
-        let kills = ModKills::new(&view, &modref);
-        let rjfs: ReturnJumpFns = if config.analysis.return_jump_functions {
-            build_return_jfs_with(&view, &cg, &kills, sym_options)
-        } else {
-            ReturnJumpFns::empty(view.procs.len())
-        };
-        let const_eval = RjfConstEval { rjfs: &rjfs };
-        let jfs = build_forward_jfs_with(
-            &view,
-            &cg,
-            &modref,
-            config.analysis.jump_function,
-            &kills,
-            &const_eval,
-            sym_options,
-        );
-        let vals: ValSets = solve(&view, &cg, &modref, &jfs);
-        let rjf_lattice = RjfLattice { rjfs: &rjfs };
-        let calls: &dyn CallLattice = &rjf_lattice;
-
-        // ---- clone (optional) ---------------------------------------------
-        if config.clone_procedures {
-            let ops = cloning_opportunities(&view, &cg, &jfs, &vals);
-            if !ops.is_empty() {
-                let (cloned, n) = apply_cloning(&view, &cg, &jfs, &vals, &ops);
-                if n > 0 {
-                    program = cloned;
-                    stats.clones_created += n;
-                    // Re-analyze the cloned program next round.
-                    continue;
+        // Each round yields the next program, the clones it created (the
+        // clones are analyzed next round), the operands it substituted,
+        // and whether it changed anything.
+        let (next, clones, substituted, changed) =
+            session.solved_view(&mut program, state_fp, &config.analysis, &NoopSink, |r| {
+                // ---- clone (optional) ------------------------------------
+                if let (true, Some(jfs), Some(vals)) =
+                    (config.clone_procedures, &r.jfs, r.vals.as_deref())
+                {
+                    let ops = cloning_opportunities(r.program, r.cg, jfs, vals);
+                    if !ops.is_empty() {
+                        let (cloned, n) = apply_cloning(r.program, r.cg, jfs, vals, &ops);
+                        if n > 0 {
+                            return (cloned, n, 0, true);
+                        }
+                    }
                 }
-            }
-        }
 
-        // ---- substitute ----------------------------------------------------
-        let n = apply_substitutions(&mut program, &kills, calls, Some(&vals));
-        stats.substituted_operands += n;
-        changed |= n > 0;
+                // ---- substitute ------------------------------------------
+                let mut next = r.program.clone();
+                let mut substituted = 0;
+                for pid in r.program.proc_ids() {
+                    let (ssa, result) = r.sccp(pid);
+                    substituted += substitute_proc(next.proc_mut(pid), &ssa, &result);
+                }
 
-        // ---- dead code elimination ------------------------------------------
-        for pid in program.proc_ids().collect::<Vec<_>>() {
-            let proc_copy = program.proc(pid).clone();
-            let ssa = build_ssa(&program, &proc_copy, &kills);
-            let env = entry_env_of(&view, pid, &vals);
-            let result = sccp(
-                &proc_copy,
-                &ssa,
-                &SccpConfig {
-                    entry_env: &env,
-                    calls,
-                },
-            );
-            let mut proc = proc_copy;
-            changed |= dce_round(&program, &mut proc, &ssa, &result, &kills);
-            *program.proc_mut(pid) = proc;
-        }
-
+                // ---- dead code elimination --------------------------------
+                let mut changed = substituted > 0;
+                for pid in r.program.proc_ids() {
+                    let mut proc = next.proc(pid).clone();
+                    let ssa = build_ssa(&next, &proc, r.kills);
+                    let result = seeded_sccp(&next, r.calls, r.vals.as_deref(), pid, &ssa);
+                    changed |= dce_round(&next, &mut proc, &ssa, &result, r.kills);
+                    *next.proc_mut(pid) = proc;
+                }
+                (next, 0, substituted, changed)
+            });
+        program = next;
+        stats.clones_created += clones;
+        stats.substituted_operands += substituted;
         if !changed {
             break;
         }
+        state_fp = fingerprint(&program);
     }
 
     stats.instrs_after = program.instr_count();

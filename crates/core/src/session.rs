@@ -76,7 +76,7 @@ use crate::retjf::{
     build_rjf_for_proc, ReturnJumpFns, RjfComposer, RjfConstEval, RjfLattice, RjfTable,
 };
 use crate::solver::{entry_constants_fp, entry_env_of, solve_traced, ValSets};
-use crate::subst::{count_one_proc, SubstitutionCounts};
+use crate::subst::{count_one_proc, seeded_sccp, SubstitutionCounts};
 use ipcp_analysis::dce::dce_round_budgeted;
 use ipcp_analysis::sccp::{bottom_entry, sccp_budgeted, SccpConfig};
 use ipcp_analysis::symeval::{
@@ -84,7 +84,8 @@ use ipcp_analysis::symeval::{
 };
 use ipcp_analysis::{
     augment_global_vars, compute_modref_obs, par_map, par_map_obs, scc_waves, wave_jobs, Budget,
-    CallGraph, CallLattice, ExhaustionPolicy, ModKills, ModRefInfo, PessimisticCalls, Phase, Slot,
+    CallGraph, CallLattice, ExhaustionPolicy, ModKills, ModRefInfo, PessimisticCalls, Phase,
+    SccpResult, Slot,
 };
 use ipcp_ir::codec::Wire;
 use ipcp_ir::fingerprint::{combine, fingerprint, Fnv1a};
@@ -661,7 +662,9 @@ pub(crate) struct SolvedRound<'a> {
     pub(crate) program: &'a Program,
     pub(crate) cg: &'a CallGraph,
     ctx: &'a RoundCtx,
-    kills: &'a dyn KillOracle,
+    /// Call kills as SSA construction models them: MOD-based under
+    /// `mod_info`, worst case otherwise.
+    pub(crate) kills: &'a dyn KillOracle,
     pub(crate) rjfs: &'a ReturnJumpFns,
     /// Call effects as SCCP models them: through the return jump
     /// functions under recovery, pessimistic otherwise.
@@ -677,6 +680,14 @@ impl SolvedRound<'_> {
     pub(crate) fn ssa(&self, pid: ProcId) -> Arc<SsaProc> {
         self.session
             .cached_ssa(self.program, pid, self.kills, self.ctx)
+    }
+
+    /// `pid`'s SSA form and its SCCP seeded with the round's entry
+    /// constants (every entry ⊥ without `VAL` sets).
+    pub(crate) fn sccp(&self, pid: ProcId) -> (Arc<SsaProc>, SccpResult) {
+        let ssa = self.ssa(pid);
+        let result = seeded_sccp(self.program, self.calls, self.vals.as_deref(), pid, &ssa);
+        (ssa, result)
     }
 
     /// `pid`'s substitution count under the round's `VAL` sets: the
@@ -1298,32 +1309,58 @@ impl AnalysisSession {
         })
     }
 
-    /// The provenance ledger of `config` (see [`crate::provenance`]): a
-    /// view over round 0's artifacts — call graph, MOD/REF, return and
-    /// forward jump functions, the solved `VAL` sets and per-procedure
-    /// SSA — taken from the store like `analyze`'s own round 0, so after
-    /// an `analyze` under the same configuration every lookup hits and
-    /// nothing is inserted. What it computes itself is the ledger, the
-    /// return-jump-function chain replay and the attribution SCCP.
+    /// The entry point of every consumer of the analysis — provenance,
+    /// source transformation, the optimizer, the cloning report and
+    /// subscript classification: runs one round over `program` (whose
+    /// fingerprint is `state_fp`) through [`Self::with_solved_round`] and
+    /// lends `view` the solved round. Every artifact comes from the
+    /// store, so a view after an `analyze` under the same configuration
+    /// is pure hits, and a consumer that iterates (the optimizer) runs
+    /// each of its rounds through one session.
     ///
-    /// Runs with unlimited fuel and ignores `complete_propagation` (the
-    /// ledger explains the first-round `VAL` sets, which is exact for
-    /// every Table 2 configuration). Never consults or writes the disk
-    /// cache, and never touches the incrementality audit or its ledger.
-    pub fn provenance(&self, config: &AnalysisConfig, sink: &dyn ObsSink) -> Provenance {
-        let _span = SpanGuard::enter(sink, "provenance", "phase");
-        let mut program = self.base.clone();
-        let record = self.with_solved_round(
-            &mut program,
-            self.base_fp,
+    /// Honours every facet of `config` that shapes the solved round —
+    /// jump-function kind, return jump functions and their composition,
+    /// MOD information, gated φs, `interprocedural`, branch feasibility,
+    /// the solver and `jobs` — and none of the rest: it runs on
+    /// unlimited fuel (metered runs need the reference pipeline), never
+    /// consults or writes the disk cache (which holds whole outcomes),
+    /// never touches the incrementality audit, and ignores
+    /// `complete_propagation`.
+    pub(crate) fn solved_view<R>(
+        &self,
+        program: &mut Program,
+        state_fp: u64,
+        config: &AnalysisConfig,
+        sink: &dyn ObsSink,
+        view: impl FnOnce(SolvedRound<'_>) -> R,
+    ) -> R {
+        self.with_solved_round(
+            program,
+            state_fp,
             config,
             &Budget::unlimited(),
             crate::parallel::effective_jobs(config),
             sink,
             &mut PhaseStats::default(),
             None,
-            |r| crate::provenance::record(&r, config, sink),
-        );
+            view,
+        )
+    }
+
+    /// The provenance ledger of `config` (see [`crate::provenance`]): a
+    /// view over round 0's artifacts — call graph, MOD/REF, return and
+    /// forward jump functions, the solved `VAL` sets and per-procedure
+    /// SSA — so after an `analyze` under the same configuration every
+    /// lookup hits and nothing is inserted. What it computes itself is
+    /// the ledger, the return-jump-function chain replay and the
+    /// attribution SCCP. The ledger explains the first-round `VAL` sets,
+    /// which is exact for every Table 2 configuration.
+    pub fn provenance(&self, config: &AnalysisConfig, sink: &dyn ObsSink) -> Provenance {
+        let _span = SpanGuard::enter(sink, "provenance", "phase");
+        let mut program = self.base.clone();
+        let record = self.solved_view(&mut program, self.base_fp, config, sink, |r| {
+            crate::provenance::record(&r, config, sink)
+        });
         record.into_provenance(program)
     }
 

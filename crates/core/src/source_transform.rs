@@ -11,15 +11,12 @@
 //! (non-assigned, non-by-reference) occurrence in the AST.
 
 use crate::driver::AnalysisConfig;
-use crate::retjf::{build_return_jfs_with, ReturnJumpFns, RjfConstEval, RjfLattice};
-use crate::solver::{entry_env_of, solve};
-use ipcp_analysis::sccp::{sccp, CallLattice, PessimisticCalls, SccpConfig};
-use ipcp_analysis::symeval::SymEvalOptions;
-use ipcp_analysis::{augment_global_vars, compute_modref, CallGraph, LatticeVal, ModKills};
+use crate::session::AnalysisSession;
+use ipcp_analysis::LatticeVal;
 use ipcp_ir::VarKind;
 use ipcp_lang::ast::{Expr, ExprKind, LValueKind, Proc, Stmt, StmtKind, Symbol};
 use ipcp_lang::{pretty, Diagnostics, Span};
-use ipcp_ssa::{build_ssa, KillOracle, WorstCaseKills};
+use ipcp_obs::NoopSink;
 use std::collections::HashMap;
 
 /// Result of a source-level transformation.
@@ -32,7 +29,8 @@ pub struct TransformedSource {
 }
 
 /// Produces a transformed version of `source` with every uniformly
-/// constant variable occurrence replaced by its literal value.
+/// constant variable occurrence replaced by its literal value, read off
+/// the analysis session's solved round under `config`.
 ///
 /// # Errors
 ///
@@ -43,108 +41,42 @@ pub fn transform_source(
 ) -> Result<TransformedSource, Diagnostics> {
     let checked = ipcp_lang::compile(source)?;
     let mut program = ipcp_ir::lower::lower(&checked);
+    let session = AnalysisSession::new(&program);
 
-    // ---- analysis (mirrors the driver) -----------------------------------
-    let cg = CallGraph::new(&program);
-    let modref = compute_modref(&program, &cg);
-    augment_global_vars(&mut program, &modref);
-    let cg = CallGraph::new(&program);
-    let sym_options = SymEvalOptions {
-        gated_phis: config.gsa,
-    };
-    let mod_kills;
-    let kills: &dyn KillOracle = if config.mod_info {
-        mod_kills = ModKills::new(&program, &modref);
-        &mod_kills
-    } else {
-        &WorstCaseKills
-    };
-    let rjfs = if config.return_jump_functions {
-        build_return_jfs_with(&program, &cg, kills, sym_options)
-    } else {
-        ReturnJumpFns::empty(program.procs.len())
-    };
-    let rjf_recovery = config.return_jump_functions && config.mod_info;
-    let const_eval = RjfConstEval { rjfs: &rjfs };
-    let vals = if config.interprocedural {
-        let call_sym: &dyn ipcp_analysis::symeval::CallSymbolics = if rjf_recovery {
-            &const_eval
-        } else {
-            &ipcp_analysis::NoCallSymbolics
-        };
-        let jfs = crate::forward::build_forward_jfs_with(
-            &program,
-            &cg,
-            &modref,
-            config.jump_function,
-            kills,
-            call_sym,
-            sym_options,
-        );
-        Some(solve(&program, &cg, &modref, &jfs))
-    } else {
-        None
-    };
-    let rjf_lattice = RjfLattice { rjfs: &rjfs };
-    let calls: &dyn CallLattice = if rjf_recovery {
-        &rjf_lattice
-    } else {
-        &PessimisticCalls
-    };
-
-    // ---- per-procedure uniform constants ----------------------------------
     // uniform[proc name][var name] = c when every SSA version of the
     // variable is the same constant (⊤ versions in unreached code ignored).
-    let mut uniform: HashMap<String, HashMap<Symbol, i64>> = HashMap::new();
     let names = &checked.program.names;
-    for pid in program.proc_ids() {
-        if !cg.is_reachable(pid) {
-            continue;
-        }
-        let proc = program.proc(pid);
-        let ssa = build_ssa(&program, proc, kills);
-        let bottom = ipcp_analysis::sccp::bottom_entry;
-        let result = match vals.as_ref() {
-            Some(v) => {
-                let env = entry_env_of(&program, pid, v);
-                sccp(
-                    proc,
-                    &ssa,
-                    &SccpConfig {
-                        entry_env: &env,
-                        calls,
-                    },
-                )
-            }
-            None => sccp(
-                proc,
-                &ssa,
-                &SccpConfig {
-                    entry_env: &bottom,
-                    calls,
-                },
-            ),
-        };
-
-        let mut per_var: HashMap<ipcp_ir::VarId, LatticeVal> = HashMap::new();
-        for (i, def) in ssa.defs.iter().enumerate() {
-            let decl = proc.var(def.var);
-            if decl.kind == VarKind::Temp || decl.ty != ipcp_lang::ast::Ty::INT {
-                continue;
-            }
-            let v = result.values[i];
-            per_var
-                .entry(def.var)
-                .and_modify(|acc| *acc = acc.meet(v))
-                .or_insert(v);
-        }
-        // Every non-temporary IR variable carries a source name.
-        let map: HashMap<Symbol, i64> = per_var
-            .into_iter()
-            .filter_map(|(var, v)| Some((names.get(&proc.var(var).name)?, v.as_const()?)))
-            .collect();
-        uniform.insert(proc.name.clone(), map);
-    }
+    let state_fp = session.base_fingerprint();
+    let uniform: HashMap<String, HashMap<Symbol, i64>> =
+        session.solved_view(&mut program, state_fp, config, &NoopSink, |r| {
+            let reachable = r.program.proc_ids().filter(|&pid| r.cg.is_reachable(pid));
+            reachable
+                .map(|pid| {
+                    let proc = r.program.proc(pid);
+                    let (ssa, result) = r.sccp(pid);
+                    let mut per_var: HashMap<ipcp_ir::VarId, LatticeVal> = HashMap::new();
+                    for (i, def) in ssa.defs.iter().enumerate() {
+                        let decl = proc.var(def.var);
+                        if decl.kind == VarKind::Temp || decl.ty != ipcp_lang::ast::Ty::INT {
+                            continue;
+                        }
+                        let v = result.values[i];
+                        per_var
+                            .entry(def.var)
+                            .and_modify(|acc| *acc = acc.meet(v))
+                            .or_insert(v);
+                    }
+                    // Every non-temporary IR variable carries a source name.
+                    let map: HashMap<Symbol, i64> = per_var
+                        .into_iter()
+                        .filter_map(|(var, v)| {
+                            Some((names.get(&proc.var(var).name)?, v.as_const()?))
+                        })
+                        .collect();
+                    (proc.name.clone(), map)
+                })
+                .collect()
+        });
 
     // ---- AST rewrite -------------------------------------------------------
     let mut ast = checked.program.clone();

@@ -168,111 +168,100 @@ pub fn apply_substitutions(
     let snapshot = program.clone();
     let mut rewritten = 0usize;
     for pid in snapshot.proc_ids() {
-        let proc = snapshot.proc(pid);
-        let ssa = build_ssa(&snapshot, proc, kills);
-        let bottom = ipcp_analysis::sccp::bottom_entry;
-        let result = match vals {
-            Some(v) => {
-                let env = entry_env_of(&snapshot, pid, v);
-                sccp(
-                    proc,
-                    &ssa,
-                    &SccpConfig {
-                        entry_env: &env,
-                        calls,
-                    },
-                )
-            }
-            None => sccp(
-                proc,
-                &ssa,
-                &SccpConfig {
-                    entry_env: &bottom,
-                    calls,
-                },
-            ),
-        };
+        let ssa = build_ssa(&snapshot, snapshot.proc(pid), kills);
+        let result = seeded_sccp(&snapshot, calls, vals, pid, &ssa);
+        rewritten += substitute_proc(program.proc_mut(pid), &ssa, &result);
+    }
+    rewritten
+}
 
-        let rewrite = |ir_op: &mut Operand, ssa_op: SsaOperand, rewritten: &mut usize| {
-            if let SsaOperand::Name(n) = ssa_op {
-                if let LatticeVal::Const(c) = result.values[n.index()] {
-                    if matches!(ir_op, Operand::Var(_)) {
-                        *ir_op = Operand::Const(c);
-                        *rewritten += 1;
-                    }
+/// Rewrites one procedure's substitutable operands to the constants its
+/// SSA form and SCCP result prove (see [`apply_substitutions`]); `target`
+/// is the procedure `ssa` was built from. Returns the number of operands
+/// rewritten.
+pub(crate) fn substitute_proc(
+    target: &mut ipcp_ir::Procedure,
+    ssa: &ipcp_ssa::SsaProc,
+    result: &ipcp_analysis::SccpResult,
+) -> usize {
+    let mut rewritten = 0usize;
+    let rewrite = |ir_op: &mut Operand, ssa_op: SsaOperand, rewritten: &mut usize| {
+        if let SsaOperand::Name(n) = ssa_op {
+            if let LatticeVal::Const(c) = result.values[n.index()] {
+                if matches!(ir_op, Operand::Var(_)) {
+                    *ir_op = Operand::Const(c);
+                    *rewritten += 1;
                 }
             }
-        };
+        }
+    };
 
-        let target = program.proc_mut(pid);
-        for b in proc.block_ids() {
-            let Some(ssa_blk) = ssa.block(b) else {
-                continue;
-            };
-            if !result.executable[b.index()] {
-                continue;
-            }
-            let blk = target.block_mut(b);
-            debug_assert_eq!(blk.instrs.len(), ssa_blk.instrs.len());
-            for (instr, ssa_instr) in blk.instrs.iter_mut().zip(ssa_blk.instrs.iter()) {
-                match (instr, ssa_instr) {
-                    (Instr::Copy { src, .. }, SsaInstr::Copy { src: s, .. })
-                    | (Instr::Unary { src, .. }, SsaInstr::Unary { src: s, .. })
-                    | (Instr::IntToReal { src, .. }, SsaInstr::IntToReal { src: s, .. }) => {
-                        rewrite(src, *s, &mut rewritten);
-                    }
-                    (
-                        Instr::Binary { lhs, rhs, .. },
-                        SsaInstr::Binary {
-                            lhs: sl, rhs: sr, ..
-                        },
-                    ) => {
-                        rewrite(lhs, *sl, &mut rewritten);
-                        rewrite(rhs, *sr, &mut rewritten);
-                    }
-                    (Instr::Load { index, .. }, SsaInstr::Load { index: si, .. }) => {
-                        rewrite(index, *si, &mut rewritten);
-                    }
-                    (
-                        Instr::Store { index, value, .. },
-                        SsaInstr::Store {
-                            index: si,
-                            value: sv,
-                            ..
-                        },
-                    ) => {
-                        rewrite(index, *si, &mut rewritten);
-                        rewrite(value, *sv, &mut rewritten);
-                    }
-                    (Instr::Call { args, .. }, SsaInstr::Call { args: sargs, .. }) => {
-                        for (arg, sarg) in args.iter_mut().zip(sargs.iter()) {
-                            if !arg.by_ref {
-                                if let Some(sop) = sarg.value {
-                                    rewrite(&mut arg.value, sop, &mut rewritten);
-                                }
+    for (b, blk) in target.blocks.iter_mut().enumerate() {
+        let Some(ssa_blk) = ssa.block(ipcp_ir::BlockId::from_index(b)) else {
+            continue;
+        };
+        if !result.executable[b] {
+            continue;
+        }
+        debug_assert_eq!(blk.instrs.len(), ssa_blk.instrs.len());
+        for (instr, ssa_instr) in blk.instrs.iter_mut().zip(ssa_blk.instrs.iter()) {
+            match (instr, ssa_instr) {
+                (Instr::Copy { src, .. }, SsaInstr::Copy { src: s, .. })
+                | (Instr::Unary { src, .. }, SsaInstr::Unary { src: s, .. })
+                | (Instr::IntToReal { src, .. }, SsaInstr::IntToReal { src: s, .. }) => {
+                    rewrite(src, *s, &mut rewritten);
+                }
+                (
+                    Instr::Binary { lhs, rhs, .. },
+                    SsaInstr::Binary {
+                        lhs: sl, rhs: sr, ..
+                    },
+                ) => {
+                    rewrite(lhs, *sl, &mut rewritten);
+                    rewrite(rhs, *sr, &mut rewritten);
+                }
+                (Instr::Load { index, .. }, SsaInstr::Load { index: si, .. }) => {
+                    rewrite(index, *si, &mut rewritten);
+                }
+                (
+                    Instr::Store { index, value, .. },
+                    SsaInstr::Store {
+                        index: si,
+                        value: sv,
+                        ..
+                    },
+                ) => {
+                    rewrite(index, *si, &mut rewritten);
+                    rewrite(value, *sv, &mut rewritten);
+                }
+                (Instr::Call { args, .. }, SsaInstr::Call { args: sargs, .. }) => {
+                    for (arg, sarg) in args.iter_mut().zip(sargs.iter()) {
+                        if !arg.by_ref {
+                            if let Some(sop) = sarg.value {
+                                rewrite(&mut arg.value, sop, &mut rewritten);
                             }
                         }
                     }
-                    (Instr::Print { value }, SsaInstr::Print { value: sv }) => {
-                        rewrite(value, *sv, &mut rewritten);
-                    }
-                    _ => {}
                 }
-            }
-            match (&mut blk.term, &ssa_blk.term) {
-                (Terminator::Branch { cond, .. }, SsaTerminator::Branch { cond: sc, .. }) => {
-                    rewrite(cond, *sc, &mut rewritten);
-                }
-                (
-                    Terminator::Return(Some(op)),
-                    SsaTerminator::Return {
-                        value: Some(sv), ..
-                    },
-                ) => {
-                    rewrite(op, *sv, &mut rewritten);
+                (Instr::Print { value }, SsaInstr::Print { value: sv }) => {
+                    rewrite(value, *sv, &mut rewritten);
                 }
                 _ => {}
             }
+        }
+        match (&mut blk.term, &ssa_blk.term) {
+            (Terminator::Branch { cond, .. }, SsaTerminator::Branch { cond: sc, .. }) => {
+                rewrite(cond, *sc, &mut rewritten);
+            }
+            (
+                Terminator::Return(Some(op)),
+                SsaTerminator::Return {
+                    value: Some(sv), ..
+                },
+            ) => {
+                rewrite(op, *sv, &mut rewritten);
+            }
+            _ => {}
         }
     }
     rewritten

@@ -382,13 +382,9 @@ impl<'a> Interp<'a> {
         frame: &Frame,
         depth: u32,
     ) -> Result<Vec<usize>, InterpError> {
-        let params: Vec<Ty> = self.checked.program.procs[callee]
-            .params
-            .iter()
-            .map(|p| p.ty)
-            .collect();
+        let params = &self.checked.program.procs[callee].params;
         let mut arg_slots = Vec::with_capacity(args.len());
-        for (arg, formal) in args.iter().zip(params.iter()) {
+        for (arg, formal) in args.iter().zip(params.iter().map(|p| p.ty)) {
             let slot = if let ExprKind::Name(name) = &arg.kind {
                 let info = self.info(frame);
                 let vidx = info.var_index(*name).expect("resolved variable");

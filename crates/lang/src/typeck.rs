@@ -84,6 +84,9 @@ pub struct CheckedProgram {
     pub program: Program,
     /// Symbol tables parallel to `program.procs`.
     pub proc_info: Vec<ProcInfo>,
+    /// Name → index of the first procedure with that name, as the
+    /// checker resolved calls.
+    proc_of: SymbolMap,
 }
 
 impl CheckedProgram {
@@ -94,7 +97,7 @@ impl CheckedProgram {
 
     /// Index of the procedure whose name is the symbol `name`.
     pub fn proc_of(&self, name: Symbol) -> Option<usize> {
-        self.program.procs.iter().position(|p| p.name == name)
+        self.proc_of.get(name).map(|i| i as usize)
     }
 }
 
@@ -115,9 +118,17 @@ pub fn check(mut program: Program) -> Result<CheckedProgram, Diagnostics> {
     checker.check_toplevel(globals, procs);
     let proc_info: Vec<ProcInfo> = procs.iter_mut().map(|p| checker.check_proc(p)).collect();
 
-    let mut errors = checker.errors;
+    let Checker {
+        mut errors,
+        proc_of,
+        ..
+    } = checker;
     if errors.is_empty() {
-        Ok(CheckedProgram { program, proc_info })
+        Ok(CheckedProgram {
+            program,
+            proc_info,
+            proc_of,
+        })
     } else {
         errors.sort_by_key(|d| (d.span.start, d.span.end));
         Err(Diagnostics::new(errors))

@@ -161,6 +161,8 @@ commands:
   transform   substitute constants into the *source* and print it
   optimize    full optimizer: substitute + DCE (+ cloning with --clone)
   clones      report procedure-cloning opportunities
+              (transform/optimize/clones honour every analysis flag
+              except --fuel, --cache-dir and --trace-out)
   lint        check the FORTRAN no-alias rule
   explain     explain a constant's provenance: explain <file.mf> <proc> [param]
   metrics     print Prometheus-style metrics of one traced analysis run
@@ -529,7 +531,7 @@ fn internal_usage(what: &str) -> String {
 /// Returns a rendered error string (front-end diagnostics or runtime
 /// failures).
 pub fn execute(cli: &Cli, source: &str) -> Result<String, String> {
-    use crate::analysis::{augment_global_vars, compute_modref, CallGraph, ModKills};
+    use crate::analysis::{compute_modref, CallGraph};
     use crate::core::report;
     use std::fmt::Write as _;
 
@@ -654,26 +656,8 @@ pub fn execute(cli: &Cli, source: &str) -> Result<String, String> {
             Ok(out)
         }
         Command::Clones => {
-            let mut program = crate::ir::compile_to_ir(source).map_err(render_diag)?;
-            let cg = CallGraph::new(&program);
-            let modref = compute_modref(&program, &cg);
-            augment_global_vars(&mut program, &modref);
-            let cg = CallGraph::new(&program);
-            let kills = ModKills::new(&program, &modref);
-            let rjfs = crate::core::build_return_jfs(&program, &cg, &kills);
-            let jfs = crate::core::build_forward_jfs(
-                &program,
-                &cg,
-                &modref,
-                cli.config.jump_function,
-                &kills,
-                &crate::core::RjfConstEval { rjfs: &rjfs },
-            );
-            let vals = crate::core::solver::solve(&program, &cg, &modref, &jfs);
-            let ops = crate::core::cloning_opportunities(&program, &cg, &jfs, &vals);
-            Ok(crate::core::cloning::opportunities_to_string(
-                &program, &ops,
-            ))
+            let program = crate::ir::compile_to_ir(source).map_err(render_diag)?;
+            Ok(crate::core::clone_report(&program, &cli.config))
         }
         Command::Explain => {
             let program = crate::ir::compile_to_ir(source).map_err(render_diag)?;
@@ -1144,6 +1128,49 @@ mod tests {
         let out = execute(&cli, src).unwrap();
         assert!(out.contains("clone `f`"), "{out}");
     }
+
+    #[test]
+    fn execute_clones_honours_analysis_flags() {
+        let clones = |flags: &[&str]| {
+            let mut words = vec!["clones", "x.mf"];
+            words.extend_from_slice(flags);
+            let cli = parse_args(&args(&words)).unwrap();
+            execute(&cli, CLONE_FLAGS_PROGRAM).unwrap()
+        };
+        let both = "clone `f` on a: 2 (1 site(s)), 5 (1 site(s)) → 2 clones\n";
+        let one = "clone `f` on a: 2 (1 site(s)), non-constant (1 site(s)) → 2 clones\n";
+        assert_eq!(clones(&[]), both);
+        // Without MOD information `call touch()` may write `g`; without
+        // return jump functions `init`'s store to `g` is lost.
+        assert_eq!(clones(&["--no-mod"]), one);
+        assert_eq!(clones(&["--no-rjf"]), one);
+        // No forward jump functions, nothing to clone.
+        assert_eq!(
+            clones(&["--intraprocedural"]),
+            "(no cloning opportunities)\n"
+        );
+    }
+
+    /// `f` receives `g` (5 after `init`, kept across `touch` by MOD
+    /// information) at one site and 2 at the other.
+    const CLONE_FLAGS_PROGRAM: &str = "\
+global g
+proc init()
+  g = 5
+end
+proc touch()
+  print(0)
+end
+proc f(a)
+  print(a)
+end
+main
+  call init()
+  call touch()
+  call f(g)
+  call f(2)
+end
+";
 
     #[test]
     fn execute_lint() {
