@@ -5,8 +5,8 @@
 //! and without return jump functions — 8 configurations) is measured two
 //! ways per program:
 //!
-//! * `independent` — 8 straight-line single-shot pipelines, the
-//!   pre-session behaviour;
+//! * `independent` — 8 one-shot `analyze` calls, each opening a fresh
+//!   session, so nothing is shared between columns;
 //! * `session` — one fresh session driving all 8, so the call graph,
 //!   MOD/REF summaries, per-procedure SSA, symbolic values, and return
 //!   jump functions are computed once and reused across columns.
@@ -14,7 +14,7 @@
 //! The session sweep is expected to be ≥ 2× faster end-to-end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ipcp_core::{analyze_reference, AnalysisConfig, AnalysisSession, JumpFunctionKind};
+use ipcp_core::{analyze, AnalysisConfig, AnalysisSession, JumpFunctionKind};
 use ipcp_suite::{generate, spec};
 use std::hint::black_box;
 
@@ -53,7 +53,7 @@ fn bench_sweep(c: &mut Criterion) {
             b.iter(|| {
                 let mut total = 0usize;
                 for config in &configs {
-                    total += analyze_reference(black_box(ir), config).substitutions.total;
+                    total += analyze(black_box(ir), config).substitutions.total;
                 }
                 black_box(total)
             })

@@ -12,7 +12,7 @@
 //! * Criterion benches (`benches/`) — the §3.1.5 cost story: analysis
 //!   time per jump function kind, per-phase costs, and scaling sweeps.
 
-use ipcp_core::{analyze, analyze_reference, AnalysisConfig, AnalysisSession, JumpFunctionKind};
+use ipcp_core::{analyze, AnalysisConfig, AnalysisSession, JumpFunctionKind};
 use ipcp_suite::{all_specs, generate, paper_row, program_stats, GeneratedProgram, PAPER_SIZES};
 use std::fmt::Write as _;
 
@@ -246,19 +246,6 @@ pub fn run_sweep(ir: &ipcp_ir::Program, jobs: usize) -> (AnalysisSession, Vec<us
         |_, (_, c)| session.analyze(c).substitutions.total,
     ));
     (session, totals)
-}
-
-/// [`measure`] through the straight-line single-shot pipeline — the
-/// pre-session behaviour, kept as the equivalence oracle for the
-/// session-driven tables.
-pub fn measure_reference(
-    program: &ipcp_ir::Program,
-    configs: &[(&'static str, AnalysisConfig)],
-) -> Vec<usize> {
-    configs
-        .iter()
-        .map(|(_, c)| analyze_reference(program, c).substitutions.total)
-        .collect()
 }
 
 /// Wall-clock analysis time per configuration, in microseconds (single

@@ -1,7 +1,7 @@
 //! Golden equivalence for the generic value-context engine: every one
 //! of the 72 pinned Table-2 cells must come out bit-identical through
-//! the refactored solver — at different worker counts, through the
-//! fuel-metered reference pipeline, and across a disk-cache close and
+//! the refactored solver — at different worker counts, through a
+//! fuel-metered (store-less) run, and across a disk-cache close and
 //! reopen (the artifact format version was bumped with the refactor, so
 //! pre-engine artifacts are never silently reused).
 
@@ -46,9 +46,9 @@ fn cells_are_pinned_at_one_and_four_workers() {
 
 #[test]
 fn cells_are_pinned_under_generous_fuel() {
-    // A fuel-metered run routes through the budget-aware reference
-    // pipeline — a different code path over the same engine; a generous
-    // budget must not change a single cell.
+    // A fuel-metered run is store-less and walks the jump-function
+    // builders' precision ladder instead of the session's per-procedure
+    // caches; a generous budget must not change a single cell.
     assert_pins(&sweep(1, Some(1 << 40), None), "fuel");
 }
 

@@ -1,32 +1,21 @@
-//! The analyzer driver: wires the full pipeline together under one
-//! configuration, reproducing every column of the paper's Tables 2 and 3.
+//! The analyzer driver: the configuration that selects one column of the
+//! paper's Tables 2 and 3, the outcome of a run, and the one-shot entry
+//! points.
 //!
 //! Pipeline (paper §4.1): call graph → MOD/REF summaries → return jump
 //! function generation (bottom-up) → forward jump function generation →
 //! interprocedural propagation → substitution counting; with *complete
-//! propagation* (Table 3, column 3) the driver additionally runs dead
-//! code elimination and, if anything died, resets and repeats from
-//! scratch.
+//! propagation* (Table 3, column 3) the analysis additionally runs dead
+//! code elimination and, if anything died, repeats on the cleaned
+//! program. [`crate::AnalysisSession`] executes the pipeline; the entry
+//! points here open a one-shot session.
 
-use crate::binding::solve_binding_budgeted;
-use crate::cond::solve_cond_budgeted;
-use crate::forward::{build_forward_jfs_budgeted, ForwardJumpFns};
 use crate::jump::JumpFunctionKind;
-use crate::retjf::{
-    build_return_jfs_budgeted, ReturnJumpFns, RjfComposer, RjfConstEval, RjfLattice,
-};
-use crate::solver::{entry_env_of, solve_budgeted, ValSets};
-use crate::subst::{count_substitutions, SubstitutionCounts};
-use ipcp_analysis::dce::dce_round_budgeted;
-use ipcp_analysis::sccp::{bottom_entry, sccp_budgeted, SccpConfig};
-use ipcp_analysis::symeval::{CallSymbolics, NoCallSymbolics, SymEvalOptions};
-use ipcp_analysis::{
-    augment_global_vars, compute_modref_budgeted, Budget, CallGraph, CallLattice, ExhaustionPolicy,
-    ModKills, PessimisticCalls, RobustnessReport, Slot,
-};
+use crate::session::AnalysisSession;
+use crate::subst::SubstitutionCounts;
+use ipcp_analysis::{Budget, ExhaustionPolicy, RobustnessReport, Slot};
 use ipcp_ir::Program;
 use ipcp_lang::Diagnostics;
-use ipcp_ssa::{build_ssa, KillOracle, WorstCaseKills};
 use std::collections::BTreeMap;
 
 /// Which interprocedural solver formulation to run (both produce
@@ -86,8 +75,9 @@ pub struct AnalysisConfig {
     /// as 1; see [`ipcp_analysis::Parallelism`]). Results are
     /// bit-identical at every setting — parallelism only changes
     /// wall-clock — so `jobs` deliberately takes no part in artifact
-    /// cache keys. Metered (finite-fuel) runs ignore it and stay on the
-    /// sequential reference pipeline. Defaults to the `IPCP_JOBS`
+    /// cache keys. Metered runs (finite fuel, fault injection) ignore it
+    /// and run sequentially, because the budget they meter on is not
+    /// shared across threads. Defaults to the `IPCP_JOBS`
     /// environment override, else 1; the CLI defaults to every
     /// available core instead.
     pub jobs: usize,
@@ -236,14 +226,7 @@ impl std::error::Error for ResourceExhausted {}
 /// configurations (a Table-2/3 sweep) should hold a session themselves
 /// to reuse artifacts across the runs.
 pub fn analyze(program: &Program, config: &AnalysisConfig) -> AnalysisOutcome {
-    analyze_with_budget(program, config, &Budget::for_limit(config.fuel))
-}
-
-/// [`analyze`] through the straight-line single-shot pipeline, with no
-/// session or memoization involved — the pre-session behaviour, kept as
-/// the equivalence oracle for the session path.
-pub fn analyze_reference(program: &Program, config: &AnalysisConfig) -> AnalysisOutcome {
-    analyze_with_budget_reference(program, config, &Budget::for_limit(config.fuel))
+    AnalysisSession::new(program).analyze(config)
 }
 
 /// [`analyze`], but honoring [`AnalysisConfig::on_exhausted`]: under
@@ -258,7 +241,16 @@ pub fn analyze_checked(
     program: &Program,
     config: &AnalysisConfig,
 ) -> Result<AnalysisOutcome, ResourceExhausted> {
-    let outcome = analyze(program, config);
+    AnalysisSession::new(program).analyze_checked(config)
+}
+
+/// Applies [`AnalysisConfig::on_exhausted`] to a finished run: under
+/// [`ExhaustionPolicy::Error`] an exhausted run becomes
+/// [`ResourceExhausted`].
+pub(crate) fn honour_exhaustion_policy(
+    config: &AnalysisConfig,
+    outcome: AnalysisOutcome,
+) -> Result<AnalysisOutcome, ResourceExhausted> {
     if config.on_exhausted == ExhaustionPolicy::Error && outcome.robustness.exhausted {
         return Err(ResourceExhausted {
             report: outcome.robustness,
@@ -275,219 +267,7 @@ pub fn analyze_with_budget(
     config: &AnalysisConfig,
     budget: &Budget,
 ) -> AnalysisOutcome {
-    crate::session::AnalysisSession::new(program).analyze_with_budget(config, budget)
-}
-
-/// The straight-line single-shot pipeline behind [`analyze_with_budget`].
-///
-/// This is the original (pre-[`crate::AnalysisSession`]) driver, kept
-/// both as the equivalence oracle for the memoized phase-split path and
-/// as the execution path for *metered* budgets, whose degradation
-/// behaviour depends on exact fuel ordering and must not be interleaved
-/// with cache hits.
-pub fn analyze_with_budget_reference(
-    program: &Program,
-    config: &AnalysisConfig,
-    budget: &Budget,
-) -> AnalysisOutcome {
-    let pristine = program.clone();
-    let mut program = program.clone();
-    let mut stats = PhaseStats::default();
-
-    loop {
-        let cg = CallGraph::new(&program);
-        let modref = compute_modref_budgeted(&program, &cg, budget);
-        augment_global_vars(&mut program, &modref);
-
-        // Everything below borrows `program` immutably; the DCE rewrites
-        // are collected and applied after the borrows end.
-        let (substitutions, vals, changed, new_procs) = {
-            // The kill oracle realizes the MOD configuration.
-            let mod_kills;
-            let kills: &dyn KillOracle = if config.mod_info {
-                mod_kills = ModKills::new(&program, &modref);
-                &mod_kills
-            } else {
-                &WorstCaseKills
-            };
-
-            let sym_options = SymEvalOptions {
-                gated_phis: config.gsa,
-            };
-
-            // Return jump functions.
-            let rjfs: ReturnJumpFns = if config.return_jump_functions {
-                build_return_jfs_budgeted(&program, &cg, kills, sym_options, budget)
-            } else {
-                ReturnJumpFns::empty(program.procs.len())
-            };
-            stats.return_jfs = rjfs.useful_count();
-
-            // Without MOD information the paper's value numbering "had to use
-            // worst case assumptions about any call sites" (§4.2): every call
-            // kills everything and nothing is recovered through return jump
-            // functions, regardless of whether they were built.
-            let rjf_recovery = config.return_jump_functions && config.mod_info;
-            let const_eval = RjfConstEval { rjfs: &rjfs };
-            let composer = RjfComposer { rjfs: &rjfs };
-            let call_sym: &dyn CallSymbolics = if !rjf_recovery {
-                &NoCallSymbolics
-            } else if config.rjf_full_composition {
-                &composer
-            } else {
-                &const_eval
-            };
-
-            // Call effects for the counting/DCE SCCP — and for the
-            // feasibility SCCP of conditional propagation (same no-MOD
-            // rule).
-            let rjf_lattice = RjfLattice { rjfs: &rjfs };
-            let calls: &dyn CallLattice = if rjf_recovery {
-                &rjf_lattice
-            } else {
-                &PessimisticCalls
-            };
-
-            // Forward jump functions and interprocedural propagation.
-            let vals: Option<ValSets> = if config.interprocedural {
-                let jfs: ForwardJumpFns = build_forward_jfs_budgeted(
-                    &program,
-                    &cg,
-                    &modref,
-                    config.jump_function,
-                    kills,
-                    call_sym,
-                    sym_options,
-                    budget,
-                );
-                stats.forward_jfs = jfs.count();
-                stats.useful_forward_jfs = jfs.useful_count();
-                let v = if config.branch_feasibility {
-                    solve_cond_budgeted(&program, &cg, &modref, &jfs, kills, calls, budget)
-                } else {
-                    match config.solver {
-                        SolverKind::CallGraph => {
-                            solve_budgeted(&program, &cg, &modref, &jfs, budget)
-                        }
-                        SolverKind::BindingGraph => {
-                            solve_binding_budgeted(&program, &cg, &modref, &jfs, budget)
-                        }
-                    }
-                };
-                stats.solver_iterations += v.iterations();
-                stats.pruned_call_edges += v.pruned_call_edges();
-                Some(v)
-            } else {
-                None
-            };
-
-            let substitutions = count_substitutions(&program, &cg, kills, calls, vals.as_ref());
-
-            // Complete propagation: eliminate dead code and start over if
-            // anything died (the paper resets all CONSTANTS to ⊤ and
-            // reruns).
-            let mut changed = false;
-            let mut new_procs = Vec::new();
-            if config.complete_propagation {
-                for pid in program.proc_ids().collect::<Vec<_>>() {
-                    let proc_copy = program.proc(pid).clone();
-                    let ssa = build_ssa(&program, &proc_copy, kills);
-                    let result = match vals.as_ref() {
-                        Some(v) => {
-                            let env = entry_env_of(&program, pid, v);
-                            sccp_budgeted(
-                                &proc_copy,
-                                &ssa,
-                                &SccpConfig {
-                                    entry_env: &env,
-                                    calls,
-                                },
-                                budget,
-                            )
-                        }
-                        None => sccp_budgeted(
-                            &proc_copy,
-                            &ssa,
-                            &SccpConfig {
-                                entry_env: &bottom_entry,
-                                calls,
-                            },
-                            budget,
-                        ),
-                    };
-                    let mut proc = proc_copy;
-                    changed |=
-                        dce_round_budgeted(&program, &mut proc, &ssa, &result, kills, budget);
-                    new_procs.push((pid, proc));
-                }
-            }
-            (substitutions, vals, changed, new_procs)
-        };
-
-        for (pid, proc) in new_procs {
-            *program.proc_mut(pid) = proc;
-        }
-        if changed {
-            stats.dce_rounds += 1;
-            continue;
-        }
-
-        let constants: Vec<BTreeMap<Slot, i64>> = match vals.as_ref() {
-            Some(v) => program.proc_ids().map(|p| v.constants(p)).collect(),
-            None => Vec::new(),
-        };
-
-        // Complete propagation substitutes into the *original* source:
-        // recount against the pristine program with the final (DCE-refined)
-        // CONSTANTS. DCE-deleted code still hosts its substitutions there.
-        let substitutions = if stats.dce_rounds > 0 {
-            let mut orig = pristine;
-            counting_pass(&mut orig, config, vals.as_ref(), budget)
-        } else {
-            substitutions
-        };
-
-        return AnalysisOutcome {
-            program,
-            constants,
-            substitutions,
-            stats,
-            robustness: budget.report(),
-        };
-    }
-}
-
-/// One substitution-counting pass over `program` under `config`,
-/// rebuilding the per-program side tables it needs.
-fn counting_pass(
-    program: &mut Program,
-    config: &AnalysisConfig,
-    vals: Option<&ValSets>,
-    budget: &Budget,
-) -> SubstitutionCounts {
-    let cg = CallGraph::new(program);
-    let modref = compute_modref_budgeted(program, &cg, budget);
-    augment_global_vars(program, &modref);
-    let program = &*program;
-    let mod_kills;
-    let kills: &dyn KillOracle = if config.mod_info {
-        mod_kills = ModKills::new(program, &modref);
-        &mod_kills
-    } else {
-        &WorstCaseKills
-    };
-    let rjfs = if config.return_jump_functions {
-        build_return_jfs_budgeted(program, &cg, kills, SymEvalOptions::default(), budget)
-    } else {
-        ReturnJumpFns::empty(program.procs.len())
-    };
-    let rjf_lattice = RjfLattice { rjfs: &rjfs };
-    let calls: &dyn CallLattice = if config.return_jump_functions && config.mod_info {
-        &rjf_lattice
-    } else {
-        &PessimisticCalls
-    };
-    count_substitutions(program, &cg, kills, calls, vals)
+    AnalysisSession::new(program).analyze_with_budget(config, budget)
 }
 
 /// Compiles Minifor source and runs the configured analysis.
@@ -499,8 +279,7 @@ pub fn analyze_source(
     source: &str,
     config: &AnalysisConfig,
 ) -> Result<AnalysisOutcome, Diagnostics> {
-    let program = ipcp_ir::compile_to_ir(source)?;
-    Ok(analyze(&program, config))
+    Ok(analyze(&ipcp_ir::compile_to_ir(source)?, config))
 }
 
 #[cfg(test)]

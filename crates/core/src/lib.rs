@@ -86,9 +86,8 @@ pub use diskcache::{
     outcome_key, CacheIo, CacheStats, DiskCache, FaultyIo, LoadMiss, RealIo, VerifyOutcome,
 };
 pub use driver::{
-    analyze, analyze_checked, analyze_reference, analyze_source, analyze_with_budget,
-    analyze_with_budget_reference, AnalysisConfig, AnalysisOutcome, PhaseStats, ResourceExhausted,
-    SolverKind,
+    analyze, analyze_checked, analyze_source, analyze_with_budget, AnalysisConfig, AnalysisOutcome,
+    PhaseStats, ResourceExhausted, SolverKind,
 };
 pub use forward::{
     build_forward_jfs, build_forward_jfs_budgeted, build_forward_jfs_with, build_literal_jfs_fast,

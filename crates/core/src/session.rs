@@ -2,9 +2,9 @@
 //!
 //! The paper's study is inherently multi-configuration — Tables 2 and 3
 //! analyze the *same* programs under 8+ jump-function/MOD/solver
-//! configurations — yet the single-shot driver rebuilds the call graph,
+//! configurations — yet a one-shot analysis rebuilds the call graph,
 //! MOD/REF summaries, and per-procedure SSA from scratch on every
-//! `analyze()` call. An [`AnalysisSession`] wraps one program and splits
+//! call. An [`AnalysisSession`] wraps one program and splits
 //! the pipeline into individually cacheable phases:
 //!
 //! ```text
@@ -30,15 +30,20 @@
 //!
 //! ## Fuel semantics
 //!
-//! Budgets are threaded through unchanged. Memoization is only enabled
-//! under an *unmetered* budget ([`Budget::is_unmetered`]): a cached
-//! artifact records the fuel its computation consumed and **replays**
-//! that amount on every hit, so `RobustnessReport::fuel_consumed` is
-//! byte-identical to the single-shot pipeline. Metered budgets (finite
-//! fuel, fault injectors) route to the preserved straight-line reference
-//! pipeline ([`crate::driver::analyze_with_budget_reference`]), whose
-//! degradation behaviour depends on exact fuel *ordering* and therefore
-//! must not be interleaved with cache hits.
+//! Every run, metered or not, goes through the same round loop. Under an
+//! *unmetered* budget ([`Budget::is_unmetered`]) artifacts come from the
+//! store: a cached artifact records the fuel its computation consumed and
+//! **replays** that amount (and any IR anomalies it recorded) on every
+//! hit, so `RobustnessReport` matches a run that recomputed everything.
+//! A *metered* budget (finite fuel, fault injectors) makes the run
+//! sequential and store-less: degradation depends on the exact *order*
+//! of fuel checkpoints, which a replayed hit would collapse into one, so
+//! every phase recomputes its artifact on the run's own budget, and the
+//! two jump-function phases hand the budget to
+//! [`crate::retjf::build_return_jfs_budgeted`] and
+//! [`crate::forward::build_forward_jfs_budgeted`], the builders that walk
+//! the precision ladder. A metered run never touches the store, the disk
+//! cache or the incrementality audit.
 //!
 //! ## Parallel execution
 //!
@@ -53,7 +58,8 @@
 //! — the only thing `RobustnessReport` exposes — are bit-identical to
 //! the sequential path at any thread count. (Per-item fuel ordering is
 //! unobservable under unmetered budgets: no checkpoint can fail, so no
-//! degradation can fire.) The artifact store sits behind per-map
+//! degradation can fire. [`Budget`] is not `Sync`, which is why metered
+//! runs stay at one job.) The artifact store sits behind per-map
 //! `RwLock`s and stats behind a `Mutex`, making [`AnalysisSession`]
 //! `Sync`: a config sweep may call [`AnalysisSession::analyze`] from
 //! several threads against one shared store. Artifact *values* are
@@ -66,26 +72,28 @@ use crate::audit::{
 };
 use crate::binding::solve_binding_budgeted;
 use crate::driver::{
-    analyze_with_budget_reference, AnalysisConfig, AnalysisOutcome, PhaseStats, ResourceExhausted,
+    honour_exhaustion_policy, AnalysisConfig, AnalysisOutcome, PhaseStats, ResourceExhausted,
     SolverKind,
 };
-use crate::forward::{kind_weight, proc_estimate, site_jfs_for_proc, ForwardJumpFns, SiteJumpFns};
+use crate::forward::{
+    build_forward_jfs_budgeted, kind_weight, proc_estimate, site_jfs_for_proc, ForwardJumpFns,
+    SiteJumpFns,
+};
 use crate::jump::JumpFunctionKind;
 use crate::provenance::Provenance;
 use crate::retjf::{
-    build_rjf_for_proc, ReturnJumpFns, RjfComposer, RjfConstEval, RjfLattice, RjfTable,
+    build_return_jfs_budgeted, build_rjf_for_proc, ReturnJumpFns, RjfComposer, RjfConstEval,
+    RjfLattice, RjfTable,
 };
-use crate::solver::{entry_constants_fp, entry_env_of, solve_traced, ValSets};
-use crate::subst::{count_one_proc, seeded_sccp, SubstitutionCounts};
+use crate::solver::{entry_constants_fp, solve_traced, ValSets};
+use crate::subst::{count_one_proc, seeded_sccp, seeded_sccp_budgeted, SubstitutionCounts};
 use ipcp_analysis::dce::dce_round_budgeted;
-use ipcp_analysis::sccp::{bottom_entry, sccp_budgeted, SccpConfig};
 use ipcp_analysis::symeval::{
     symbolic_eval_budgeted, CallSymbolics, NoCallSymbolics, SymEvalOptions, SymMap,
 };
 use ipcp_analysis::{
     augment_global_vars, compute_modref_obs, par_map, par_map_obs, scc_waves, wave_jobs, Budget,
-    CallGraph, CallLattice, ExhaustionPolicy, ModKills, ModRefInfo, PessimisticCalls, Phase,
-    SccpResult, Slot,
+    CallGraph, CallLattice, ModKills, ModRefInfo, PessimisticCalls, Phase, SccpResult, Slot,
 };
 use ipcp_ir::codec::Wire;
 use ipcp_ir::fingerprint::{combine, fingerprint, Fnv1a};
@@ -95,11 +103,12 @@ use ipcp_obs::{NoopSink, ObsSink, SpanGuard};
 use ipcp_ssa::{build_ssa, KillOracle, SsaProc, WorstCaseKills};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// The session's observable phases — the cacheable pipeline stages plus
-/// the `pipeline` fallback bucket used for metered (reference-path) runs.
+/// The session's observable phases: the pipeline stages plus the
+/// persistent cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SessionPhase {
     /// Content fingerprinting of the program and procedure closures.
@@ -122,9 +131,6 @@ pub enum SessionPhase {
     Subst,
     /// Complete-propagation SCCP + dead code elimination rounds.
     Dce,
-    /// Whole uncached runs routed to the reference pipeline (metered
-    /// budgets only).
-    Pipeline,
     /// Persistent cross-run cache traffic (only when a
     /// [`DiskCache`](crate::diskcache::DiskCache) is attached).
     DiskCache,
@@ -132,7 +138,7 @@ pub enum SessionPhase {
 
 impl SessionPhase {
     /// All phases, in pipeline order.
-    pub const ALL: [SessionPhase; 12] = [
+    pub const ALL: [SessionPhase; 11] = [
         SessionPhase::Fingerprint,
         SessionPhase::CallGraph,
         SessionPhase::ModRef,
@@ -143,7 +149,6 @@ impl SessionPhase {
         SessionPhase::Solve,
         SessionPhase::Subst,
         SessionPhase::Dce,
-        SessionPhase::Pipeline,
         SessionPhase::DiskCache,
     ];
 
@@ -160,7 +165,6 @@ impl SessionPhase {
             SessionPhase::Solve => "solve",
             SessionPhase::Subst => "subst",
             SessionPhase::Dce => "dce",
-            SessionPhase::Pipeline => "pipeline",
             SessionPhase::DiskCache => "diskcache",
         }
     }
@@ -185,7 +189,8 @@ pub struct PhaseCounter {
     pub span_nanos: u128,
     /// Artifact-store hits.
     pub hits: u64,
-    /// Artifact-store misses (artifact computed and inserted).
+    /// Artifact-store misses: artifacts computed (and inserted, unless
+    /// the run was metered and so store-less).
     pub misses: u64,
 }
 
@@ -193,10 +198,10 @@ pub struct PhaseCounter {
 /// accumulated over every analysis the session ran.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Analyses run through the session (cached or reference path).
+    /// Analyses run through the session, metered or not.
     pub analyses: u64,
-    /// Pipeline rounds executed (≥ 1 per cached analysis; complete
-    /// propagation adds one per DCE iteration).
+    /// Pipeline rounds executed (≥ 1 per analysis not served by the disk
+    /// cache; complete propagation adds one per DCE iteration).
     pub rounds: u64,
     /// Recomputed-artifact totals by
     /// [`MissReason::label`](crate::audit::MissReason::label),
@@ -472,10 +477,39 @@ impl<T> Clone for Cached<T> {
     }
 }
 
-/// Result of one cached DCE step over a procedure.
+/// `key`'s artifact in `map`, or `None` when the run is store-less
+/// (`memo` false: a metered run).
+fn lookup<K: Eq + Hash, V: Clone>(memo: bool, map: &RwLock<HashMap<K, V>>, key: &K) -> Option<V> {
+    if !memo {
+        return None;
+    }
+    map.read().expect("artifact store lock").get(key).cloned()
+}
+
+/// Inserts `value` under `key`, unless the run is store-less.
+fn remember<K: Eq + Hash, V>(memo: bool, map: &RwLock<HashMap<K, V>>, key: K, value: V) {
+    if memo {
+        map.write().expect("artifact store lock").insert(key, value);
+    }
+}
+
+/// Records `anomalies` (description → count) on `budget`, replaying what
+/// a stored or scratch-metered computation found.
+fn replay_anomalies(budget: &Budget, anomalies: &BTreeMap<String, u64>) {
+    for (what, &count) in anomalies {
+        for _ in 0..count {
+            budget.record_anomaly(what);
+        }
+    }
+}
+
+/// Result of one SCCP + DCE step over a procedure.
 struct DceStep {
     proc: Procedure,
     changed: bool,
+    /// The malformed-IR shapes the step recovered from, for the caller
+    /// to replay (empty when the step metered on the run's own budget).
+    anomalies: BTreeMap<String, u64>,
 }
 
 /// One procedure's substitution count as a fan-out worker found it.
@@ -633,6 +667,9 @@ struct AuditCtx {
 /// Per-round derived context: the program-state fingerprint and the
 /// per-procedure closure fingerprints all cache keys build on.
 struct RoundCtx {
+    /// Whether artifacts come from and go to the store: false for a
+    /// metered run, which recomputes every artifact on its own budget.
+    memo: bool,
     state_fp: u64,
     closure_fps: Arc<ClosureData>,
     mod_info: bool,
@@ -865,13 +902,21 @@ impl AnalysisSession {
         self.stats.lock().unwrap().record_span(phase, elapsed);
     }
 
+    /// Books a phase a metered run built whole since `start`: one miss
+    /// per procedure and the elapsed time.
+    fn metered_phase(&self, phase: SessionPhase, program: &Program, start: Instant) {
+        let mut stats = self.stats.lock().expect("session stats lock");
+        stats.traffic(phase, 0, program.procs.len() as u64);
+        stats.record_wall(phase, start.elapsed());
+    }
+
     /// Runs the configured analysis, reusing cached artifacts where the
     /// fingerprints and configuration facets allow.
     ///
     /// Takes `&self`: the store is internally synchronized, so a config
     /// sweep may fan analyses out over threads against one session.
     pub fn analyze(&self, config: &AnalysisConfig) -> AnalysisOutcome {
-        self.analyze_with_budget(config, &Budget::for_limit(config.fuel))
+        self.analyze_with_budget_obs(config, &Budget::for_limit(config.fuel), &NoopSink)
     }
 
     /// [`Self::analyze`] honoring [`AnalysisConfig::on_exhausted`].
@@ -879,24 +924,18 @@ impl AnalysisSession {
     /// # Errors
     ///
     /// Returns [`ResourceExhausted`] when the budget ran dry and the
-    /// policy is [`ExhaustionPolicy::Error`].
+    /// policy is [`ExhaustionPolicy::Error`](ipcp_analysis::ExhaustionPolicy::Error).
     pub fn analyze_checked(
         &self,
         config: &AnalysisConfig,
     ) -> Result<AnalysisOutcome, ResourceExhausted> {
-        let outcome = self.analyze(config);
-        if config.on_exhausted == ExhaustionPolicy::Error && outcome.robustness.exhausted {
-            return Err(ResourceExhausted {
-                report: outcome.robustness,
-            });
-        }
-        Ok(outcome)
+        self.analyze_checked_obs(config, &NoopSink)
     }
 
-    /// Runs the analysis against a caller-supplied fuel source. Metered
-    /// budgets take the straight-line reference pipeline (see the module
-    /// docs on fuel semantics); unmetered budgets use the artifact store
-    /// and, with `config.jobs > 1`, the parallel fan-outs.
+    /// Runs the analysis against a caller-supplied fuel source. Unmetered
+    /// budgets use the artifact store and, with `config.jobs > 1`, the
+    /// parallel fan-outs; metered budgets run sequentially and store-less
+    /// (see the module docs on fuel semantics).
     pub fn analyze_with_budget(&self, config: &AnalysisConfig, budget: &Budget) -> AnalysisOutcome {
         self.analyze_with_budget_obs(config, budget, &NoopSink)
     }
@@ -910,25 +949,19 @@ impl AnalysisSession {
     /// # Errors
     ///
     /// Returns [`ResourceExhausted`] when the budget ran dry and the
-    /// policy is [`ExhaustionPolicy::Error`].
+    /// policy is [`ExhaustionPolicy::Error`](ipcp_analysis::ExhaustionPolicy::Error).
     pub fn analyze_checked_obs(
         &self,
         config: &AnalysisConfig,
         sink: &dyn ObsSink,
     ) -> Result<AnalysisOutcome, ResourceExhausted> {
         let outcome = self.analyze_with_budget_obs(config, &Budget::for_limit(config.fuel), sink);
-        if config.on_exhausted == ExhaustionPolicy::Error && outcome.robustness.exhausted {
-            return Err(ResourceExhausted {
-                report: outcome.robustness,
-            });
-        }
-        Ok(outcome)
+        honour_exhaustion_policy(config, outcome)
     }
 
     /// [`Self::analyze_with_budget`] with an observability sink threaded
-    /// through every phase. Metered budgets still route to the reference
-    /// pipeline (wrapped in a single `pipeline` span), so robustness
-    /// accounting is untouched by tracing.
+    /// through every phase — the one entry point every other `analyze*`
+    /// wraps. Tracing never changes the outcome, metered or not.
     pub fn analyze_with_budget_obs(
         &self,
         config: &AnalysisConfig,
@@ -936,12 +969,10 @@ impl AnalysisSession {
         sink: &dyn ObsSink,
     ) -> AnalysisOutcome {
         self.stats.lock().unwrap().analyses += 1;
+        // A metered run consults no disk cache and takes no part in the
+        // incrementality audit.
         if !budget.is_unmetered() {
-            let start = Instant::now();
-            let _span = SpanGuard::enter(sink, "pipeline", "phase");
-            let outcome = analyze_with_budget_reference(&self.base, config, budget);
-            self.phase_wall(SessionPhase::Pipeline, start.elapsed());
-            return outcome;
+            return self.analyze_uncached_obs(config, budget, sink, None);
         }
         let Some(disk) = self.disk.as_deref() else {
             let audit = AuditCtx {
@@ -949,7 +980,7 @@ impl AnalysisSession {
                 disk: None,
                 outcome_key: None,
             };
-            return self.analyze_uncached_obs(config, budget, sink, audit);
+            return self.analyze_uncached_obs(config, budget, sink, Some(audit));
         };
 
         // Persistent warm path: a validated entry is the cold outcome,
@@ -981,11 +1012,7 @@ impl AnalysisSession {
                 // budget so callers inspecting it afterwards see the same
                 // totals a cold run would have left behind.
                 budget.checkpoint(Phase::SymEval, outcome.robustness.fuel_consumed);
-                for (what, count) in &outcome.robustness.anomalies {
-                    for _ in 0..*count {
-                        budget.record_anomaly(what);
-                    }
-                }
+                replay_anomalies(budget, &outcome.robustness.anomalies);
                 self.phase_hit(SessionPhase::DiskCache);
                 self.phase_wall(SessionPhase::DiskCache, start.elapsed());
                 sink.count("diskcache.hit", 1);
@@ -1026,7 +1053,7 @@ impl AnalysisSession {
             disk: Some(DiskOutcome::Miss(reason)),
             outcome_key: Some(key),
         };
-        let outcome = self.analyze_uncached_obs(config, budget, sink, audit);
+        let outcome = self.analyze_uncached_obs(config, budget, sink, Some(audit));
 
         let start = Instant::now();
         disk.store(key, &ipcp_ir::codec::encode_to_vec(&outcome));
@@ -1034,20 +1061,25 @@ impl AnalysisSession {
         outcome
     }
 
-    /// The in-memory (single-process) memoized pipeline behind
-    /// [`Self::analyze_with_budget_obs`]; assumes an unmetered budget.
+    /// The round loop behind [`Self::analyze_with_budget_obs`]: memoized
+    /// under an unmetered budget, sequential and store-less under a
+    /// metered one.
     fn analyze_uncached_obs(
         &self,
         config: &AnalysisConfig,
         budget: &Budget,
         sink: &dyn ObsSink,
-        audit: AuditCtx,
+        mut audit: Option<AuditCtx>,
     ) -> AnalysisOutcome {
-        let jobs = crate::parallel::effective_jobs(config);
+        let memo = budget.is_unmetered();
+        let jobs = if memo {
+            crate::parallel::effective_jobs(config)
+        } else {
+            1
+        };
         let mut program = self.base.clone();
         let mut stats = PhaseStats::default();
         let mut first_round = true;
-        let mut audit = Some(audit);
 
         loop {
             self.stats.lock().unwrap().rounds += 1;
@@ -1074,9 +1106,9 @@ impl AnalysisSession {
                 sink,
                 &mut stats,
                 audit.take(),
-                |r| {
+                |mut r| {
                     // Spent once the solve has read them.
-                    drop(r.jfs);
+                    r.jfs = None;
                     let substitutions = {
                         let _span = SpanGuard::enter(sink, "substitute", "phase");
                         self.cached_subst(
@@ -1096,24 +1128,27 @@ impl AnalysisSession {
                     if config.complete_propagation {
                         let _span = SpanGuard::enter(sink, "dce", "phase");
                         let start = Instant::now();
-                        // Every procedure is rewritten (like the single-shot
-                        // loop), not just the changed ones — the `changed`
-                        // flag only decides whether another round runs.
+                        // Every procedure is rewritten, not just the changed
+                        // ones — the `changed` flag only decides whether
+                        // another round runs.
                         let pids: Vec<ProcId> = r.program.proc_ids().collect();
-                        let steps = par_map_obs(jobs, &pids, sink, "dce.proc", |_, &pid| {
-                            self.dce_step_for_proc(
-                                r.program,
-                                pid,
-                                r.ctx,
-                                r.kills,
-                                r.calls,
-                                r.vals.as_deref(),
-                            )
-                        });
-                        for (pid, (step, fuel)) in pids.into_iter().zip(steps) {
-                            budget.checkpoint(Phase::Sccp, fuel);
-                            changed |= step.changed;
-                            new_procs.push((pid, step.proc));
+                        if memo {
+                            let steps = par_map_obs(jobs, &pids, sink, "dce.proc", |_, &pid| {
+                                self.cached_dce_step(&r, pid)
+                            });
+                            // Replayed in `ProcId` order, like every fan-out.
+                            for (pid, step) in pids.into_iter().zip(steps) {
+                                budget.checkpoint(Phase::Sccp, step.fuel);
+                                replay_anomalies(budget, &step.value.anomalies);
+                                changed |= step.value.changed;
+                                new_procs.push((pid, step.value.proc.clone()));
+                            }
+                        } else {
+                            for pid in pids {
+                                let step = self.dce_step(&r, pid, budget);
+                                changed |= step.changed;
+                                new_procs.push((pid, step.proc));
+                            }
                         }
                         if jobs > 1 {
                             self.phase_span(SessionPhase::Dce, start.elapsed());
@@ -1177,12 +1212,12 @@ impl AnalysisSession {
         audit: Option<AuditCtx>,
         rest: impl FnOnce(SolvedRound<'_>) -> R,
     ) -> R {
-        // The call graph is built against the pre-augmentation program,
-        // exactly like the single-shot pipeline (call edges are
-        // unaffected by augmentation).
+        // The call graph is built against the pre-augmentation program
+        // (call edges are unaffected by augmentation).
+        let memo = budget.is_unmetered();
         let cg = {
             let _span = SpanGuard::enter(sink, "call_graph", "phase");
-            self.cached_call_graph(program, state_fp)
+            self.cached_call_graph(program, state_fp, memo)
         };
         let modref = self.cached_modref(program, &cg, state_fp, budget, jobs, sink);
         augment_global_vars(program, &modref);
@@ -1190,10 +1225,11 @@ impl AnalysisSession {
 
         let closure_fps = {
             let _span = SpanGuard::enter(sink, "closures", "phase");
-            self.cached_closures(program, &cg, state_fp, jobs)
+            self.cached_closures(program, &cg, state_fp, jobs, memo)
         };
 
         let round = RoundCtx {
+            memo,
             state_fp,
             closure_fps,
             mod_info: config.mod_info,
@@ -1322,7 +1358,7 @@ impl AnalysisSession {
     /// jump-function kind, return jump functions and their composition,
     /// MOD information, gated φs, `interprocedural`, branch feasibility,
     /// the solver and `jobs` — and none of the rest: it runs on
-    /// unlimited fuel (metered runs need the reference pipeline), never
+    /// unlimited fuel (consumers have no degraded rendering), never
     /// consults or writes the disk cache (which holds whole outcomes),
     /// never touches the incrementality audit, and ignores
     /// `complete_propagation`.
@@ -1373,18 +1409,14 @@ impl AnalysisSession {
         cg: &CallGraph,
         state_fp: u64,
         jobs: usize,
+        memo: bool,
     ) -> Arc<ClosureData> {
         let start = Instant::now();
-        let hit = self.store.closures.read().unwrap().get(&state_fp).cloned();
-        let fps = match hit {
+        let fps = match lookup(memo, &self.store.closures, &state_fp) {
             Some(fps) => fps,
             None => {
                 let fps = Arc::new(closure_fingerprints(program, cg, jobs));
-                self.store
-                    .closures
-                    .write()
-                    .unwrap()
-                    .insert(state_fp, Arc::clone(&fps));
+                remember(memo, &self.store.closures, state_fp, Arc::clone(&fps));
                 fps
             }
         };
@@ -1392,16 +1424,9 @@ impl AnalysisSession {
         fps
     }
 
-    fn cached_call_graph(&self, program: &Program, state_fp: u64) -> Arc<CallGraph> {
+    fn cached_call_graph(&self, program: &Program, state_fp: u64, memo: bool) -> Arc<CallGraph> {
         let start = Instant::now();
-        let hit = self
-            .store
-            .call_graphs
-            .read()
-            .unwrap()
-            .get(&state_fp)
-            .cloned();
-        let cg = match hit {
+        let cg = match lookup(memo, &self.store.call_graphs, &state_fp) {
             Some(cg) => {
                 self.phase_hit(SessionPhase::CallGraph);
                 cg
@@ -1409,11 +1434,7 @@ impl AnalysisSession {
             None => {
                 self.phase_miss(SessionPhase::CallGraph);
                 let cg = Arc::new(CallGraph::new(program));
-                self.store
-                    .call_graphs
-                    .write()
-                    .unwrap()
-                    .insert(state_fp, Arc::clone(&cg));
+                remember(memo, &self.store.call_graphs, state_fp, Arc::clone(&cg));
                 cg
             }
         };
@@ -1421,7 +1442,9 @@ impl AnalysisSession {
         cg
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// MOD/REF summaries, from the store under an unmetered budget.
+    /// A metered run computes them on its budget at `jobs = 1`, which is
+    /// the sequential `compute_modref_budgeted`.
     fn cached_modref(
         &self,
         program: &Program,
@@ -1432,8 +1455,8 @@ impl AnalysisSession {
         sink: &dyn ObsSink,
     ) -> Arc<ModRefInfo> {
         let start = Instant::now();
-        let hit = self.store.modrefs.read().unwrap().get(&state_fp).cloned();
-        let modref = match hit {
+        let memo = budget.is_unmetered();
+        let modref = match lookup(memo, &self.store.modrefs, &state_fp) {
             Some(cached) => {
                 self.phase_hit(SessionPhase::ModRef);
                 budget.checkpoint(Phase::ModRef, cached.fuel);
@@ -1446,13 +1469,8 @@ impl AnalysisSession {
                 // sequential pass (and delegates to it at jobs <= 1).
                 let modref = Arc::new(compute_modref_obs(program, cg, budget, jobs, sink));
                 let fuel = budget.fuel_consumed() - before;
-                self.store.modrefs.write().unwrap().insert(
-                    state_fp,
-                    Cached {
-                        value: Arc::clone(&modref),
-                        fuel,
-                    },
-                );
+                let value = Arc::clone(&modref);
+                remember(memo, &self.store.modrefs, state_fp, Cached { value, fuel });
                 modref
             }
         };
@@ -1493,23 +1511,12 @@ impl AnalysisSession {
             closure_fp: round.closure_fps[pid.index()],
             mod_info: round.mod_info,
         };
-        let hit = self
-            .store
-            .ssas
-            .read()
-            .expect("SSA store lock")
-            .get(&key)
-            .cloned();
-        if let Some(ssa) = hit {
+        if let Some(ssa) = lookup(round.memo, &self.store.ssas, &key) {
             tally.add(true, start.elapsed());
             return ssa;
         }
         let ssa = Arc::new(build_ssa(program, program.proc(pid), kills));
-        self.store
-            .ssas
-            .write()
-            .expect("SSA store lock")
-            .insert(key, Arc::clone(&ssa));
+        remember(round.memo, &self.store.ssas, key, Arc::clone(&ssa));
         tally.add(false, start.elapsed());
         ssa
     }
@@ -1541,13 +1548,12 @@ impl AnalysisSession {
             mod_info: round.mod_info,
             gsa: options.gated_phis,
         };
-        let hit = self.store.rjf_procs.read().unwrap().get(&key).cloned();
-        if let Some(cached) = hit {
+        if let Some(cached) = lookup(round.memo, &self.store.rjf_procs, &key) {
             tally.main.add(true, Duration::ZERO);
             return (cached.value, cached.fuel);
         }
         let scratch = Budget::unlimited();
-        // Mirror the single-shot builder's per-procedure draw.
+        // Mirror the per-procedure draw of `build_return_jfs_budgeted`.
         scratch.checkpoint(Phase::ReturnJf, 1);
         let ssa = self.tallied_ssa(program, pid, kills, round, &mut tally.ssa);
         let start = Instant::now();
@@ -1555,19 +1561,21 @@ impl AnalysisSession {
             program, pid, rjfs, &ssa, options, &scratch,
         ));
         let fuel = scratch.fuel_consumed();
-        self.store.rjf_procs.write().unwrap().insert(
+        let value = Arc::clone(&map);
+        remember(
+            round.memo,
+            &self.store.rjf_procs,
             key,
-            Cached {
-                value: Arc::clone(&map),
-                fuel,
-            },
+            Cached { value, fuel },
         );
         tally.main.add(false, start.elapsed());
         (map, fuel)
     }
 
     /// Builds the full return-jump-function table bottom-up over the
-    /// call-graph condensation, reusing cached per-procedure tables.
+    /// call-graph condensation, reusing cached per-procedure tables. A
+    /// metered run hands its budget to
+    /// [`build_return_jfs_budgeted`] instead.
     ///
     /// Scheduling runs in SCC *waves*: every SCC of one wave only calls
     /// into strictly lower (already merged) waves, so all of a wave's
@@ -1587,6 +1595,12 @@ impl AnalysisSession {
         jobs: usize,
         sink: &dyn ObsSink,
     ) -> ReturnJumpFns {
+        if !round.memo {
+            let start = Instant::now();
+            let rjfs = build_return_jfs_budgeted(program, cg, kills, options, budget);
+            self.metered_phase(SessionPhase::ReturnJf, program, start);
+            return rjfs;
+        }
         let mut rjfs = ReturnJumpFns::empty(program.procs.len());
         let sccs = cg.sccs();
         // Per-procedure work estimate (≈ instruction visits) for the
@@ -1672,8 +1686,7 @@ impl AnalysisSession {
             gsa: round.gsa,
             mode: round.mode,
         };
-        let hit = self.store.syms.read().unwrap().get(&key).cloned();
-        if let Some(cached) = hit {
+        if let Some(cached) = lookup(round.memo, &self.store.syms, &key) {
             tally.symvals.add(true, Duration::ZERO);
             return (cached.value, cached.fuel);
         }
@@ -1688,13 +1701,8 @@ impl AnalysisSession {
             &scratch,
         ));
         let fuel = scratch.fuel_consumed();
-        self.store.syms.write().unwrap().insert(
-            key,
-            Cached {
-                value: Arc::clone(&sym),
-                fuel,
-            },
-        );
+        let value = Arc::clone(&sym);
+        remember(round.memo, &self.store.syms, key, Cached { value, fuel });
         tally.symvals.add(false, start.elapsed());
         (sym, fuel)
     }
@@ -1722,20 +1730,19 @@ impl AnalysisSession {
             mode: round.mode,
             kind,
         };
-        let hit = self.store.forward_procs.read().unwrap().get(&key).cloned();
-        if let Some(cached) = hit {
+        if let Some(cached) = lookup(round.memo, &self.store.forward_procs, &key) {
             tally.main.add(true, Duration::ZERO);
             return cached.value;
         }
         let ssa = self.tallied_ssa(program, pid, kills, round, &mut tally.ssa);
         let start = Instant::now();
         let sites = Arc::new(site_jfs_for_proc(program, cg, modref, kind, pid, &ssa, sym));
-        self.store.forward_procs.write().unwrap().insert(
+        let value = Arc::clone(&sites);
+        remember(
+            round.memo,
+            &self.store.forward_procs,
             key,
-            Cached {
-                value: Arc::clone(&sites),
-                fuel: 0,
-            },
+            Cached { value, fuel: 0 },
         );
         tally.main.add(false, start.elapsed());
         sites
@@ -1744,7 +1751,9 @@ impl AnalysisSession {
     /// Assembles the forward jump function table from cached
     /// per-procedure site vectors, fanning the per-procedure work
     /// (symbolic values + site construction) out over the worker pool
-    /// and merging in `ProcId` order.
+    /// and merging in `ProcId` order. A metered run hands its budget to
+    /// [`build_forward_jfs_budgeted`] instead, whose precision ladder
+    /// slides when the tank runs low.
     #[allow(clippy::too_many_arguments)]
     fn cached_forward_jfs(
         &self,
@@ -1767,14 +1776,22 @@ impl AnalysisSession {
             CallSymMode::ConstEval => &const_eval,
             CallSymMode::Compose => &composer,
         };
+        if !round.memo {
+            let start = Instant::now();
+            let jfs = build_forward_jfs_budgeted(
+                program, cg, modref, kind, kills, call_sym, options, budget,
+            );
+            self.metered_phase(SessionPhase::ForwardJf, program, start);
+            return jfs;
+        }
 
         let pids: Vec<ProcId> = program.proc_ids().collect();
         let start = Instant::now();
         let built = par_map_obs(jobs, &pids, sink, "forward_jfs.proc", |_, &pid| {
             let mut tally = FanoutTally::default();
             // Symbolic values are resolved (computed or fuel-replayed)
-            // even when the site table hits, so consumption matches the
-            // single-shot builder, which evaluates every procedure.
+            // even when the site table hits, so consumption matches
+            // `build_forward_jfs_budgeted`, which evaluates every procedure.
             let (sym, sym_fuel) =
                 self.sym_for_proc(program, pid, round, kills, call_sym, options, &mut tally);
             let sites = self.forward_sites_for_proc(
@@ -1788,7 +1805,7 @@ impl AnalysisSession {
         for (pid, (sym_fuel, sites, worker)) in pids.into_iter().zip(built) {
             // The per-procedure construction checkpoint. Unmetered
             // budgets always afford the requested rung, so the precision
-            // ladder of the single-shot builder never engages here.
+            // ladder of `build_forward_jfs_budgeted` never engages here.
             budget.checkpoint(
                 Phase::ForwardJf,
                 kind_weight(kind).saturating_mul(proc_estimate(program.proc(pid))),
@@ -1831,8 +1848,7 @@ impl AnalysisSession {
             cond: config.branch_feasibility,
         };
         let start = Instant::now();
-        let hit = self.store.solves.read().unwrap().get(&key).cloned();
-        let vals = match hit {
+        let vals = match lookup(round.memo, &self.store.solves, &key) {
             Some(cached) => {
                 self.phase_hit(SessionPhase::Solve);
                 budget.checkpoint(Phase::Solver, cached.fuel);
@@ -1857,13 +1873,8 @@ impl AnalysisSession {
                 };
                 let fuel = budget.fuel_consumed() - before;
                 let v = Arc::new(v);
-                self.store.solves.write().unwrap().insert(
-                    key,
-                    Cached {
-                        value: Arc::clone(&v),
-                        fuel,
-                    },
-                );
+                let value = Arc::clone(&v);
+                remember(round.memo, &self.store.solves, key, Cached { value, fuel });
                 v
             }
         };
@@ -1896,14 +1907,16 @@ impl AnalysisSession {
         let pids: Vec<ProcId> = program.proc_ids().collect();
         let start = Instant::now();
         // No count is inserted before the merge, so one read guard
-        // serves every lookup of the fan-out.
-        let stored = self.store.substs.read().expect("subst store lock");
+        // serves every lookup of the fan-out (none when store-less).
+        let stored = round
+            .memo
+            .then(|| self.store.substs.read().expect("subst store lock"));
         let counted = par_map(jobs, &pids, |_, &pid| {
             let begin = Instant::now();
             let mut out = ProcCount::default();
             if cg.is_reachable(pid) {
                 let key = round.entry_key(program, pid, vals);
-                match stored.get(&key) {
+                match stored.as_ref().and_then(|counts| counts.get(&key)) {
                     Some(&n) => out.n = n,
                     None => {
                         let ssa = self.tallied_ssa(program, pid, kills, round, &mut out.ssa);
@@ -1931,7 +1944,7 @@ impl AnalysisSession {
         }
         let insert = Instant::now();
         subst.misses = misses.len() as u64;
-        if !misses.is_empty() {
+        if round.memo && !misses.is_empty() {
             self.store
                 .substs
                 .write()
@@ -1951,80 +1964,49 @@ impl AnalysisSession {
         SubstitutionCounts { per_proc, total }
     }
 
-    /// One SCCP + DCE step over a procedure, cached by its [`EntryKey`]:
-    /// after a DCE round, only procedures whose IR changed (or whose
-    /// callees' IR changed, or whose entry constants moved) are
-    /// re-processed. Returns the step and the fuel for the caller to
-    /// replay in `ProcId` order.
-    fn dce_step_for_proc(
-        &self,
-        program: &Program,
-        pid: ProcId,
-        round: &RoundCtx,
-        kills: &dyn KillOracle,
-        calls: &dyn CallLattice,
-        vals: Option<&ValSets>,
-    ) -> (DceStep, u64) {
-        let key = round.entry_key(program, pid, vals);
-        let hit = self.store.dces.read().unwrap().get(&key).cloned();
-        if let Some(cached) = hit {
-            self.phase_hit(SessionPhase::Dce);
-            return (
-                DceStep {
-                    proc: cached.value.proc.clone(),
-                    changed: cached.value.changed,
-                },
-                cached.fuel,
-            );
-        }
+    /// One SCCP + DCE step over `pid`, metered on `budget`.
+    fn dce_step(&self, r: &SolvedRound<'_>, pid: ProcId, budget: &Budget) -> DceStep {
         self.phase_miss(SessionPhase::Dce);
-        let ssa = self.cached_ssa(program, pid, kills, round);
+        let ssa = r.ssa(pid);
         let start = Instant::now();
-        let scratch = Budget::unlimited();
-        let proc_copy = program.proc(pid).clone();
-        let result = match vals {
-            Some(v) => {
-                let env = entry_env_of(program, pid, v);
-                sccp_budgeted(
-                    &proc_copy,
-                    &ssa,
-                    &SccpConfig {
-                        entry_env: &env,
-                        calls,
-                    },
-                    &scratch,
-                )
-            }
-            None => sccp_budgeted(
-                &proc_copy,
-                &ssa,
-                &SccpConfig {
-                    entry_env: &bottom_entry,
-                    calls,
-                },
-                &scratch,
-            ),
-        };
-        let mut proc = proc_copy;
-        let changed = dce_round_budgeted(program, &mut proc, &ssa, &result, kills, &scratch);
-        let fuel = scratch.fuel_consumed();
-        self.store.dces.write().unwrap().insert(
-            key,
-            Cached {
-                value: Arc::new(DceStep {
-                    proc: proc.clone(),
-                    changed,
-                }),
-                fuel,
-            },
-        );
+        let vals = r.vals.as_deref();
+        let result = seeded_sccp_budgeted(r.program, r.calls, vals, pid, &ssa, budget);
+        let mut proc = r.program.proc(pid).clone();
+        let changed = dce_round_budgeted(r.program, &mut proc, &ssa, &result, r.kills, budget);
         self.phase_wall(SessionPhase::Dce, start.elapsed());
-        (DceStep { proc, changed }, fuel)
+        DceStep {
+            proc,
+            changed,
+            anomalies: BTreeMap::new(),
+        }
     }
 
-    /// The complete-propagation recount over the pristine program,
-    /// mirroring the single-shot `counting_pass` (which rebuilds its
-    /// side tables with *default* symbolic-evaluation options).
+    /// [`Self::dce_step`], cached by its [`EntryKey`]: after a DCE round,
+    /// only procedures whose IR changed (or whose callees' IR changed, or
+    /// whose entry constants moved) are re-processed. A miss meters on a
+    /// scratch budget, and the step keeps the fuel and anomalies it
+    /// recorded there for the caller to replay in `ProcId` order.
+    fn cached_dce_step(&self, r: &SolvedRound<'_>, pid: ProcId) -> Cached<DceStep> {
+        let key = r.ctx.entry_key(r.program, pid, r.vals.as_deref());
+        if let Some(cached) = lookup(r.ctx.memo, &self.store.dces, &key) {
+            self.phase_hit(SessionPhase::Dce);
+            return cached;
+        }
+        let scratch = Budget::unlimited();
+        let mut step = self.dce_step(r, pid, &scratch);
+        step.anomalies = scratch.report().anomalies;
+        let cached = Cached {
+            value: Arc::new(step),
+            fuel: scratch.fuel_consumed(),
+        };
+        remember(r.ctx.memo, &self.store.dces, key, cached.clone());
+        cached
+    }
+
+    /// The complete-propagation recount over the pristine program with
+    /// the final `VAL` sets. It rebuilds its side tables (call graph,
+    /// MOD/REF, return jump functions) over the pristine program, the
+    /// return jump functions with *default* symbolic-evaluation options.
     fn cached_counting_pass(
         &self,
         config: &AnalysisConfig,
@@ -2048,8 +2030,8 @@ impl AnalysisSession {
                 config.branch_feasibility,
             )),
         };
-        let hit = self.store.countings.read().unwrap().get(&key).cloned();
-        if let Some(cached) = hit {
+        let memo = budget.is_unmetered();
+        if let Some(cached) = lookup(memo, &self.store.countings, &key) {
             self.phase_hit(SessionPhase::Subst);
             budget.checkpoint(Phase::ModRef, cached.fuel);
             return (*cached.value).clone();
@@ -2058,14 +2040,14 @@ impl AnalysisSession {
         let before = budget.fuel_consumed();
 
         let mut orig = self.base.clone();
-        let cg = self.cached_call_graph(&orig, orig_fp);
+        let cg = self.cached_call_graph(&orig, orig_fp, memo);
         let modref = self.cached_modref(&orig, &cg, orig_fp, budget, jobs, sink);
         augment_global_vars(&mut orig, &modref);
-        let closure_fps = self.cached_closures(&orig, &cg, orig_fp, jobs);
-        // The single-shot counting pass builds its return jump functions
-        // with default symbolic-evaluation options — gsa facets pinned to
-        // their defaults here for the same behaviour.
+        let closure_fps = self.cached_closures(&orig, &cg, orig_fp, jobs, memo);
+        // The gsa facet is pinned to its default, as the return jump
+        // functions are built with default options.
         let round = RoundCtx {
+            memo,
             state_fp: orig_fp,
             closure_fps,
             mod_info: config.mod_info,
@@ -2104,13 +2086,8 @@ impl AnalysisSession {
             self.cached_subst(orig, &cg, calls, vals, &round, kills, jobs)
         };
         let fuel = budget.fuel_consumed() - before;
-        self.store.countings.write().unwrap().insert(
-            key,
-            Cached {
-                value: Arc::new(counts.clone()),
-                fuel,
-            },
-        );
+        let value = Arc::new(counts.clone());
+        remember(memo, &self.store.countings, key, Cached { value, fuel });
         counts
     }
 }
@@ -2177,7 +2154,8 @@ fn closure_fingerprints(program: &Program, cg: &CallGraph, jobs: usize) -> Closu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{analyze, analyze_with_budget_reference};
+    use crate::driver::analyze;
+    use ipcp_analysis::ExhaustionPolicy;
 
     const OCEAN_LIKE: &str = "\
 global n\nglobal m\n\
@@ -2201,6 +2179,17 @@ main\ncall f(0)\nend\n";
         assert_eq!(a.substitutions, b.substitutions, "{what}: substitutions");
         assert_eq!(a.stats, b.stats, "{what}: stats");
         assert_eq!(a.robustness, b.robustness, "{what}: robustness");
+    }
+
+    /// The store-less run of `config`: metered, so it recomputes every
+    /// artifact every round, like a restart loop. An unmetered `config`
+    /// runs at an ample `fuel: Some(1 << 40)`, and the report's fuel
+    /// limit is put back for field-by-field comparison.
+    fn store_less(program: &Program, config: &AnalysisConfig) -> AnalysisOutcome {
+        let fuel = Some(config.fuel.unwrap_or(1 << 40));
+        let mut outcome = analyze(program, &AnalysisConfig { fuel, ..*config });
+        outcome.robustness.fuel_limit = config.fuel;
+        outcome
     }
 
     fn sweep_configs() -> Vec<AnalysisConfig> {
@@ -2240,17 +2229,13 @@ main\ncall f(0)\nend\n";
     }
 
     #[test]
-    fn session_sweep_matches_reference_pipeline() {
+    fn session_sweep_matches_store_less_runs() {
         for src in [OCEAN_LIKE, DEAD_GUARD] {
             let program = ipcp_ir::compile_to_ir(src).unwrap();
             let session = AnalysisSession::new(&program);
             for (i, config) in sweep_configs().iter().enumerate() {
                 let got = session.analyze(config);
-                let want = analyze_with_budget_reference(
-                    &program,
-                    config,
-                    &Budget::for_limit(config.fuel),
-                );
+                let want = store_less(&program, config);
                 assert_outcomes_equal(&got, &want, &format!("config #{i}"));
             }
         }
@@ -2411,7 +2396,7 @@ main\ncall f(0)\nend\n";
     }
 
     #[test]
-    fn analyze_after_provenance_matches_reference_pipeline() {
+    fn analyze_after_provenance_matches_store_less_runs() {
         // Provenance fills the store first; `analyze` then replays the
         // artifacts it cached, fuel included.
         for src in [OCEAN_LIKE, DEAD_GUARD] {
@@ -2420,29 +2405,76 @@ main\ncall f(0)\nend\n";
                 let session = AnalysisSession::new(&program);
                 session.provenance(config, &NoopSink);
                 let got = session.analyze(config);
-                let want = analyze_with_budget_reference(
-                    &program,
-                    config,
-                    &Budget::for_limit(config.fuel),
-                );
+                let want = store_less(&program, config);
                 assert_outcomes_equal(&got, &want, &format!("config #{i}"));
             }
         }
     }
 
     #[test]
-    fn metered_budgets_take_the_reference_path() {
-        let program = ipcp_ir::compile_to_ir(OCEAN_LIKE).unwrap();
+    fn metered_runs_are_store_less_and_book_their_phases() {
+        let program = ipcp_ir::compile_to_ir(DEAD_GUARD).unwrap();
         let session = AnalysisSession::new(&program);
         let config = AnalysisConfig {
             fuel: Some(40),
+            complete_propagation: true,
             ..AnalysisConfig::default()
         };
-        let got = session.analyze(&config);
-        let want = analyze(&program, &config);
-        assert_outcomes_equal(&got, &want, "fuel-limited");
+        let metered = session.analyze(&config);
         assert!(session.store().is_empty(), "metered runs never cache");
-        assert!(session.stats().counter(SessionPhase::Pipeline).wall_nanos > 0);
+        let stats = session.stats();
+        for phase in [SessionPhase::ModRef, SessionPhase::Solve] {
+            assert!(stats.counter(phase).misses > 0, "{phase} not booked");
+            assert!(stats.counter(phase).wall_nanos > 0, "{phase} not timed");
+        }
+        assert!(stats.rounds > 0);
+
+        // A warm store is neither read nor written by a metered run.
+        session.analyze(&AnalysisConfig {
+            fuel: None,
+            ..config
+        });
+        let stored = session.store().len();
+        let again = session.analyze(&config);
+        assert_outcomes_equal(&again, &metered, "metered after warm-up");
+        assert_eq!(session.store().len(), stored, "metered run wrote the store");
+    }
+
+    #[test]
+    fn memoized_dce_replays_ssa_anomalies() {
+        // A by-ref actual that is a constant: malformed IR that SSA
+        // construction recovers from with an anomaly, which each DCE step
+        // over `main` reports.
+        let src = "proc f(n)\nn = n + 1\nend\nmain\nx = 1\ncall f(x)\nprint(x)\nend\n";
+        let mut program = ipcp_ir::compile_to_ir(src).unwrap();
+        let main = program.main;
+        for block in &mut program.proc_mut(main).blocks {
+            for instr in &mut block.instrs {
+                if let ipcp_ir::Instr::Call { args, .. } = instr {
+                    args[0].value = ipcp_ir::Operand::Const(1);
+                }
+            }
+        }
+        let config = AnalysisConfig {
+            complete_propagation: true,
+            ..AnalysisConfig::default()
+        };
+        let want = store_less(&program, &config);
+        assert!(
+            want.robustness
+                .anomalies
+                .keys()
+                .any(|k| k.contains("by-ref")),
+            "{:?}",
+            want.robustness
+        );
+        let session = AnalysisSession::new(&program);
+        for pass in ["cold", "warm"] {
+            for jobs in [1, 2] {
+                let got = session.analyze(&AnalysisConfig { jobs, ..config });
+                assert_outcomes_equal(&got, &want, &format!("{pass} jobs={jobs}"));
+            }
+        }
     }
 
     #[test]
@@ -2496,8 +2528,7 @@ main\ncall f(0)\nend\n";
         for src in [OCEAN_LIKE, DEAD_GUARD] {
             let program = ipcp_ir::compile_to_ir(src).unwrap();
             for base in &variants {
-                let want =
-                    analyze_with_budget_reference(&program, base, &Budget::for_limit(base.fuel));
+                let want = store_less(&program, base);
                 for jobs in [0usize, 2, 8, 64] {
                     let session = AnalysisSession::new(&program);
                     let config = AnalysisConfig { jobs, ..*base };
@@ -2515,8 +2546,7 @@ main\ncall f(0)\nend\n";
         let configs = sweep_configs();
         let outs = par_map(4, &configs, |_, config| session.analyze(config));
         for (i, (config, got)) in configs.iter().zip(&outs).enumerate() {
-            let want =
-                analyze_with_budget_reference(&program, config, &Budget::for_limit(config.fuel));
+            let want = store_less(&program, config);
             assert_outcomes_equal(got, &want, &format!("concurrent config #{i}"));
         }
         assert!(!session.store().is_empty());

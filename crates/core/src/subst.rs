@@ -16,8 +16,8 @@
 //! semantic preservation.
 
 use crate::solver::{entry_env_of, ValSets};
-use ipcp_analysis::sccp::{sccp, CallLattice, SccpConfig};
-use ipcp_analysis::{CallGraph, LatticeVal};
+use ipcp_analysis::sccp::{sccp_budgeted, CallLattice, SccpConfig};
+use ipcp_analysis::{Budget, CallGraph, LatticeVal};
 use ipcp_ir::{Instr, Operand, Program, Terminator, VarKind};
 use ipcp_ssa::{build_ssa, KillOracle, SsaInstr, SsaOperand, SsaTerminator};
 
@@ -79,28 +79,25 @@ pub(crate) fn seeded_sccp(
     pid: ipcp_ir::ProcId,
     ssa: &ipcp_ssa::SsaProc,
 ) -> ipcp_analysis::SccpResult {
-    let proc = program.proc(pid);
-    match vals {
-        Some(v) => {
-            let env = entry_env_of(program, pid, v);
-            sccp(
-                proc,
-                ssa,
-                &SccpConfig {
-                    entry_env: &env,
-                    calls,
-                },
-            )
-        }
-        None => sccp(
-            proc,
-            ssa,
-            &SccpConfig {
-                entry_env: &ipcp_analysis::sccp::bottom_entry,
-                calls,
-            },
-        ),
-    }
+    seeded_sccp_budgeted(program, calls, vals, pid, ssa, &Budget::unlimited())
+}
+
+/// [`seeded_sccp`] under a fuel budget (complete propagation's DCE step).
+pub(crate) fn seeded_sccp_budgeted(
+    program: &Program,
+    calls: &dyn CallLattice,
+    vals: Option<&ValSets>,
+    pid: ipcp_ir::ProcId,
+    ssa: &ipcp_ssa::SsaProc,
+    budget: &Budget,
+) -> ipcp_analysis::SccpResult {
+    let env = vals.map(|v| entry_env_of(program, pid, v));
+    let entry_env: &dyn Fn(ipcp_ir::VarId) -> LatticeVal = match &env {
+        Some(env) => env,
+        None => &ipcp_analysis::sccp::bottom_entry,
+    };
+    let config = SccpConfig { entry_env, calls };
+    sccp_budgeted(program.proc(pid), ssa, &config, budget)
 }
 
 /// Visits every *counted* use of one procedure: each executable textual

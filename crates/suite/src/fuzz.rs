@@ -28,7 +28,7 @@
 //! `tests/fuzz_corpus.rs` replays on every `cargo test`.
 
 use ipcp_analysis::par_map;
-use ipcp_core::{analyze, optimize, AnalysisConfig, JumpFunctionKind, OptimizeConfig};
+use ipcp_core::{optimize, AnalysisConfig, AnalysisSession, JumpFunctionKind, OptimizeConfig};
 use ipcp_ir::Program;
 use ipcp_lang::interp::{InterpConfig, InterpError, Value};
 use ipcp_obs::ObsSink;
@@ -313,9 +313,12 @@ pub fn check_case(
     // ---- metamorphic precision oracle ----------------------------------
     // Walking up the ladder must never lose a proven constant (output
     // equality across levels is already transitively covered above).
+    // One session serves every level, so the call graph, MOD/REF and SSA
+    // are built once per program.
+    let session = AnalysisSession::new(&program);
     let outcomes: Vec<_> = levels
         .iter()
-        .map(|&level| analyze(&program, &level.config()))
+        .map(|&level| session.analyze(&level.config()))
         .collect();
     for (w, pair) in outcomes.windows(2).enumerate() {
         let (lower, higher) = (&pair[0], &pair[1]);
@@ -989,6 +992,7 @@ fn write_repro(dir: &Path, v: &Violation) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipcp_core::analyze;
     use ipcp_obs::NoopSink;
 
     #[test]

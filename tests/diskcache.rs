@@ -140,8 +140,8 @@ proptest! {
             prop_assert_eq!(warm_stats.hits, 1);
             prop_assert_eq!(warm_stats.misses, 0);
         } else {
-            // Metered budgets route through the reference pipeline and
-            // must leave no disk traffic at all.
+            // Metered runs are store-less and must leave no disk
+            // traffic at all.
             prop_assert_eq!(cold_stats.writes + cold_stats.misses, 0);
             prop_assert_eq!(warm_stats.hits + warm_stats.misses, 0);
         }

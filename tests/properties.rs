@@ -460,7 +460,7 @@ main\ncall even(8)\nend\n";
 // ---- analysis-session properties -------------------------------------------
 
 /// A random point in the full configuration space, including fuel-limited
-/// corners (which the session routes through the reference pipeline).
+/// corners (which the session runs store-less).
 fn arb_config() -> impl Strategy<Value = AnalysisConfig> {
     use ipcp::core::{ExhaustionPolicy, SolverKind};
     (
@@ -509,6 +509,18 @@ fn arb_config() -> impl Strategy<Value = AnalysisConfig> {
         )
 }
 
+/// The store-less run of `config`: metered, so it recomputes every
+/// artifact every round on the run's own budget. An unmetered `config`
+/// runs at an ample `fuel: Some(1 << 40)`, and the report's fuel limit
+/// is put back, so the outcome compares field by field with the
+/// memoized run of the same configuration.
+fn store_less(ir: &ipcp::ir::Program, config: &AnalysisConfig) -> ipcp::core::AnalysisOutcome {
+    let fuel = Some(config.fuel.unwrap_or(1 << 40));
+    let mut outcome = analyze(ir, &AnalysisConfig { fuel, ..*config });
+    outcome.robustness.fuel_limit = config.fuel;
+    outcome
+}
+
 /// Field-by-field outcome equality (the outcome struct itself is not
 /// `PartialEq`).
 fn assert_outcomes_identical(
@@ -531,25 +543,41 @@ proptest! {
 
     /// One shared session, an arbitrary sweep of configurations: every
     /// outcome — program, CONSTANTS, substitution counts, cost stats, and
-    /// the robustness report — is identical to the pre-session
-    /// straight-line pipeline run fresh per configuration.
+    /// the robustness report — is identical to the store-less run of the
+    /// same configuration in a fresh session.
     #[test]
     fn session_sweep_equivalent_to_reference(
         src in program(),
         configs in proptest::collection::vec(arb_config(), 1..5),
     ) {
-        use ipcp::core::{analyze_reference, AnalysisSession};
+        use ipcp::core::AnalysisSession;
         let ir = ipcp::ir::compile_to_ir(&src).expect("compiles");
         let session = AnalysisSession::new(&ir);
         for (i, config) in configs.iter().enumerate() {
             let got = session.analyze(config);
-            let want = analyze_reference(&ir, config);
+            let want = store_less(&ir, config);
             assert_outcomes_identical(&got, &want, &format!("config #{i}: {config:?}"));
         }
     }
 
+    /// Ample fuel changes nothing but the report's fuel limit: a metered
+    /// run whose tank never runs dry equals the unmetered run of the
+    /// same configuration, at any thread count.
+    #[test]
+    fn ample_fuel_matches_unmetered(
+        src in program(),
+        config in arb_config(),
+    ) {
+        let ir = ipcp::ir::compile_to_ir(&src).expect("compiles");
+        for jobs in [1usize, 2, 8] {
+            let config = AnalysisConfig { jobs, fuel: None, ..config };
+            let what = format!("ample vs unmetered: {config:?}");
+            assert_outcomes_identical(&store_less(&ir, &config), &analyze(&ir, &config), &what);
+        }
+    }
+
     /// Incremental complete propagation (invalidate only fingerprints
-    /// that moved) reaches exactly the fixpoint of the reference restart
+    /// that moved) reaches exactly the fixpoint of the store-less restart
     /// loop — and replaying the converged analysis is pure cache traffic.
     #[test]
     fn incremental_complete_propagation_matches_restart_loop(
@@ -557,7 +585,7 @@ proptest! {
         kind in proptest::sample::select(JumpFunctionKind::ALL.to_vec()),
         gsa in proptest::bool::ANY,
     ) {
-        use ipcp::core::{analyze_reference, AnalysisSession};
+        use ipcp::core::AnalysisSession;
         let ir = ipcp::ir::compile_to_ir(&src).expect("compiles");
         let config = AnalysisConfig {
             jump_function: kind,
@@ -567,7 +595,7 @@ proptest! {
         };
         let session = AnalysisSession::new(&ir);
         let got = session.analyze(&config);
-        let want = analyze_reference(&ir, &config);
+        let want = store_less(&ir, &config);
         assert_outcomes_identical(&got, &want, "complete propagation");
 
         // The converged state is fully memoized: re-analyzing computes
