@@ -79,6 +79,14 @@ impl<V> SlotTable<V> {
         SlotTable { slots, vals }
     }
 
+    /// A table from parallel vectors, or `None` unless `slots` is
+    /// strictly increasing and as long as `vals` — the codec's entry
+    /// point, which never builds a table the analyses could not.
+    pub(crate) fn from_parts(slots: Vec<Slot>, vals: Vec<V>) -> Option<Self> {
+        let canonical = slots.len() == vals.len() && slots.windows(2).all(|w| w[0] < w[1]);
+        canonical.then_some(SlotTable { slots, vals })
+    }
+
     /// A table with the contents of a `BTreeMap` (already sorted).
     pub fn from_map(map: BTreeMap<Slot, V>) -> Self {
         Self::from_sorted_pairs(map.into_iter().collect())

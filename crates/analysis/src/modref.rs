@@ -142,17 +142,7 @@ fn worst_case_modref(program: &Program) -> ModRefInfo {
 /// summary degrades to the worst case (all scalar formals and globals
 /// both modified and referenced), which is sound for every consumer.
 pub fn compute_modref_budgeted(program: &Program, cg: &CallGraph, budget: &Budget) -> ModRefInfo {
-    let n = program.procs.len();
-    let mut mods: Vec<BTreeSet<Slot>> = vec![BTreeSet::new(); n];
-    let mut refs: Vec<BTreeSet<Slot>> = vec![BTreeSet::new(); n];
-
-    // Direct (local) effects.
-    for pid in program.proc_ids() {
-        let proc = program.proc(pid);
-        let (m, r) = direct_effects(proc);
-        mods[pid.index()] = m;
-        refs[pid.index()] = r;
-    }
+    let (mut mods, mut refs) = direct_summaries(program);
 
     // Transitive effects: iterate bottom-up until stable (the bottom-up
     // SCC order makes most programs converge in one pass; recursion takes
@@ -166,21 +156,7 @@ pub fn compute_modref_budgeted(program: &Program, cg: &CallGraph, budget: &Budge
                     budget.record_degradation(Phase::ModRef);
                     return worst_case_modref(program);
                 }
-                let proc = program.proc(pid);
-                let (new_mods, new_refs) =
-                    transitive_effects(proc, cg.sites(pid), &|c| mods[c.index()].clone(), &|c| {
-                        refs[c.index()].clone()
-                    });
-                for s in new_mods {
-                    if mods[pid.index()].insert(s) {
-                        changed = true;
-                    }
-                }
-                for s in new_refs {
-                    if refs[pid.index()].insert(s) {
-                        changed = true;
-                    }
-                }
+                changed |= step_in_place(program, cg, pid, &mut mods, &mut refs);
             }
         }
     }
@@ -188,15 +164,50 @@ pub fn compute_modref_budgeted(program: &Program, cg: &CallGraph, budget: &Budge
     ModRefInfo { mods, refs }
 }
 
+/// Every procedure's direct (local) effects, in `ProcId` order: one
+/// cheap linear scan, which a fan-out would only slow down with spawns
+/// and cross-thread frees.
+fn direct_summaries(program: &Program) -> (Vec<BTreeSet<Slot>>, Vec<BTreeSet<Slot>>) {
+    program
+        .proc_ids()
+        .map(|pid| direct_effects(program.proc(pid)))
+        .unzip()
+}
+
+/// One transitive step of `pid` against the summaries in place: the
+/// sequential fixpoint's visit. Returns whether a summary grew.
+fn step_in_place(
+    program: &Program,
+    cg: &CallGraph,
+    pid: ProcId,
+    mods: &mut [BTreeSet<Slot>],
+    refs: &mut [BTreeSet<Slot>],
+) -> bool {
+    let (new_mods, new_refs) = transitive_effects(
+        program.proc(pid),
+        cg.sites(pid),
+        |c| &mods[c.index()],
+        |c| &refs[c.index()],
+    );
+    let mut changed = false;
+    for s in new_mods {
+        changed |= mods[pid.index()].insert(s);
+    }
+    for s in new_refs {
+        changed |= refs[pid.index()].insert(s);
+    }
+    changed
+}
+
 /// The slots one transitive step propagates into `proc` from its call
 /// sites, given the current callee summaries. Shared by the sequential
 /// fixpoint and the SCC-wave parallel fixpoint so both see identical
-/// propagation rules.
-fn transitive_effects(
+/// propagation rules. The summaries are borrowed, never copied.
+fn transitive_effects<'s>(
     proc: &Procedure,
     sites: &[crate::callgraph::CallSite],
-    callee_mods: &dyn Fn(ProcId) -> BTreeSet<Slot>,
-    callee_refs: &dyn Fn(ProcId) -> BTreeSet<Slot>,
+    callee_mods: impl Fn(ProcId) -> &'s BTreeSet<Slot>,
+    callee_refs: impl Fn(ProcId) -> &'s BTreeSet<Slot>,
 ) -> (Vec<Slot>, Vec<Slot>) {
     let mut new_mods = Vec::new();
     let mut new_refs = Vec::new();
@@ -204,7 +215,7 @@ fn transitive_effects(
         let Instr::Call { callee, args, .. } = &proc.block(site.block).instrs[site.index] else {
             unreachable!("call site indexes a call");
         };
-        for slot in callee_mods(*callee) {
+        for &slot in callee_mods(*callee) {
             match slot {
                 Slot::Formal(k) => {
                     let arg = &args[k as usize];
@@ -220,7 +231,7 @@ fn transitive_effects(
                 Slot::Result => {}
             }
         }
-        for slot in callee_refs(*callee) {
+        for &slot in callee_refs(*callee) {
             // Formal refs are covered by the caller's direct operand scan
             // (the actual's value is an operand of the call); only global
             // refs propagate.
@@ -232,22 +243,48 @@ fn transitive_effects(
     (new_mods, new_refs)
 }
 
+/// The slots one SCC's transitive step adds to each member's summaries:
+/// `(member, added MOD slots, added REF slots)`, only for members that
+/// grew.
+type SccGrowth = Vec<(ProcId, Vec<Slot>, Vec<Slot>)>;
+
 /// One transitive step over a whole SCC against a snapshot of the global
-/// summaries. Members are visited in SCC order and see each other's
-/// updates through a local overlay — exactly the data the sequential
-/// bottom-up iteration would read, because same-wave SCCs never call
-/// each other and lower waves are already merged into `mods`/`refs`.
-#[allow(clippy::type_complexity)]
+/// summaries, returning only what it adds. Members are visited in SCC
+/// order and see each other's updates through a local overlay — exactly
+/// the data the sequential bottom-up iteration would read, because
+/// same-wave SCCs never call each other and lower waves are already
+/// merged into `mods`/`refs`. A single non-recursive member (the common
+/// case) needs no overlay and copies no summary.
 fn scc_transitive_step(
     program: &Program,
     cg: &CallGraph,
     members: &[ProcId],
     mods: &[BTreeSet<Slot>],
     refs: &[BTreeSet<Slot>],
-) -> (Vec<(ProcId, BTreeSet<Slot>, BTreeSet<Slot>)>, bool) {
-    let mut local: Vec<(ProcId, BTreeSet<Slot>, BTreeSet<Slot>)> = members
+) -> SccGrowth {
+    if let [pid] = members[..] {
+        let (new_mods, new_refs) = transitive_effects(
+            program.proc(pid),
+            cg.sites(pid),
+            |c| &mods[c.index()],
+            |c| &refs[c.index()],
+        );
+        let fresh = |new: Vec<Slot>, have: &BTreeSet<Slot>| -> Vec<Slot> {
+            let mut added: Vec<Slot> = new.into_iter().filter(|s| !have.contains(s)).collect();
+            added.sort_unstable();
+            added.dedup();
+            added
+        };
+        let added_mods = fresh(new_mods, &mods[pid.index()]);
+        let added_refs = fresh(new_refs, &refs[pid.index()]);
+        if added_mods.is_empty() && added_refs.is_empty() {
+            return Vec::new();
+        }
+        return vec![(pid, added_mods, added_refs)];
+    }
+    let mut local: Vec<(BTreeSet<Slot>, BTreeSet<Slot>)> = members
         .iter()
-        .map(|&p| (p, mods[p.index()].clone(), refs[p.index()].clone()))
+        .map(|&p| (mods[p.index()].clone(), refs[p.index()].clone()))
         .collect();
     // Sorted member index: the per-callee `position` scan is quadratic in
     // the SCC size, which matters for deep recursion towers.
@@ -260,43 +297,49 @@ fn scc_transitive_step(
             .ok()
             .map(|k| member_idx[k].1)
     };
-    let mut changed = false;
+    let mut grown = vec![false; members.len()];
     for idx in 0..members.len() {
         let pid = members[idx];
-        let proc = program.proc(pid);
         let (new_mods, new_refs) = transitive_effects(
-            proc,
+            program.proc(pid),
             cg.sites(pid),
-            &|c| match find(c) {
-                Some(j) => local[j].1.clone(),
-                None => mods[c.index()].clone(),
+            |c| match find(c) {
+                Some(j) => &local[j].0,
+                None => &mods[c.index()],
             },
-            &|c| match find(c) {
-                Some(j) => local[j].2.clone(),
-                None => refs[c.index()].clone(),
+            |c| match find(c) {
+                Some(j) => &local[j].1,
+                None => &refs[c.index()],
             },
         );
         let entry = &mut local[idx];
         for s in new_mods {
-            if entry.1.insert(s) {
-                changed = true;
-            }
+            grown[idx] |= entry.0.insert(s);
         }
         for s in new_refs {
-            if entry.2.insert(s) {
-                changed = true;
-            }
+            grown[idx] |= entry.1.insert(s);
         }
     }
-    (local, changed)
+    members
+        .iter()
+        .zip(local)
+        .zip(grown)
+        .filter(|(_, grew)| *grew)
+        .map(|((&pid, (m, r)), _)| {
+            let added_mods = m.difference(&mods[pid.index()]).copied().collect();
+            let added_refs = r.difference(&refs[pid.index()]).copied().collect();
+            (pid, added_mods, added_refs)
+        })
+        .collect()
 }
 
 /// Computes MOD/REF summaries with the transitive fixpoint scheduled in
 /// SCC-condensation waves: every SCC of one reverse-topological level
 /// runs concurrently, and each wave's results merge before the next wave
 /// starts. Bit-identical to [`compute_modref_budgeted`] (same data reads,
-/// same pass count, same fuel draw) at any `jobs` value; with `jobs <= 1`
-/// it simply delegates to the sequential fixpoint.
+/// same pass count, same fuel draw) at any `jobs` value; with `jobs <= 1`,
+/// or when the cost gate would run every wave inline, it simply
+/// delegates to the sequential fixpoint, so extra jobs never cost time.
 pub fn compute_modref_par(
     program: &Program,
     cg: &CallGraph,
@@ -306,35 +349,31 @@ pub fn compute_modref_par(
     if jobs <= 1 {
         return compute_modref_budgeted(program, cg, budget);
     }
-    let pids: Vec<ProcId> = program.proc_ids().collect();
-
-    // Direct (local) effects: per-procedure fan-out, merged in ProcId
-    // order by construction.
-    let mut mods: Vec<BTreeSet<Slot>> = Vec::with_capacity(pids.len());
-    let mut refs: Vec<BTreeSet<Slot>> = Vec::with_capacity(pids.len());
-    for (m, r) in crate::par::par_map(jobs, &pids, |_, &pid| direct_effects(program.proc(pid))) {
-        mods.push(m);
-        refs.push(r);
-    }
-
     let sccs = cg.sccs();
     let waves = crate::par::scc_waves(cg);
-    // Per-procedure work estimate (≈ instruction visits) for the
-    // cost-based wave gate; computed once, summed per wave below.
-    let est: Vec<u64> = pids
+    // The cost gate's width per wave. A transitive step visits the
+    // procedure's call sites and nothing else, so they are its work
+    // estimate: a wave of leaves, however long their bodies, has no
+    // work to fan out.
+    let widths: Vec<usize> = waves
         .iter()
-        .map(|&pid| {
-            let proc = program.proc(pid);
-            proc.block_ids()
-                .map(|b| proc.block(b).instrs.len() as u64 + 1)
-                .sum::<u64>()
-                .max(1)
+        .map(|wave| {
+            let units: u64 = wave
+                .iter()
+                .flat_map(|&si| sccs[si].iter())
+                .map(|&pid| cg.sites(pid).len() as u64)
+                .sum();
+            crate::par::wave_jobs(jobs, wave.len(), units)
         })
         .collect();
+    if widths.iter().all(|&w| w <= 1) {
+        return compute_modref_budgeted(program, cg, budget);
+    }
+    let (mut mods, mut refs) = direct_summaries(program);
     let mut changed = true;
     while changed {
         changed = false;
-        for wave in &waves {
+        for (wave, &wave_jobs) in waves.iter().zip(&widths) {
             // Fuel: one unit per procedure visit, drawn deterministically
             // on the calling thread — the same count per pass as the
             // sequential fixpoint.
@@ -346,21 +385,24 @@ pub fn compute_modref_par(
                     }
                 }
             }
-            let units: u64 = wave
-                .iter()
-                .flat_map(|&si| sccs[si].iter())
-                .map(|&pid| est[pid.index()])
-                .sum();
-            let wave_jobs = crate::par::wave_jobs(jobs, wave.len(), units);
+            if wave_jobs <= 1 {
+                // A wave the cost gate runs inline steps in place, as the
+                // sequential fixpoint does: same-wave SCCs never call
+                // each other, so the order within the wave is invisible.
+                for &si in wave {
+                    for &pid in &sccs[si] {
+                        changed |= step_in_place(program, cg, pid, &mut mods, &mut refs);
+                    }
+                }
+                continue;
+            }
             let results = crate::par::par_map(wave_jobs, wave, |_, &si| {
                 scc_transitive_step(program, cg, &sccs[si], &mods, &refs)
             });
-            for (updates, scc_changed) in results {
-                changed |= scc_changed;
-                for (pid, m, r) in updates {
-                    mods[pid.index()] = m;
-                    refs[pid.index()] = r;
-                }
+            for (pid, added_mods, added_refs) in results.into_iter().flatten() {
+                changed = true;
+                mods[pid.index()].extend(added_mods);
+                refs[pid.index()].extend(added_refs);
             }
         }
     }
@@ -732,6 +774,61 @@ main\ncall ping(4)\nend\n";
                 // Identical pass count → identical fuel draw.
                 assert_eq!(seq_budget.fuel_consumed(), par_budget.fuel_consumed());
             }
+        }
+    }
+
+    /// A program wide enough that the cost gate fans waves out: two hub
+    /// procedures and a recursive pair, each with thousands of call
+    /// sites into leaves that write globals and by-reference formals.
+    #[test]
+    fn fanned_out_waves_match_sequential_bit_for_bit() {
+        let mut src = String::new();
+        for g in 0..8 {
+            src.push_str(&format!("global g{g}\n"));
+        }
+        for l in 0..8 {
+            src.push_str(&format!(
+                "proc leaf{l}(x)\nx = g{l}\ng{} = 1\nend\n",
+                (l + 1) % 8
+            ));
+        }
+        for hub in ["hub0", "hub1", "ping", "pong"] {
+            src.push_str(&format!("proc {hub}(y)\n"));
+            for i in 0..2200 {
+                src.push_str(&format!("call leaf{}(y)\n", i % 8));
+            }
+            match hub {
+                "ping" => src.push_str("if y > 0 then\ncall pong(y)\nend\n"),
+                "pong" => src.push_str("if y > 0 then\ncall ping(y)\nend\n"),
+                _ => {}
+            }
+            src.push_str("end\n");
+        }
+        src.push_str("main\ncall hub0(a)\ncall hub1(b)\ncall ping(c)\nend\n");
+        let program = compile_to_ir(&src).unwrap();
+        let cg = CallGraph::new(&program);
+        let waves = crate::par::scc_waves(&cg);
+        assert!(
+            waves.iter().any(|wave| {
+                let sites: usize = wave
+                    .iter()
+                    .flat_map(|&si| cg.sccs()[si].iter())
+                    .map(|&pid| cg.sites(pid).len())
+                    .sum();
+                crate::par::wave_jobs(2, wave.len(), sites as u64) > 1
+            }),
+            "no wave fans out; the test would not exercise the parallel path"
+        );
+        let seq_budget = Budget::unlimited();
+        let seq = compute_modref_budgeted(&program, &cg, &seq_budget);
+        for jobs in [2, 8] {
+            let par_budget = Budget::unlimited();
+            let par = compute_modref_par(&program, &cg, &par_budget, jobs);
+            for pid in program.proc_ids() {
+                assert_eq!(seq.mods(pid), par.mods(pid), "mods of {pid:?} at {jobs}");
+                assert_eq!(seq.refs(pid), par.refs(pid), "refs of {pid:?} at {jobs}");
+            }
+            assert_eq!(seq_budget.fuel_consumed(), par_budget.fuel_consumed());
         }
     }
 

@@ -151,6 +151,26 @@ impl Monomial {
         self.factors.as_slice()
     }
 
+    /// The monomial with `factors`, or `None` unless they are canonical:
+    /// slots strictly increasing, every exponent at least 1, total degree
+    /// within [`MAX_DEGREE`]. The codec's entry point, so decoded bytes
+    /// can never build a monomial arithmetic would not.
+    pub(crate) fn from_factors(factors: &[(Slot, u32)]) -> Option<Monomial> {
+        let degree = factors.iter().try_fold(0u32, |d, &(_, e)| {
+            (e >= 1).then(|| d.checked_add(e)).flatten()
+        });
+        let canonical =
+            factors.windows(2).all(|w| w[0].0 < w[1].0) && degree.is_some_and(|d| d <= MAX_DEGREE);
+        if !canonical {
+            return None;
+        }
+        let mut m = Monomial::unit();
+        for &factor in factors {
+            m.factors.push(factor, factors.len());
+        }
+        Some(m)
+    }
+
     /// Evaluates with wrapping arithmetic; `None` if any slot is unmapped.
     pub fn eval(&self, env: &dyn Fn(Slot) -> Option<i64>) -> Option<i64> {
         let mut acc = 1i64;
@@ -481,6 +501,19 @@ impl Poly {
     /// Iterates over `(monomial, coefficient)` terms.
     pub fn terms(&self) -> impl Iterator<Item = (&Monomial, i64)> {
         self.term_slice().iter().map(|(m, c)| (m, *c))
+    }
+
+    /// The polynomial with `terms`, or `None` unless they are canonical:
+    /// at most [`MAX_TERMS`] of them, monomials strictly increasing, no
+    /// zero coefficient. The codec's entry point (see
+    /// [`Monomial::from_factors`]).
+    pub(crate) fn from_terms(terms: Vec<(Monomial, i64)>) -> Option<Poly> {
+        let canonical = terms.len() <= MAX_TERMS
+            && terms.windows(2).all(|w| w[0].0 < w[1].0)
+            && terms.iter().all(|&(_, c)| c != 0);
+        canonical.then(|| Poly {
+            terms: Terms::from_vec(terms),
+        })
     }
 }
 

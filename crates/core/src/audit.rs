@@ -16,8 +16,9 @@
 //!   confuse attribution): its own IR fingerprint and its closure
 //!   fingerprint (the Merkle-over-SCC digest cache keys build on),
 //! * per phase: the rendered configuration facets its cache key reads,
-//! * the disk-cache outcome keys this session has stored (bounded), so
-//!   a later absence can be classified as an eviction.
+//! * the disk-cache keys — outcome entries and summary packs — this
+//!   label has stored (bounded), so a later absence can be classified
+//!   as an eviction.
 //!
 //! With a disk cache attached the ledger is persisted next to it under
 //! `audit/<label>.ledger` (framed exactly like a cache entry, so torn
@@ -193,8 +194,8 @@ pub struct Ledger {
     /// Per-phase rendered configuration facets (phase name →
     /// `(facet, value)` pairs, both rendered as stable strings).
     pub facets: BTreeMap<String, Vec<(String, String)>>,
-    /// Disk-cache outcome keys stored under this label, newest last,
-    /// bounded by [`MAX_OUTCOME_KEYS`].
+    /// Disk-cache keys — outcome entries and summary packs — stored
+    /// under this label, newest last, bounded by [`MAX_OUTCOME_KEYS`].
     pub outcome_keys: Vec<u64>,
 }
 
@@ -621,12 +622,33 @@ pub fn classify_disk_miss(
     }
 }
 
+/// What one run computed, for [`diff_ledgers`] to attribute.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunRecord {
+    /// Per phase that ran: the units it computed, as indices into the
+    /// ledger's procedures (unit `0` for a program-scoped phase). A
+    /// phase absent did not run under the configuration.
+    pub computed: BTreeMap<SessionPhase, BTreeSet<usize>>,
+    /// Why the per-procedure summary pack could not be used, when one
+    /// was consulted and missed.
+    pub pack: Option<MissReason>,
+}
+
 /// Diffs the previous ledger against the current run's key components
 /// and attributes every recomputed unit.
+///
+/// With `ran`, a phase that ran lists exactly the units it computed;
+/// each takes the reason its key components give (first computation, an
+/// input or a facet change) or, when those did not move, the reason the
+/// persisted copy was unusable: for per-procedure phases the summary
+/// pack's miss, for program-scoped ones the outcome entry's. A phase the
+/// configuration skips — and every phase without `ran` — lists the units
+/// whose key components moved: what a run that needed it would compute.
 pub fn diff_ledgers(
     prev: Option<&Ledger>,
     current: &Ledger,
     disk: Option<DiskOutcome>,
+    ran: Option<&RunRecord>,
 ) -> IncrementalAudit {
     // Built once: every phase below looks procedures up in it.
     let prev_procs = prev.map(Ledger::proc_map);
@@ -647,25 +669,47 @@ pub fn diff_ledgers(
         procs: changed_procs.clone(),
         globals: globals_changed,
     };
+    let disk_miss = match &disk {
+        Some(DiskOutcome::Miss(reason)) => Some(reason.clone()),
+        _ => None,
+    };
+    let pack_miss = ran.and_then(|r| r.pack.clone());
+    // The reason of a unit that ran although its key components held.
+    let unexplained = |persisted: &Option<MissReason>, other: &Option<MissReason>| {
+        persisted
+            .clone()
+            .or_else(|| other.clone())
+            .unwrap_or_else(|| match prev {
+                Some(_) => input_reason(),
+                None => MissReason::FirstComputation,
+            })
+    };
 
     let mut phases = Vec::new();
     for phase in PROGRAM_SCOPED {
         let scope_total = 1;
-        let mut recomputed = Vec::new();
-        match prev {
-            None => recomputed.push((phase.name().to_string(), MissReason::FirstComputation)),
+        let moved = match prev {
+            None => Some(MissReason::FirstComputation),
             Some(prev) => {
                 let facets = changed_facets(&prev.facets, &current.facets, phase.name());
                 if base_changed {
-                    recomputed.push((phase.name().to_string(), input_reason()));
+                    Some(input_reason())
                 } else if !facets.is_empty() {
-                    recomputed.push((
-                        phase.name().to_string(),
-                        MissReason::ConfigFacetChanged { facets },
-                    ));
+                    Some(MissReason::ConfigFacetChanged { facets })
+                } else {
+                    None
                 }
             }
-        }
+        };
+        let reason = match ran.and_then(|r| r.computed.get(&phase)) {
+            None => moved,
+            Some(units) if units.is_empty() => None,
+            Some(_) => Some(moved.unwrap_or_else(|| unexplained(&disk_miss, &pack_miss))),
+        };
+        let recomputed: Vec<(String, MissReason)> = reason
+            .map(|r| (phase.name().to_string(), r))
+            .into_iter()
+            .collect();
         phases.push(PhaseAudit {
             phase,
             scope_total,
@@ -675,34 +719,35 @@ pub fn diff_ledgers(
     }
     for phase in PROC_SCOPED {
         let scope_total = current.procs.len() as u64;
-        let mut recomputed = Vec::new();
-        match (prev, &prev_procs) {
-            (Some(prev), Some(pm)) => {
-                let facets = changed_facets(&prev.facets, &current.facets, phase.name());
-                for p in &current.procs {
-                    match pm.get(p.name.as_str()) {
-                        None => recomputed.push((p.name.clone(), MissReason::FirstComputation)),
-                        Some(q) if q.closure_fp != p.closure_fp => {
-                            recomputed.push((p.name.clone(), input_reason()));
-                        }
-                        Some(_) if !facets.is_empty() => {
-                            recomputed.push((
-                                p.name.clone(),
-                                MissReason::ConfigFacetChanged {
-                                    facets: facets.clone(),
-                                },
-                            ));
-                        }
-                        Some(_) => {}
-                    }
-                }
+        let facets = prev.map(|prev| changed_facets(&prev.facets, &current.facets, phase.name()));
+        let moved = |p: &LedgerProc| -> Option<MissReason> {
+            let (Some(pm), Some(facets)) = (&prev_procs, &facets) else {
+                return Some(MissReason::FirstComputation);
+            };
+            match pm.get(p.name.as_str()) {
+                None => Some(MissReason::FirstComputation),
+                Some(q) if q.closure_fp != p.closure_fp => Some(input_reason()),
+                Some(_) if !facets.is_empty() => Some(MissReason::ConfigFacetChanged {
+                    facets: facets.clone(),
+                }),
+                Some(_) => None,
             }
-            _ => {
-                for p in &current.procs {
-                    recomputed.push((p.name.clone(), MissReason::FirstComputation));
-                }
-            }
-        }
+        };
+        let recomputed: Vec<(String, MissReason)> = match ran.and_then(|r| r.computed.get(&phase)) {
+            None => current
+                .procs
+                .iter()
+                .filter_map(|p| moved(p).map(|r| (p.name.clone(), r)))
+                .collect(),
+            Some(units) => units
+                .iter()
+                .filter_map(|&i| current.procs.get(i))
+                .map(|p| {
+                    let reason = moved(p).unwrap_or_else(|| unexplained(&pack_miss, &disk_miss));
+                    (p.name.clone(), reason)
+                })
+                .collect(),
+        };
         phases.push(PhaseAudit {
             phase,
             scope_total,
@@ -736,7 +781,8 @@ pub fn diff_ledgers(
 
 // ---- ledger persistence ---------------------------------------------------
 
-fn label_fp(label: &str) -> u64 {
+/// The hash of an audit label, naming its ledger and summary packs.
+pub(crate) fn label_fp(label: &str) -> u64 {
     let mut h = Fnv1a::new();
     h.write_bytes(label.as_bytes());
     h.finish()
@@ -806,7 +852,7 @@ mod tests {
     fn first_run_attributes_everything_to_first_computation() {
         let config = AnalysisConfig::default();
         let cur = ledger(&[("a", 1, 10), ("b", 2, 20)], &config);
-        let audit = diff_ledgers(None, &cur, None);
+        let audit = diff_ledgers(None, &cur, None, None);
         assert!(audit.first_run);
         let totals = audit.miss_reason_totals();
         assert_eq!(totals.len(), 1);
@@ -818,7 +864,7 @@ mod tests {
     fn unchanged_rerun_is_fully_up_to_date() {
         let config = AnalysisConfig::default();
         let cur = ledger(&[("a", 1, 10), ("b", 2, 20)], &config);
-        let audit = diff_ledgers(Some(&cur), &cur.clone(), None);
+        let audit = diff_ledgers(Some(&cur), &cur.clone(), None, None);
         assert!(!audit.first_run);
         assert_eq!(audit.total_recomputed(), 0);
         assert!(audit.changed_procs.is_empty());
@@ -840,7 +886,7 @@ mod tests {
             &[("d", 4, 40), ("b", 2, 21), ("e", 5, 50), ("a", 9, 11)],
             &config,
         );
-        let audit = diff_ledgers(Some(&prev), &cur, None);
+        let audit = diff_ledgers(Some(&prev), &cur, None, None);
         assert!(!audit.first_run);
         assert_eq!(audit.changed_procs, ["e", "a"]);
         assert!(!audit.globals_changed);
@@ -878,7 +924,7 @@ mod tests {
         // Editing `f` changes f's own fp and the closures of f and its
         // caller `main`; `g` is untouched.
         let cur = ledger(&[("main", 1, 11), ("f", 9, 21), ("g", 3, 30)], &config);
-        let audit = diff_ledgers(Some(&prev), &cur, None);
+        let audit = diff_ledgers(Some(&prev), &cur, None, None);
         assert_eq!(audit.changed_procs, vec!["f".to_string()]);
         assert!(!audit.globals_changed);
         let totals = audit.miss_reason_totals();
@@ -903,7 +949,7 @@ mod tests {
         let prev = ledger(&[("a", 1, 10)], &config);
         config.gsa = !config.gsa;
         let cur = ledger(&[("a", 1, 10)], &config);
-        let audit = diff_ledgers(Some(&prev), &cur, None);
+        let audit = diff_ledgers(Some(&prev), &cur, None, None);
         assert!(audit.changed_procs.is_empty());
         for phase in &audit.phases {
             match phase.phase {
@@ -1023,7 +1069,7 @@ mod tests {
         let config = AnalysisConfig::default();
         let prev = ledger(&[("main", 1, 10), ("f", 2, 20), ("g", 3, 30)], &config);
         let cur = ledger(&[("main", 1, 11), ("f", 9, 21), ("g", 3, 30)], &config);
-        let audit = diff_ledgers(Some(&prev), &cur, None);
+        let audit = diff_ledgers(Some(&prev), &cur, None, None);
         let full = audit.render(None);
         assert!(full.contains("changed procedures: f"));
         assert!(full.contains("phase ssa: 1/3 up to date, 2 recomputed"));

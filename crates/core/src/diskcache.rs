@@ -9,7 +9,9 @@
 //!
 //! ## On-disk format
 //!
-//! One file per entry, `<key:016x>.art`, laid out as
+//! One file per entry — `<key:016x>.art` for an analysis outcome,
+//! `<key:016x>.pack` for a per-procedure summary pack ([`crate::pack`])
+//! — each laid out as
 //!
 //! ```text
 //! offset  size  field
@@ -18,7 +20,7 @@
 //!     12     8  toolchain fingerprint (u64 LE)
 //!     20     8  entry key (u64 LE)
 //!     28     8  payload length (u64 LE)
-//!     36     8  FNV-1a checksum over the payload (u64 LE)
+//!     36     8  word-wise checksum over the payload (u64 LE)
 //!     44     —  payload ([`Wire`]-encoded artifact)
 //! ```
 //!
@@ -41,8 +43,9 @@
 //! ## Eviction
 //!
 //! After each successful store the cache enforces an optional byte
-//! budget by deleting the least-recently-used entries (mtime order; a
-//! successful load refreshes an entry's mtime).
+//! budget by deleting the least-recently-used entries, outcomes and
+//! packs alike (mtime order; a successful load refreshes an entry's
+//! mtime).
 //!
 //! All I/O funnels through the [`CacheIo`] trait so tests can wrap the
 //! real filesystem with an [`IoFaultInjector`] and prove every fault
@@ -71,8 +74,11 @@ pub const MAGIC: [u8; 8] = *b"IPCPART1";
 /// Version 2: the generic value-context engine (pruned_call_edges in
 /// [`PhaseStats`], the `branch_feasibility` key facet). Version 3:
 /// fingerprints hash the `Wire` encoding instead of the `Debug`
-/// rendering, so every key moved.
-pub const FORMAT_VERSION: u32 = 3;
+/// rendering, so every key moved. Version 4: per-procedure summary
+/// packs ([`pack_key`]) join the outcome entries, with `Wire` encodings
+/// of jump functions and their store keys, and the payload checksum
+/// runs over 8-byte words.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Fixed header size preceding the payload.
 pub const HEADER_LEN: usize = 44;
@@ -95,6 +101,28 @@ pub fn toolchain_fingerprint() -> u64 {
 /// fuel take no part — parallelism is bit-identical by design and
 /// metered runs are never cached.
 pub fn outcome_key(base_fp: u64, config: &AnalysisConfig) -> u64 {
+    combine([base_fp, outcome_facets(config)])
+}
+
+/// Keeps summary-pack keys apart from outcome keys even if a label's
+/// hash ever equals a program fingerprint.
+const PACK_DOMAIN: u64 = u64::from_le_bytes(*b"sumpack1");
+
+/// The cache key of the per-procedure summary pack (see
+/// [`crate::pack`]) of the program analyzed under `label` — typically
+/// its path — with `config`'s outcome facets. One pack per label and
+/// configuration: each cold run overwrites it, so it always holds the
+/// summaries of the label's latest program.
+pub fn pack_key(label: &str, config: &AnalysisConfig) -> u64 {
+    combine([
+        PACK_DOMAIN,
+        crate::audit::label_fp(label),
+        outcome_facets(config),
+    ])
+}
+
+/// Every result-affecting configuration facet, hashed.
+fn outcome_facets(config: &AnalysisConfig) -> u64 {
     let mut facets = Fnv1a::new();
     config.jump_function.encode(&mut facets);
     config.return_jump_functions.encode(&mut facets);
@@ -105,7 +133,7 @@ pub fn outcome_key(base_fp: u64, config: &AnalysisConfig) -> u64 {
     config.solver.encode(&mut facets);
     config.gsa.encode(&mut facets);
     config.branch_feasibility.encode(&mut facets);
-    combine([base_fp, facets.finish()])
+    facets.finish()
 }
 
 // ---- Wire impls for the persisted artifact and its key facets -------------
@@ -207,10 +235,31 @@ impl Wire for AnalysisOutcome {
 
 // ---- entry framing --------------------------------------------------------
 
+/// An FNV-style hash over the payload's little-endian 8-byte words, the
+/// tail zero-padded: one multiply per word instead of per byte. A
+/// multiply alone only carries bits upward — a difference in bit 63 of
+/// two words, or of one word and the stored sum, would cancel — so each
+/// step folds the high half back down before the next word. Each step
+/// is a bijection of the running state, so any change confined to one
+/// word always changes the sum; a length change is caught by the
+/// header's length field first.
 fn checksum(payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_bytes(payload);
-    h.finish()
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let step = |h: u64, word: u64| {
+        let h = (h ^ word).wrapping_mul(PRIME);
+        h ^ (h >> 32)
+    };
+    let mut words = payload.chunks_exact(8);
+    let mut h = Fnv1a::new().finish();
+    for word in &mut words {
+        h = step(
+            h,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    step(h, u64::from_le_bytes(tail))
 }
 
 /// Frames `payload` into a complete entry file image.
@@ -511,7 +560,8 @@ impl Drop for DirLock<'_> {
 /// Runtime counters for one cache handle's lifetime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Entries loaded and validated successfully.
+    /// Entries loaded and validated successfully (and, through
+    /// [`DiskCache::load_decoded`], decoded).
     pub hits: u64,
     /// Loads that found no (usable) entry.
     pub misses: u64,
@@ -523,6 +573,15 @@ pub struct CacheStats {
     pub quarantined: u64,
     /// Entries deleted by the LRU byte-budget pass.
     pub evicted: u64,
+    /// Summary packs loaded, validated and decoded. Pack traffic is counted here,
+    /// never in `hits`, `misses` or `writes`, which count outcome
+    /// entries only (`write_errors`, `quarantined` and `evicted` count
+    /// both kinds).
+    pub pack_loads: u64,
+    /// Pack loads that found no usable pack.
+    pub pack_misses: u64,
+    /// Summary packs persisted.
+    pub pack_writes: u64,
 }
 
 impl CacheStats {
@@ -531,8 +590,17 @@ impl CacheStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"hits\":{},\"misses\":{},\"writes\":{},\"write_errors\":{},\
-             \"quarantined\":{},\"evicted\":{}}}",
-            self.hits, self.misses, self.writes, self.write_errors, self.quarantined, self.evicted
+             \"quarantined\":{},\"evicted\":{},\"pack_loads\":{},\"pack_misses\":{},\
+             \"pack_writes\":{}}}",
+            self.hits,
+            self.misses,
+            self.writes,
+            self.write_errors,
+            self.quarantined,
+            self.evicted,
+            self.pack_loads,
+            self.pack_misses,
+            self.pack_writes
         )
     }
 }
@@ -541,8 +609,17 @@ impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "hits {}, misses {}, writes {}, write errors {}, quarantined {}, evicted {}",
-            self.hits, self.misses, self.writes, self.write_errors, self.quarantined, self.evicted
+            "hits {}, misses {}, writes {}, write errors {}, quarantined {}, evicted {}; \
+             packs: loads {}, misses {}, writes {}",
+            self.hits,
+            self.misses,
+            self.writes,
+            self.write_errors,
+            self.quarantined,
+            self.evicted,
+            self.pack_loads,
+            self.pack_misses,
+            self.pack_writes
         )
     }
 }
@@ -559,13 +636,37 @@ pub enum LoadMiss {
     Invalid(&'static str),
 }
 
+/// The two kinds of entry the cache holds. They share the framing,
+/// quarantine, locking and eviction; the file extension tells them apart
+/// and keeps the outcome counters about outcomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    /// A whole analysis outcome, `<key>.art`.
+    Outcome,
+    /// A per-procedure summary pack, `<key>.pack`.
+    Pack,
+}
+
+impl Entry {
+    fn extension(self) -> &'static str {
+        match self {
+            Entry::Outcome => "art",
+            Entry::Pack => "pack",
+        }
+    }
+}
+
 /// What `verify` found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyOutcome {
-    /// Entries that validated end-to-end.
+    /// Outcome entries that validated end-to-end.
     pub valid: u64,
-    /// Entries that failed validation and were quarantined.
+    /// Outcome entries that failed validation and were quarantined.
     pub quarantined: u64,
+    /// Summary packs that validated end-to-end.
+    pub packs_valid: u64,
+    /// Summary packs that failed validation and were quarantined.
+    pub packs_quarantined: u64,
 }
 
 // ---- the cache ------------------------------------------------------------
@@ -632,8 +733,8 @@ impl DiskCache {
         &self.dir
     }
 
-    fn entry_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.art"))
+    fn entry_path(&self, key: u64, entry: Entry) -> PathBuf {
+        self.dir.join(format!("{key:016x}.{}", entry.extension()))
     }
 
     fn quarantine_dir(&self) -> PathBuf {
@@ -662,10 +763,9 @@ impl DiskCache {
     }
 
     /// Quarantines `key`'s entry for a reason detected *above* the
-    /// framing layer (e.g. the payload passed its checksum but failed to
-    /// decode — format skew within one format version).
+    /// framing layer.
     pub fn quarantine_key(&self, key: u64, reason: &str) {
-        self.quarantine_file(&self.entry_path(key), reason);
+        self.quarantine_file(&self.entry_path(key, Entry::Outcome), reason);
     }
 
     /// Loads and validates `key`'s payload. Any failure — missing file,
@@ -683,34 +783,98 @@ impl DiskCache {
     ///
     /// The [`LoadMiss`] classification of the failed load.
     pub fn load_classified(&self, key: u64) -> Result<Vec<u8>, LoadMiss> {
-        let path = self.entry_path(key);
+        self.load_entry(key, Entry::Outcome, Some)
+    }
+
+    /// [`DiskCache::load_classified`] through `decode`: a payload that
+    /// passes its checksum but does not decode (codec skew within one
+    /// format version, or a lying writer) is quarantined and counted as
+    /// a miss, not a hit.
+    ///
+    /// # Errors
+    ///
+    /// The [`LoadMiss`] classification of the failed load or decode.
+    pub fn load_decoded<T>(
+        &self,
+        key: u64,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Result<T, LoadMiss> {
+        self.load_entry(key, Entry::Outcome, |payload| decode(&payload))
+    }
+
+    /// [`DiskCache::load_decoded`] for a summary pack: the same
+    /// validation and quarantine, counted as pack traffic.
+    ///
+    /// # Errors
+    ///
+    /// The [`LoadMiss`] classification of the failed load or decode.
+    pub fn load_pack<T>(
+        &self,
+        key: u64,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Result<T, LoadMiss> {
+        self.load_entry(key, Entry::Pack, |payload| decode(&payload))
+    }
+
+    fn count(
+        &self,
+        entry: Entry,
+        outcome: impl Fn(&mut CacheStats) -> &mut u64,
+        pack: impl Fn(&mut CacheStats) -> &mut u64,
+    ) {
+        let mut stats = self.stats.lock().expect("cache stats lock");
+        match entry {
+            Entry::Outcome => *outcome(&mut stats) += 1,
+            Entry::Pack => *pack(&mut stats) += 1,
+        }
+    }
+
+    fn count_miss(&self, entry: Entry) {
+        self.count(entry, |s| &mut s.misses, |s| &mut s.pack_misses);
+    }
+
+    /// Reads, validates and decodes one entry; only an entry that
+    /// decodes counts as a hit (or pack load).
+    fn load_entry<T>(
+        &self,
+        key: u64,
+        entry: Entry,
+        decode: impl FnOnce(Vec<u8>) -> Option<T>,
+    ) -> Result<T, LoadMiss> {
+        let path = self.entry_path(key, entry);
         let bytes = match self.io.read(&path) {
             Ok(bytes) => bytes,
             Err(e) => {
-                let miss = if e.kind() == io::ErrorKind::NotFound {
+                let reason = if e.kind() == io::ErrorKind::NotFound {
                     LoadMiss::Absent
                 } else {
                     self.note_anomaly("diskcache: unreadable entry");
                     LoadMiss::Unreadable
                 };
-                self.stats.lock().expect("cache stats lock").misses += 1;
-                return Err(miss);
+                self.count_miss(entry);
+                return Err(reason);
             }
         };
-        match validate_entry(key, &bytes) {
-            Ok(_) => {
-                // Hand back the read buffer itself, header drained: no
-                // second allocation of an outcome-sized payload.
-                let mut payload = bytes;
-                payload.drain(..HEADER_LEN);
+        if let Err(reason) = validate_entry(key, &bytes) {
+            self.quarantine_file(&path, reason);
+            self.count_miss(entry);
+            return Err(LoadMiss::Invalid(reason));
+        }
+        // Hand the read buffer itself on, header drained: no second
+        // allocation of an outcome-sized payload.
+        let mut payload = bytes;
+        payload.drain(..HEADER_LEN);
+        match decode(payload) {
+            Some(value) => {
                 touch(&path);
-                self.stats.lock().expect("cache stats lock").hits += 1;
-                Ok(payload)
+                self.count(entry, |s| &mut s.hits, |s| &mut s.pack_loads);
+                Ok(value)
             }
-            Err(reason) => {
-                self.quarantine_file(&path, reason);
-                self.stats.lock().expect("cache stats lock").misses += 1;
-                Err(LoadMiss::Invalid(reason))
+            None => {
+                const REASON: &str = "payload decode failed";
+                self.quarantine_file(&path, REASON);
+                self.count_miss(entry);
+                Err(LoadMiss::Invalid(REASON))
             }
         }
     }
@@ -720,6 +884,15 @@ impl DiskCache {
     /// swallowed — the analysis result is already in hand; the cache
     /// merely failed to remember it.
     pub fn store(&self, key: u64, payload: &[u8]) {
+        self.store_entry(key, payload, Entry::Outcome);
+    }
+
+    /// [`DiskCache::store`] for a summary pack, counted as pack traffic.
+    pub fn store_pack(&self, key: u64, payload: &[u8]) {
+        self.store_entry(key, payload, Entry::Pack);
+    }
+
+    fn store_entry(&self, key: u64, payload: &[u8], entry: Entry) {
         let lock = match DirLock::acquire(self.io.as_ref(), &self.dir) {
             Ok(lock) => lock,
             Err(e) => {
@@ -738,20 +911,21 @@ impl DiskCache {
             self.note_anomaly(&format!("diskcache: write failed ({})", e.kind()));
             return;
         }
-        if let Err(e) = self.io.rename(&tmp, &self.entry_path(key)) {
+        if let Err(e) = self.io.rename(&tmp, &self.entry_path(key, entry)) {
             let _ = self.io.remove(&tmp);
             self.stats.lock().expect("cache stats lock").write_errors += 1;
             self.note_anomaly(&format!("diskcache: rename failed ({})", e.kind()));
             return;
         }
-        self.stats.lock().expect("cache stats lock").writes += 1;
+        self.count(entry, |s| &mut s.writes, |s| &mut s.pack_writes);
         self.evict_over_budget(&lock);
     }
 
     /// Deletes least-recently-used entries until the byte budget holds.
-    /// Only canonical payload entries (see [`payload_key`]) are counted
-    /// or deleted; audit ledgers, quarantined files, the advisory lock,
-    /// and anything else sharing the directory are out of scope.
+    /// Only canonical entries, outcomes and packs (see [`payload_key`]),
+    /// are counted or deleted; audit ledgers, quarantined files, the
+    /// advisory lock, and anything else sharing the directory are out of
+    /// scope.
     fn evict_over_budget(&self, lock: &DirLock<'_>) {
         self.sweep_dead_temps();
         let Some(max) = self.max_bytes else { return };
@@ -813,9 +987,9 @@ impl DiskCache {
         let mut out = Vec::new();
         for dirent in read.flatten() {
             let path = dirent.path();
-            if payload_key(&path).is_none() {
+            let Some((key, kind)) = payload_key(&path) else {
                 continue;
-            }
+            };
             let Ok(meta) = dirent.metadata() else {
                 continue;
             };
@@ -825,18 +999,33 @@ impl DiskCache {
             out.push(EntryMeta {
                 mtime: meta.modified().ok(),
                 size: meta.len(),
+                key,
+                kind,
                 path,
             });
         }
         out
     }
 
-    /// Number of entry files currently on disk.
+    /// Number of outcome entries currently on disk.
     pub fn entry_count(&self) -> u64 {
-        self.list_entries().len() as u64
+        self.count_kind(Entry::Outcome)
     }
 
-    /// Total bytes of entry files currently on disk.
+    /// Number of summary packs currently on disk.
+    pub fn pack_count(&self) -> u64 {
+        self.count_kind(Entry::Pack)
+    }
+
+    fn count_kind(&self, kind: Entry) -> u64 {
+        self.list_entries()
+            .iter()
+            .filter(|e| e.kind == kind)
+            .count() as u64
+    }
+
+    /// Total bytes of entry files, outcomes and packs, currently on
+    /// disk: what the byte budget governs.
     pub fn total_bytes(&self) -> u64 {
         self.list_entries().iter().map(|e| e.size).sum()
     }
@@ -852,29 +1041,29 @@ impl DiskCache {
     pub fn verify(&self) -> VerifyOutcome {
         let mut outcome = VerifyOutcome::default();
         for entry in self.list_entries() {
-            let key = entry
-                .path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(|s| u64::from_str_radix(s, 16).ok());
-            let verdict = match (key, self.io.read(&entry.path)) {
-                (Some(key), Ok(bytes)) => validate_entry(key, &bytes).map(|_| ()),
-                (None, _) => Err("unparsable entry name"),
-                (_, Err(_)) => Err("unreadable entry"),
+            let verdict = match self.io.read(&entry.path) {
+                Ok(bytes) => validate_entry(entry.key, &bytes).map(|_| ()),
+                Err(_) => Err("unreadable entry"),
+            };
+            let (valid, quarantined) = match entry.kind {
+                Entry::Outcome => (&mut outcome.valid, &mut outcome.quarantined),
+                Entry::Pack => (&mut outcome.packs_valid, &mut outcome.packs_quarantined),
             };
             match verdict {
-                Ok(()) => outcome.valid += 1,
+                Ok(()) => *valid += 1,
                 Err(reason) => {
                     self.quarantine_file(&entry.path, reason);
-                    outcome.quarantined += 1;
+                    *quarantined += 1;
                 }
             }
         }
         outcome
     }
 
-    /// Removes every entry and quarantined file; returns how many files
-    /// were deleted.
+    /// Removes every entry, summary packs included, and every
+    /// quarantined file; returns how many outcome entries and
+    /// quarantined files were deleted (packs are derived data the next
+    /// cold run rebuilds, and are not counted).
     pub fn clear(&self) -> u64 {
         let lock = DirLock::acquire(self.io.as_ref(), &self.dir).ok();
         let mut removed = 0;
@@ -884,7 +1073,7 @@ impl DiskCache {
                     lock.refresh();
                 }
             }
-            if self.io.remove(&entry.path).is_ok() {
+            if self.io.remove(&entry.path).is_ok() && entry.kind == Entry::Outcome {
                 removed += 1;
             }
         }
@@ -918,23 +1107,28 @@ impl DiskCache {
 struct EntryMeta {
     mtime: Option<std::time::SystemTime>,
     size: u64,
+    key: u64,
+    kind: Entry,
     path: PathBuf,
 }
 
-/// The key of a canonical payload entry — a file named exactly
-/// `<key:016x>.art` — or `None` for everything else. This is the scope
-/// test for eviction and entry listings: the advisory `.lock`, the
-/// `audit/` ledgers, `quarantine/`, in-flight `.tmp-*` files, and any
-/// foreign file a user drops next to the cache all fall outside it.
-fn payload_key(path: &Path) -> Option<u64> {
-    if path.extension().and_then(|e| e.to_str()) != Some("art") {
-        return None;
-    }
+/// The key and kind of a canonical entry — a file named exactly
+/// `<key:016x>.art` or `<key:016x>.pack` — or `None` for everything
+/// else. This is the scope test for eviction and entry listings: the
+/// advisory `.lock`, the `audit/` ledgers, `quarantine/`, in-flight
+/// `.tmp-*` files, and any foreign file a user drops next to the cache
+/// all fall outside it.
+fn payload_key(path: &Path) -> Option<(u64, Entry)> {
+    let kind = match path.extension().and_then(|e| e.to_str()) {
+        Some("art") => Entry::Outcome,
+        Some("pack") => Entry::Pack,
+        _ => return None,
+    };
     let stem = path.file_stem()?.to_str()?;
     if stem.len() != 16 || !stem.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
-    u64::from_str_radix(stem, 16).ok()
+    Some((u64::from_str_radix(stem, 16).ok()?, kind))
 }
 
 /// Best-effort LRU touch: refresh `path`'s mtime so eviction sees it as
@@ -982,6 +1176,34 @@ mod tests {
         assert_eq!(cache.stats().misses, 1);
         assert!(cache.robustness().is_clean(), "a miss is not an anomaly");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn top_bit_flips_do_not_cancel() {
+        // A multiply-only word step keeps a bit-63 difference at bit 63,
+        // so two such flips, or one in a word and one in the stored sum
+        // (header byte 43), would cancel.
+        let payload: Vec<u8> = (0..40u8).collect();
+        let image = encode_entry(5, &payload);
+        assert!(validate_entry(5, &image).is_ok());
+        let flipped = |offsets: &[usize]| {
+            let mut bytes = image.clone();
+            for &at in offsets {
+                bytes[at] ^= 0x80;
+            }
+            validate_entry(5, &bytes).err()
+        };
+        for pair in [[7, 15], [15, 39], [7, 39]] {
+            let offsets = pair.map(|at| HEADER_LEN + at);
+            assert_eq!(flipped(&offsets), Some("checksum mismatch"), "{pair:?}");
+        }
+        for at in [7, 15, 39] {
+            assert_eq!(
+                flipped(&[HEADER_LEN + at, 43]),
+                Some("checksum mismatch"),
+                "payload byte {at} and the sum's top bit"
+            );
+        }
     }
 
     #[test]
@@ -1119,7 +1341,8 @@ mod tests {
             outcome,
             VerifyOutcome {
                 valid: 1,
-                quarantined: 1
+                quarantined: 1,
+                ..VerifyOutcome::default()
             }
         );
         assert_eq!(cache.quarantine_count(), 1);
@@ -1128,7 +1351,8 @@ mod tests {
             cache.verify(),
             VerifyOutcome {
                 valid: 1,
-                quarantined: 0
+                quarantined: 0,
+                ..VerifyOutcome::default()
             }
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -55,6 +55,7 @@ pub mod forward;
 pub mod framework;
 pub mod jump;
 pub mod optimize;
+pub mod pack;
 pub mod parallel;
 pub mod provenance;
 pub mod report;
@@ -77,13 +78,14 @@ pub mod obs {
     pub use ipcp_obs::*;
 }
 
-pub use audit::{IncrementalAudit, Ledger, MissReason, PhaseAudit};
+pub use audit::{IncrementalAudit, Ledger, MissReason, PhaseAudit, RunRecord};
 pub use binding::{solve_binding, solve_binding_budgeted};
 pub use cloning::{apply_cloning, clone_report, cloning_opportunities, CloneOpportunity};
 pub use cond::{solve_cond, solve_cond_budgeted, solve_cond_traced};
 pub use dependence::subscript_counts;
 pub use diskcache::{
-    outcome_key, CacheIo, CacheStats, DiskCache, FaultyIo, LoadMiss, RealIo, VerifyOutcome,
+    outcome_key, pack_key, CacheIo, CacheStats, DiskCache, FaultyIo, LoadMiss, RealIo,
+    VerifyOutcome,
 };
 pub use driver::{
     analyze, analyze_checked, analyze_source, analyze_with_budget, AnalysisConfig, AnalysisOutcome,

@@ -21,14 +21,15 @@
 use crate::framework::{run_budgeted_pass, BudgetedProcPass, Rung};
 use crate::jump::{note_table_size, JumpFn, JumpFunctionKind};
 use ipcp_analysis::symeval::{symbolic_eval_budgeted, CallSymbolics, Sym, SymEvalOptions};
-use ipcp_analysis::{Budget, CallGraph, LatticeVal, Phase, Slot};
+use ipcp_analysis::{Budget, CallGraph, LatticeVal, Phase, Slot, SlotTable};
 use ipcp_ir::{GlobalId, ProcId, Program};
 use ipcp_ssa::{build_ssa, KillOracle, SsaTerminator};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One procedure's return jump functions, by slot.
-pub(crate) type RjfTable = BTreeMap<Slot, JumpFn>;
+/// One procedure's return jump functions, by slot: a dense table, as
+/// small in memory as on disk.
+pub(crate) type RjfTable = SlotTable<JumpFn>;
 
 /// Return jump functions of every procedure, keyed by slot and expressed
 /// over the owning procedure's entry slots.
@@ -250,7 +251,7 @@ pub(crate) fn build_rjf_for_proc(
         }
     }
 
-    let mut map = BTreeMap::new();
+    let mut map = RjfTable::new();
     if !saw_return {
         // The procedure never returns normally; leave everything ⊥ (miss).
         return map;
@@ -647,9 +648,9 @@ mod tests {
     #[test]
     fn installed_tables_raise_the_high_water_mark() {
         let mut rjfs = ReturnJumpFns::empty(2);
-        let one = RjfTable::from([(Slot::Formal(0), JumpFn::Const(3))]);
+        let one = RjfTable::from_sorted_pairs(vec![(Slot::Formal(0), JumpFn::Const(3))]);
         rjfs.set_proc(ProcId(0), Arc::new(one));
-        let two = RjfTable::from([
+        let two = RjfTable::from_sorted_pairs(vec![
             (Slot::Formal(0), JumpFn::Const(3)),
             (Slot::Formal(1), JumpFn::PassThrough(Slot::Formal(0))),
         ]);

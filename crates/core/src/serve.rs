@@ -379,10 +379,10 @@ impl Registry {
         if let Some(cache) = disk {
             session.attach_disk_cache(Arc::clone(cache));
         }
-        let label = label
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("serve:{fp:016x}"));
-        session.set_audit_label(&label);
+        match label {
+            Some(label) => session.set_audit_label(label),
+            None => session.set_content_audit_label(&format!("serve:{fp:016x}")),
+        }
         let fresh = Arc::new(Tenant {
             source_len: source.len() as u64,
             session,
@@ -711,6 +711,9 @@ impl Server {
                 ("write_errors", cs.write_errors),
                 ("quarantined", cs.quarantined),
                 ("evicted", cs.evicted),
+                ("pack_loads", cs.pack_loads),
+                ("pack_misses", cs.pack_misses),
+                ("pack_writes", cs.pack_writes),
             ] {
                 let _ = writeln!(
                     out,

@@ -68,7 +68,7 @@
 
 use crate::audit::{
     classify_disk_miss, diff_ledgers, outcome_facets_changed, render_facets, DiskOutcome,
-    IncrementalAudit, Ledger, LedgerProc,
+    IncrementalAudit, Ledger, LedgerProc, RunRecord,
 };
 use crate::binding::solve_binding_budgeted;
 use crate::driver::{
@@ -80,6 +80,7 @@ use crate::forward::{
     SiteJumpFns,
 };
 use crate::jump::JumpFunctionKind;
+use crate::pack::SummaryPack;
 use crate::provenance::Provenance;
 use crate::retjf::{
     build_return_jfs_budgeted, build_rjf_for_proc, ReturnJumpFns, RjfComposer, RjfConstEval,
@@ -101,7 +102,7 @@ use ipcp_ir::{ProcId, Procedure, Program};
 use ipcp_lang::Diagnostics;
 use ipcp_obs::{NoopSink, ObsSink, SpanGuard};
 use ipcp_ssa::{build_ssa, KillOracle, SsaProc, WorstCaseKills};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, RwLock};
@@ -363,8 +364,8 @@ impl fmt::Display for SessionStats {
 /// facet of the configuration that symbolic values and forward jump
 /// functions actually read (`return_jump_functions`/`mod_info`/
 /// `rjf_full_composition` collapse into this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum CallSymMode {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) enum CallSymMode {
     /// No recovery through calls (RJFs disabled *or* no MOD info).
     Pessimistic,
     /// The paper's constant-or-⊥ evaluation rule.
@@ -389,28 +390,40 @@ struct SsaKey {
     mod_info: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct RjfKey {
-    closure_fp: u64,
-    mod_info: bool,
-    gsa: bool,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct RjfKey {
+    pub(crate) closure_fp: u64,
+    pub(crate) mod_info: bool,
+    pub(crate) gsa: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SymKey {
-    closure_fp: u64,
-    mod_info: bool,
-    gsa: bool,
-    mode: CallSymMode,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct SymKey {
+    pub(crate) closure_fp: u64,
+    pub(crate) mod_info: bool,
+    pub(crate) gsa: bool,
+    pub(crate) mode: CallSymMode,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ForwardKey {
-    closure_fp: u64,
-    mod_info: bool,
-    gsa: bool,
-    mode: CallSymMode,
-    kind: JumpFunctionKind,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct ForwardKey {
+    pub(crate) closure_fp: u64,
+    pub(crate) mod_info: bool,
+    pub(crate) gsa: bool,
+    pub(crate) mode: CallSymMode,
+    pub(crate) kind: JumpFunctionKind,
+}
+
+impl ForwardKey {
+    /// The key of the symbolic values the site vector was built over.
+    pub(crate) fn sym_key(&self) -> SymKey {
+        SymKey {
+            closure_fp: self.closure_fp,
+            mod_info: self.mod_info,
+            gsa: self.gsa,
+            mode: self.mode,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -431,17 +444,17 @@ struct SolveKey {
 /// procedure's closure, the facets its SSA and call lattice were built
 /// under, and the entry constants; a column whose `VAL` sets leave a
 /// procedure's entry constants unchanged reuses its artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct EntryKey {
-    closure_fp: u64,
-    mod_info: bool,
-    gsa: bool,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct EntryKey {
+    pub(crate) closure_fp: u64,
+    pub(crate) mod_info: bool,
+    pub(crate) gsa: bool,
     /// Whether call effects go through the RJF lattice.
-    recovery: bool,
+    pub(crate) recovery: bool,
     /// [`entry_constants_fp`] of the procedure (the same for every
     /// environment that seeds SCCP with the same constants, the unseeded
     /// baseline included).
-    entry_fp: u64,
+    pub(crate) entry_fp: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -516,7 +529,10 @@ struct DceStep {
 #[derive(Default)]
 struct ProcCount {
     n: usize,
-    /// The key to insert `n` under, when the count was computed.
+    /// Whether `n` was counted rather than read from the store.
+    counted: bool,
+    /// The key to insert `n` under, when the count was computed and
+    /// the run keeps a store.
     miss: Option<EntryKey>,
     /// Worker time, SSA lookup included.
     time: Duration,
@@ -593,6 +609,10 @@ pub struct ArtifactStore {
     ssas: RwLock<HashMap<SsaKey, Arc<SsaProc>>>,
     rjf_procs: RwLock<HashMap<RjfKey, Cached<RjfTable>>>,
     syms: RwLock<HashMap<SymKey, Cached<SymMap>>>,
+    /// Symbolic-value fuel without the values, as a summary pack
+    /// carries it: enough to replay a procedure whose stored site
+    /// vector hits.
+    sym_fuels: RwLock<HashMap<SymKey, u64>>,
     forward_procs: RwLock<HashMap<ForwardKey, Cached<Vec<SiteJumpFns>>>>,
     solves: RwLock<HashMap<SolveKey, Cached<ValSets>>>,
     /// Per-procedure substitution counts.
@@ -610,6 +630,7 @@ impl ArtifactStore {
             + self.ssas.read().unwrap().len()
             + self.rjf_procs.read().unwrap().len()
             + self.syms.read().unwrap().len()
+            + self.sym_fuels.read().unwrap().len()
             + self.forward_procs.read().unwrap().len()
             + self.solves.read().unwrap().len()
             + self.substs.read().unwrap().len()
@@ -624,20 +645,123 @@ impl ArtifactStore {
 
     /// A rough estimate of the store's resident bytes: ~2 KiB per
     /// artifact (outcome-sized artifacts dominate; per-procedure ones
-    /// are much smaller), except substitution counts, which are counted
-    /// at their real size — a key, a `usize` and a hash-table control
-    /// byte each.
+    /// are much smaller), except substitution counts and symbolic-value
+    /// fuel records, which are counted at their real size — a key, a
+    /// word and a hash-table control byte each.
     fn approx_bytes(&self) -> u64 {
         let counts = self.substs.read().expect("subst store lock").len();
+        let fuels = self.sym_fuels.read().expect("sym fuel store lock").len();
         let per_count = std::mem::size_of::<(EntryKey, usize)>() + 1;
-        ((self.len() - counts) * 2048 + counts * per_count) as u64
+        let per_fuel = std::mem::size_of::<(SymKey, u64)>() + 1;
+        ((self.len() - counts - fuels) * 2048 + counts * per_count + fuels * per_fuel) as u64
+    }
+
+    /// Seeds the store with a summary pack's artifacts. An artifact the
+    /// session already holds is kept: under one key both are the same
+    /// bytes.
+    fn seed(&self, pack: SummaryPack) {
+        let mut rjfs = self.rjf_procs.write().expect("rjf store lock");
+        for (key, fuel, value) in pack.rjfs {
+            rjfs.entry(key).or_insert(Cached { value, fuel });
+        }
+        drop(rjfs);
+        let mut forwards = self.forward_procs.write().expect("forward store lock");
+        let mut fuels = self.sym_fuels.write().expect("sym fuel store lock");
+        for (key, sym_fuel, value) in pack.forwards {
+            fuels.entry(key.sym_key()).or_insert(sym_fuel);
+            forwards.entry(key).or_insert(Cached { value, fuel: 0 });
+        }
+        drop((forwards, fuels));
+        let mut substs = self.substs.write().expect("subst store lock");
+        for (key, n) in pack.substs {
+            substs.entry(key).or_insert(n);
+        }
+    }
+
+    /// The summary pack of `config` over the store's live procedure
+    /// closures: every per-procedure artifact a pack carries whose
+    /// closure fingerprint belongs to a program state the session has
+    /// analyzed and whose key facets `config`'s runs use — the round's,
+    /// plus the gsa-free ones complete propagation's recount keys under.
+    /// Artifacts of closures an edit replaced — loaded from an older
+    /// pack — drop out, so a pack never outgrows its program, and a
+    /// session answering several configurations under one label writes
+    /// each pack at its own configuration's size.
+    fn summary_pack(&self, config: &AnalysisConfig) -> SummaryPack {
+        let mode = call_sym_mode(config);
+        let gsa_used = |gsa: bool| gsa == config.gsa || (config.complete_propagation && !gsa);
+        let rjf_used = |key: &RjfKey| {
+            config.return_jump_functions && key.mod_info == config.mod_info && gsa_used(key.gsa)
+        };
+        let forward_used = |key: &ForwardKey| {
+            config.interprocedural
+                && key.mod_info == config.mod_info
+                && key.gsa == config.gsa
+                && key.mode == mode
+                && key.kind == config.jump_function
+        };
+        let subst_used = |key: &EntryKey| {
+            key.mod_info == config.mod_info
+                && key.recovery == (mode != CallSymMode::Pessimistic)
+                && gsa_used(key.gsa)
+        };
+        let live: HashSet<u64> = self
+            .closures
+            .read()
+            .expect("closure store lock")
+            .values()
+            .flat_map(|c| c.closures.iter().copied())
+            .collect();
+        let mut pack = SummaryPack::default();
+        for (key, cached) in self.rjf_procs.read().expect("rjf store lock").iter() {
+            if live.contains(&key.closure_fp) && rjf_used(key) {
+                pack.rjfs
+                    .push((*key, cached.fuel, Arc::clone(&cached.value)));
+            }
+        }
+        {
+            let syms = self.syms.read().expect("sym store lock");
+            let fuels = self.sym_fuels.read().expect("sym fuel store lock");
+            for (key, cached) in self
+                .forward_procs
+                .read()
+                .expect("forward store lock")
+                .iter()
+            {
+                if !live.contains(&key.closure_fp) || !forward_used(key) {
+                    continue;
+                }
+                // Every stored site vector was built over symbolic values
+                // computed or replayed under its key, so the fuel is known.
+                let sym_key = key.sym_key();
+                let sym_fuel = syms
+                    .get(&sym_key)
+                    .map(|c| c.fuel)
+                    .or_else(|| fuels.get(&sym_key).copied());
+                if let Some(sym_fuel) = sym_fuel {
+                    pack.forwards
+                        .push((*key, sym_fuel, Arc::clone(&cached.value)));
+                }
+            }
+        }
+        for (key, &n) in self.substs.read().expect("subst store lock").iter() {
+            if live.contains(&key.closure_fp) && subst_used(key) {
+                pack.substs.push((*key, n));
+            }
+        }
+        pack.rjfs.sort_unstable_by_key(|e| e.0);
+        pack.forwards.sort_unstable_by_key(|e| e.0);
+        pack.substs.sort_unstable_by_key(|e| e.0);
+        pack
     }
 }
 
 /// The fingerprint components of one program state: per-procedure own
 /// and closure fingerprints plus the global-table fingerprint. Cache
 /// keys read the closures (via `Index`); the incrementality audit's
-/// ledger records all three.
+/// ledger records all three. A store-less run, which builds no keys and
+/// keeps no ledger, carries an empty one.
+#[derive(Default)]
 struct ClosureData {
     /// Closure fingerprints, indexed by `ProcId::index()`.
     closures: Vec<u64>,
@@ -662,6 +786,61 @@ struct AuditCtx {
     /// The disk-cache outcome key this run will store under, remembered
     /// in the ledger so a later absence can be read as an eviction.
     outcome_key: Option<u64>,
+    /// The summary-pack key this run will store under, remembered the
+    /// same way, and why the pack could not be loaded (`None`: it was).
+    pack: Option<(u64, Option<crate::diskcache::LoadMiss>)>,
+}
+
+/// The units one audited round computed, by phase: procedure indices for
+/// per-procedure phases, unit 0 for program-scoped ones. A phase with an
+/// empty set ran and computed nothing; a phase absent did not run under
+/// the configuration.
+struct MissLog(Mutex<BTreeMap<SessionPhase, BTreeSet<usize>>>);
+
+impl MissLog {
+    /// An empty log over the phases `config` runs in round 0.
+    fn for_config(config: &AnalysisConfig) -> Self {
+        let mut ran = vec![
+            SessionPhase::CallGraph,
+            SessionPhase::ModRef,
+            SessionPhase::Ssa,
+            SessionPhase::Subst,
+        ];
+        if config.return_jump_functions {
+            ran.push(SessionPhase::ReturnJf);
+        }
+        if config.interprocedural {
+            ran.extend([
+                SessionPhase::SymVals,
+                SessionPhase::ForwardJf,
+                SessionPhase::Solve,
+            ]);
+        }
+        if config.complete_propagation {
+            ran.push(SessionPhase::Dce);
+        }
+        MissLog(Mutex::new(
+            ran.into_iter().map(|p| (p, BTreeSet::new())).collect(),
+        ))
+    }
+
+    /// Records that `phase` computed `unit`.
+    fn note(&self, phase: SessionPhase, unit: usize) {
+        if let Some(units) = self.0.lock().expect("miss log lock").get_mut(&phase) {
+            units.insert(unit);
+        }
+    }
+
+    fn take(&self) -> BTreeMap<SessionPhase, BTreeSet<usize>> {
+        std::mem::take(&mut *self.0.lock().expect("miss log lock"))
+    }
+}
+
+/// Records `phase` computing `unit` in the log, if the round keeps one.
+fn note_miss(log: Option<&MissLog>, phase: SessionPhase, unit: usize) {
+    if let Some(log) = log {
+        log.note(phase, unit);
+    }
 }
 
 /// Per-round derived context: the program-state fingerprint and the
@@ -675,9 +854,43 @@ struct RoundCtx {
     mod_info: bool,
     gsa: bool,
     mode: CallSymMode,
+    /// What the round computed, when the incrementality audit asks.
+    log: Option<Arc<MissLog>>,
 }
 
 impl RoundCtx {
+    fn note(&self, phase: SessionPhase, unit: usize) {
+        note_miss(self.log.as_deref(), phase, unit);
+    }
+
+    fn rjf_key(&self, pid: ProcId, options: SymEvalOptions) -> RjfKey {
+        RjfKey {
+            closure_fp: self.closure_fps[pid.index()],
+            mod_info: self.mod_info,
+            gsa: options.gated_phis,
+        }
+    }
+
+    fn sym_key(&self, pid: ProcId) -> SymKey {
+        SymKey {
+            closure_fp: self.closure_fps[pid.index()],
+            mod_info: self.mod_info,
+            gsa: self.gsa,
+            mode: self.mode,
+        }
+    }
+
+    fn forward_key(&self, pid: ProcId, kind: JumpFunctionKind) -> ForwardKey {
+        let sym = self.sym_key(pid);
+        ForwardKey {
+            closure_fp: sym.closure_fp,
+            mod_info: sym.mod_info,
+            gsa: sym.gsa,
+            mode: sym.mode,
+            kind,
+        }
+    }
+
     /// The [`EntryKey`] of `pid` seeded with `vals` (`None`: unseeded).
     fn entry_key(&self, program: &Program, pid: ProcId, vals: Option<&ValSets>) -> EntryKey {
         EntryKey {
@@ -761,6 +974,9 @@ pub struct AnalysisSession {
     /// to the disk cache (typically the analyzed file's path). Without
     /// one — or without a disk cache — the ledger lives in memory only.
     audit_label: Option<String>,
+    /// Whether cold runs keep the label's summary pack: false for a
+    /// label derived from the program's own content.
+    summary_packs: bool,
     /// The previous run's ledger (in-memory fallback when no disk cache
     /// or label is set).
     prev_ledger: Mutex<Option<Ledger>>,
@@ -778,6 +994,7 @@ impl AnalysisSession {
             stats: Mutex::new(SessionStats::default()),
             disk: None,
             audit_label: None,
+            summary_packs: false,
             prev_ledger: Mutex::new(None),
             last_audit: Mutex::new(None),
         }
@@ -787,10 +1004,23 @@ impl AnalysisSession {
     /// disk cache attached, the ledger persists under
     /// `audit/<label>.ledger` in the cache directory, so a later process
     /// analyzing under the same label can attribute its recomputation to
-    /// the exact procedures and facets that changed. The analyzed file's
-    /// path is the natural label.
+    /// the exact procedures and facets that changed, and each cold run
+    /// keeps the label's summary pack (see [`crate::pack`]), so that
+    /// process recomputes only the procedures whose closures changed.
+    /// The analyzed file's path is the natural label.
     pub fn set_audit_label(&mut self, label: &str) {
         self.audit_label = Some(label.to_string());
+        self.summary_packs = true;
+    }
+
+    /// [`Self::set_audit_label`] for a label derived from the program's
+    /// own content, as the serve daemon makes for requests that name
+    /// none: the ledger persists alike, but no summary pack is kept. No
+    /// other program is ever analyzed under such a label, so its pack
+    /// would be written on every cold run and never usefully read.
+    pub fn set_content_audit_label(&mut self, label: &str) {
+        self.audit_label = Some(label.to_string());
+        self.summary_packs = false;
     }
 
     /// The incrementality audit of the most recent unmetered analysis,
@@ -807,6 +1037,30 @@ impl AnalysisSession {
             return crate::audit::load_ledger(disk.dir(), label);
         }
         self.prev_ledger.lock().unwrap().clone()
+    }
+
+    /// Reads, decodes and seeds the store with the summary pack under
+    /// `key`, returning why it could not be used — absent, evicted, stale
+    /// or corrupt (quarantined by the cache) — or `None` when it loaded.
+    /// The read, the decoding and the seeding are disk-cache time.
+    fn load_summary_pack(
+        &self,
+        disk: &crate::diskcache::DiskCache,
+        key: u64,
+    ) -> Option<crate::diskcache::LoadMiss> {
+        let start = Instant::now();
+        let loaded = disk.load_pack(key, |payload| {
+            ipcp_ir::codec::decode_from_slice::<SummaryPack>(payload).ok()
+        });
+        let miss = match loaded {
+            Ok(pack) => {
+                self.store.seed(pack);
+                None
+            }
+            Err(miss) => Some(miss),
+        };
+        self.phase_wall(SessionPhase::DiskCache, start.elapsed());
+        miss
     }
 
     /// Records one run's audit and advances the ledger (to disk when a
@@ -974,11 +1228,12 @@ impl AnalysisSession {
         if !budget.is_unmetered() {
             return self.analyze_uncached_obs(config, budget, sink, None);
         }
-        let Some(disk) = self.disk.as_deref() else {
+        let Some(disk) = self.disk.as_ref() else {
             let audit = AuditCtx {
                 prev: self.previous_ledger(),
                 disk: None,
                 outcome_key: None,
+                pack: None,
             };
             return self.analyze_uncached_obs(config, budget, sink, Some(audit));
         };
@@ -990,16 +1245,8 @@ impl AnalysisSession {
         let start = Instant::now();
         let loaded = {
             let _span = SpanGuard::enter(sink, "diskcache", "phase");
-            disk.load_classified(key).and_then(|payload| {
-                match ipcp_ir::codec::decode_from_slice::<AnalysisOutcome>(&payload) {
-                    Ok(outcome) => Ok(outcome),
-                    Err(_) => {
-                        // Framing validated but the payload didn't parse:
-                        // codec skew within one format version.
-                        disk.quarantine_key(key, "payload decode failed");
-                        Err(crate::diskcache::LoadMiss::Invalid("payload decode failed"))
-                    }
-                }
+            disk.load_decoded(key, |payload| {
+                ipcp_ir::codec::decode_from_slice::<AnalysisOutcome>(payload).ok()
             })
         };
         let quarantined = disk.stats().quarantined - quarantined_before;
@@ -1048,14 +1295,32 @@ impl AnalysisSession {
             base_changed,
             &facets_changed,
         );
+        // The per-procedure summaries of the label's last cold run: with
+        // them, only the procedures whose closures changed recompute.
+        let pack = self
+            .audit_label
+            .as_deref()
+            .filter(|_| self.summary_packs)
+            .map(|label| {
+                let pack_key = crate::diskcache::pack_key(label, config);
+                (pack_key, self.load_summary_pack(disk, pack_key))
+            });
         let audit = AuditCtx {
             prev: prev_ledger,
             disk: Some(DiskOutcome::Miss(reason)),
             outcome_key: Some(key),
+            pack,
         };
         let outcome = self.analyze_uncached_obs(config, budget, sink, Some(audit));
 
         let start = Instant::now();
+        // The pack goes first: under byte-budget pressure LRU eviction
+        // then drops it before the newer outcome entry.
+        if let Some((pack_key, _)) = pack {
+            let payload = ipcp_ir::codec::encode_to_vec(&self.store.summary_pack(config));
+            sink.count("diskcache.pack_bytes", payload.len() as u64);
+            disk.store_pack(pack_key, &payload);
+        }
         disk.store(key, &ipcp_ir::codec::encode_to_vec(&outcome));
         self.phase_wall(SessionPhase::DiskCache, start.elapsed());
         outcome
@@ -1085,15 +1350,20 @@ impl AnalysisSession {
             self.stats.lock().unwrap().rounds += 1;
 
             // Round 0 always runs over the pristine program, whose
-            // fingerprint is precomputed.
+            // fingerprint is precomputed; a store-less run keys nothing,
+            // so it fingerprints no later state either.
             let start = Instant::now();
-            let state_fp = if first_round {
+            let state_fp = if first_round || !memo {
                 self.base_fp
             } else {
                 fingerprint(&program)
             };
             first_round = false;
             self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
+            // The audit covers round 0: DCE rounds feed on its artifacts.
+            let log = audit
+                .as_ref()
+                .map(|_| Arc::new(MissLog::for_config(config)));
 
             // DCE rewrites are collected while the round borrows
             // `program` and applied after the borrows end.
@@ -1105,7 +1375,7 @@ impl AnalysisSession {
                 jobs,
                 sink,
                 &mut stats,
-                audit.take(),
+                log.clone(),
                 |mut r| {
                     // Spent once the solve has read them.
                     r.jfs = None;
@@ -1158,6 +1428,9 @@ impl AnalysisSession {
                 },
             );
 
+            if let (Some(actx), Some(log)) = (audit.take(), log) {
+                self.commit_round_audit(config, actx, log.take());
+            }
             for (pid, proc) in new_procs {
                 *program.proc_mut(pid) = proc;
             }
@@ -1176,7 +1449,7 @@ impl AnalysisSession {
             // final (DCE-refined) CONSTANTS.
             let substitutions = if stats.dce_rounds > 0 {
                 let _span = SpanGuard::enter(sink, "counting", "phase");
-                let final_fp = fingerprint(&program);
+                let final_fp = if memo { fingerprint(&program) } else { 0 };
                 self.cached_counting_pass(config, vals.as_deref(), final_fp, budget, jobs, sink)
             } else {
                 substitutions
@@ -1196,9 +1469,9 @@ impl AnalysisSession {
     /// from the store (computed and inserted on a miss), and hands the
     /// artifacts to `rest`: call graph, MOD/REF, augmentation of
     /// `program` (whose fingerprint is `state_fp`), closure fingerprints,
-    /// the incrementality audit when `audit` is given, return and
-    /// forward jump functions and the `VAL` sets. `analyze` runs each of
-    /// its rounds through here; [`Self::provenance`] runs round 0.
+    /// return and forward jump functions and the `VAL` sets. `log`, when
+    /// given, records every unit the round computes. `analyze` runs each of its rounds through here;
+    /// [`Self::provenance`] runs round 0.
     #[allow(clippy::too_many_arguments)]
     fn with_solved_round<R>(
         &self,
@@ -1209,7 +1482,7 @@ impl AnalysisSession {
         jobs: usize,
         sink: &dyn ObsSink,
         stats: &mut PhaseStats,
-        audit: Option<AuditCtx>,
+        log: Option<Arc<MissLog>>,
         rest: impl FnOnce(SolvedRound<'_>) -> R,
     ) -> R {
         // The call graph is built against the pre-augmentation program
@@ -1217,9 +1490,9 @@ impl AnalysisSession {
         let memo = budget.is_unmetered();
         let cg = {
             let _span = SpanGuard::enter(sink, "call_graph", "phase");
-            self.cached_call_graph(program, state_fp, memo)
+            self.cached_call_graph(program, state_fp, memo, log.as_deref())
         };
-        let modref = self.cached_modref(program, &cg, state_fp, budget, jobs, sink);
+        let modref = self.cached_modref(program, &cg, state_fp, budget, jobs, sink, log.as_deref());
         augment_global_vars(program, &modref);
         let program = &*program;
 
@@ -1235,41 +1508,8 @@ impl AnalysisSession {
             mod_info: config.mod_info,
             gsa: config.gsa,
             mode: call_sym_mode(config),
+            log,
         };
-
-        // Incrementality audit, round 0 only: the pristine program's key
-        // components are the ones worth diffing (DCE rounds feed on
-        // round-0 artifacts). Attribute every would-be recomputation to
-        // the component that moved.
-        if let Some(actx) = audit {
-            let start = Instant::now();
-            let mut ledger = Ledger {
-                base_fp: self.base_fp,
-                globals_fp: round.closure_fps.globals,
-                procs: program
-                    .procs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| LedgerProc {
-                        name: p.name.clone(),
-                        own_fp: round.closure_fps.own[i],
-                        closure_fp: round.closure_fps.closures[i],
-                    })
-                    .collect(),
-                facets: render_facets(config),
-                outcome_keys: actx
-                    .prev
-                    .as_ref()
-                    .map(|p| p.outcome_keys.clone())
-                    .unwrap_or_default(),
-            };
-            if let Some(key) = actx.outcome_key {
-                ledger.remember_outcome_key(key);
-            }
-            let report = diff_ledgers(actx.prev.as_ref(), &ledger, actx.disk);
-            self.commit_audit(report, ledger);
-            self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
-        }
 
         let mod_kills;
         let kills: &dyn KillOracle = if config.mod_info {
@@ -1345,6 +1585,62 @@ impl AnalysisSession {
         })
     }
 
+    /// The incrementality audit of round 0: diffs its key components —
+    /// the pristine program's closure fingerprints, which the round left
+    /// in the store — against the previous ledger, attributes every unit
+    /// the round computed (`computed`, from its [`MissLog`]), and commits
+    /// the audit and the advanced ledger.
+    fn commit_round_audit(
+        &self,
+        config: &AnalysisConfig,
+        actx: AuditCtx,
+        computed: BTreeMap<SessionPhase, BTreeSet<usize>>,
+    ) {
+        let start = Instant::now();
+        let closures = self
+            .store
+            .closures
+            .read()
+            .expect("closure store lock")
+            .get(&self.base_fp)
+            .map(Arc::clone)
+            .expect("round 0 stored its closure fingerprints");
+        let mut ledger = Ledger {
+            base_fp: self.base_fp,
+            globals_fp: closures.globals,
+            procs: self
+                .base
+                .procs
+                .iter()
+                .enumerate()
+                .map(|(i, p)| LedgerProc {
+                    name: p.name.clone(),
+                    own_fp: closures.own[i],
+                    closure_fp: closures.closures[i],
+                })
+                .collect(),
+            facets: render_facets(config),
+            outcome_keys: actx
+                .prev
+                .as_ref()
+                .map(|p| p.outcome_keys.clone())
+                .unwrap_or_default(),
+        };
+        let pack_key = actx.pack.map(|(key, _)| key);
+        for key in [actx.outcome_key, pack_key].into_iter().flatten() {
+            ledger.remember_outcome_key(key);
+        }
+        let ran = RunRecord {
+            computed,
+            pack: actx.pack.and_then(|(key, miss)| {
+                miss.map(|miss| classify_disk_miss(actx.prev.as_ref(), &miss, key, false, &[]))
+            }),
+        };
+        let report = diff_ledgers(actx.prev.as_ref(), &ledger, actx.disk, Some(&ran));
+        self.commit_audit(report, ledger);
+        self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
+    }
+
     /// The entry point of every consumer of the analysis — provenance,
     /// source transformation, the optimizer, the cloning report and
     /// subscript classification: runs one round over `program` (whose
@@ -1402,7 +1698,8 @@ impl AnalysisSession {
 
     /// Closure fingerprints of the augmented program, cached by the
     /// pre-augmentation state fingerprint (augmentation is a pure
-    /// function of that state, so the key is sound).
+    /// function of that state, so the key is sound). A store-less run
+    /// reads no key and keeps no ledger, so it gets none.
     fn cached_closures(
         &self,
         program: &Program,
@@ -1411,12 +1708,15 @@ impl AnalysisSession {
         jobs: usize,
         memo: bool,
     ) -> Arc<ClosureData> {
+        if !memo {
+            return Arc::default();
+        }
         let start = Instant::now();
-        let fps = match lookup(memo, &self.store.closures, &state_fp) {
+        let fps = match lookup(true, &self.store.closures, &state_fp) {
             Some(fps) => fps,
             None => {
                 let fps = Arc::new(closure_fingerprints(program, cg, jobs));
-                remember(memo, &self.store.closures, state_fp, Arc::clone(&fps));
+                remember(true, &self.store.closures, state_fp, Arc::clone(&fps));
                 fps
             }
         };
@@ -1424,7 +1724,13 @@ impl AnalysisSession {
         fps
     }
 
-    fn cached_call_graph(&self, program: &Program, state_fp: u64, memo: bool) -> Arc<CallGraph> {
+    fn cached_call_graph(
+        &self,
+        program: &Program,
+        state_fp: u64,
+        memo: bool,
+        log: Option<&MissLog>,
+    ) -> Arc<CallGraph> {
         let start = Instant::now();
         let cg = match lookup(memo, &self.store.call_graphs, &state_fp) {
             Some(cg) => {
@@ -1433,6 +1739,7 @@ impl AnalysisSession {
             }
             None => {
                 self.phase_miss(SessionPhase::CallGraph);
+                note_miss(log, SessionPhase::CallGraph, 0);
                 let cg = Arc::new(CallGraph::new(program));
                 remember(memo, &self.store.call_graphs, state_fp, Arc::clone(&cg));
                 cg
@@ -1445,6 +1752,7 @@ impl AnalysisSession {
     /// MOD/REF summaries, from the store under an unmetered budget.
     /// A metered run computes them on its budget at `jobs = 1`, which is
     /// the sequential `compute_modref_budgeted`.
+    #[allow(clippy::too_many_arguments)]
     fn cached_modref(
         &self,
         program: &Program,
@@ -1453,6 +1761,7 @@ impl AnalysisSession {
         budget: &Budget,
         jobs: usize,
         sink: &dyn ObsSink,
+        log: Option<&MissLog>,
     ) -> Arc<ModRefInfo> {
         let start = Instant::now();
         let memo = budget.is_unmetered();
@@ -1464,6 +1773,7 @@ impl AnalysisSession {
             }
             None => {
                 self.phase_miss(SessionPhase::ModRef);
+                note_miss(log, SessionPhase::ModRef, 0);
                 let before = budget.fuel_consumed();
                 // The wave-parallel fixpoint draws the same fuel as the
                 // sequential pass (and delegates to it at jobs <= 1).
@@ -1507,16 +1817,20 @@ impl AnalysisSession {
         tally: &mut PhaseTally,
     ) -> Arc<SsaProc> {
         let start = Instant::now();
-        let key = SsaKey {
+        // A store-less run builds no key.
+        let key = round.memo.then(|| SsaKey {
             closure_fp: round.closure_fps[pid.index()],
             mod_info: round.mod_info,
-        };
-        if let Some(ssa) = lookup(round.memo, &self.store.ssas, &key) {
+        });
+        if let Some(ssa) = key.and_then(|key| lookup(true, &self.store.ssas, &key)) {
             tally.add(true, start.elapsed());
             return ssa;
         }
         let ssa = Arc::new(build_ssa(program, program.proc(pid), kills));
-        remember(round.memo, &self.store.ssas, key, Arc::clone(&ssa));
+        if let Some(key) = key {
+            remember(true, &self.store.ssas, key, Arc::clone(&ssa));
+        }
+        round.note(SessionPhase::Ssa, pid.index());
         tally.add(false, start.elapsed());
         ssa
     }
@@ -1543,15 +1857,12 @@ impl AnalysisSession {
         options: SymEvalOptions,
         tally: &mut FanoutTally,
     ) -> (Arc<RjfTable>, u64) {
-        let key = RjfKey {
-            closure_fp: round.closure_fps[pid.index()],
-            mod_info: round.mod_info,
-            gsa: options.gated_phis,
-        };
+        let key = round.rjf_key(pid, options);
         if let Some(cached) = lookup(round.memo, &self.store.rjf_procs, &key) {
             tally.main.add(true, Duration::ZERO);
             return (cached.value, cached.fuel);
         }
+        round.note(SessionPhase::ReturnJf, pid.index());
         let scratch = Budget::unlimited();
         // Mirror the per-procedure draw of `build_return_jfs_budgeted`.
         scratch.checkpoint(Phase::ReturnJf, 1);
@@ -1617,7 +1928,32 @@ impl AnalysisSession {
             .collect();
         let start = Instant::now();
         let mut tally = FanoutTally::default();
-        for wave in scc_waves(cg) {
+        // Store hits first: an SCC whose every member's table is stored
+        // is installed here, so the waves — and their cost gate — see
+        // only the SCCs with work left.
+        let mut pending = vec![false; sccs.len()];
+        {
+            let stored = self.store.rjf_procs.read().expect("rjf store lock");
+            let hit = |pid: ProcId| stored.get(&round.rjf_key(pid, options));
+            for (si, scc) in sccs.iter().enumerate() {
+                if !scc.iter().all(|&pid| hit(pid).is_some()) {
+                    pending[si] = true;
+                    continue;
+                }
+                for &pid in scc {
+                    let cached = hit(pid).expect("every member hit");
+                    budget.checkpoint(Phase::ReturnJf, cached.fuel);
+                    rjfs.set_proc(pid, Arc::clone(&cached.value));
+                    tally.main.add(true, Duration::ZERO);
+                }
+            }
+        }
+        tally.main.wall += start.elapsed();
+        for mut wave in scc_waves(cg) {
+            wave.retain(|&si| pending[si]);
+            if wave.is_empty() {
+                continue;
+            }
             // Narrow or featherweight waves can't amortize a spawn; the
             // cost gate runs them inline and saves the fork/join for
             // levels with real work.
@@ -1680,16 +2016,12 @@ impl AnalysisSession {
         options: SymEvalOptions,
         tally: &mut FanoutTally,
     ) -> (Arc<SymMap>, u64) {
-        let key = SymKey {
-            closure_fp: round.closure_fps[pid.index()],
-            mod_info: round.mod_info,
-            gsa: round.gsa,
-            mode: round.mode,
-        };
+        let key = round.sym_key(pid);
         if let Some(cached) = lookup(round.memo, &self.store.syms, &key) {
             tally.symvals.add(true, Duration::ZERO);
             return (cached.value, cached.fuel);
         }
+        round.note(SessionPhase::SymVals, pid.index());
         let ssa = self.tallied_ssa(program, pid, kills, round, &mut tally.ssa);
         let start = Instant::now();
         let scratch = Budget::unlimited();
@@ -1723,17 +2055,12 @@ impl AnalysisSession {
         sym: &SymMap,
         tally: &mut FanoutTally,
     ) -> Arc<Vec<SiteJumpFns>> {
-        let key = ForwardKey {
-            closure_fp: round.closure_fps[pid.index()],
-            mod_info: round.mod_info,
-            gsa: round.gsa,
-            mode: round.mode,
-            kind,
-        };
+        let key = round.forward_key(pid, kind);
         if let Some(cached) = lookup(round.memo, &self.store.forward_procs, &key) {
             tally.main.add(true, Duration::ZERO);
             return cached.value;
         }
+        round.note(SessionPhase::ForwardJf, pid.index());
         let ssa = self.tallied_ssa(program, pid, kills, round, &mut tally.ssa);
         let start = Instant::now();
         let sites = Arc::new(site_jfs_for_proc(program, cg, modref, kind, pid, &ssa, sym));
@@ -1787,10 +2114,40 @@ impl AnalysisSession {
 
         let pids: Vec<ProcId> = program.proc_ids().collect();
         let start = Instant::now();
-        let built = par_map_obs(jobs, &pids, sink, "forward_jfs.proc", |_, &pid| {
+        let mut tally = FanoutTally::default();
+        // Store hits first: a stored site vector whose symbolic-value
+        // fuel is known needs neither SSA nor the symbolic values, only
+        // the fuel replayed, so the workers see only the misses.
+        let stored: Vec<Option<(u64, Arc<Vec<SiteJumpFns>>)>> = {
+            let forwards = self.store.forward_procs.read().expect("forward store lock");
+            let syms = self.store.syms.read().expect("sym store lock");
+            let fuels = self.store.sym_fuels.read().expect("sym fuel store lock");
+            pids.iter()
+                .map(|&pid| {
+                    let key = round.forward_key(pid, kind);
+                    let sites = forwards.get(&key)?;
+                    let sym_key = key.sym_key();
+                    let fuel = syms
+                        .get(&sym_key)
+                        .map(|c| c.fuel)
+                        .or_else(|| fuels.get(&sym_key).copied())?;
+                    tally.symvals.add(true, Duration::ZERO);
+                    tally.main.add(true, Duration::ZERO);
+                    Some((fuel, Arc::clone(&sites.value)))
+                })
+                .collect()
+        };
+        tally.main.wall += start.elapsed();
+        let misses: Vec<ProcId> = pids
+            .iter()
+            .zip(&stored)
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(&pid, _)| pid)
+            .collect();
+        let built = par_map_obs(jobs, &misses, sink, "forward_jfs.proc", |_, &pid| {
             let mut tally = FanoutTally::default();
             // Symbolic values are resolved (computed or fuel-replayed)
-            // even when the site table hits, so consumption matches
+            // for every procedure, so consumption matches
             // `build_forward_jfs_budgeted`, which evaluates every procedure.
             let (sym, sym_fuel) =
                 self.sym_for_proc(program, pid, round, kills, call_sym, options, &mut tally);
@@ -1801,8 +2158,12 @@ impl AnalysisSession {
         });
         let span = start.elapsed();
         let mut per_proc = Vec::with_capacity(pids.len());
-        let mut tally = FanoutTally::default();
-        for (pid, (sym_fuel, sites, worker)) in pids.into_iter().zip(built) {
+        let mut built = built.into_iter();
+        for (pid, hit) in pids.into_iter().zip(stored) {
+            let (sym_fuel, sites, worker) = match hit {
+                Some((fuel, sites)) => (fuel, sites, FanoutTally::default()),
+                None => built.next().expect("one result per miss"),
+            };
             // The per-procedure construction checkpoint. Unmetered
             // budgets always afford the requested rung, so the precision
             // ladder of `build_forward_jfs_budgeted` never engages here.
@@ -1856,6 +2217,7 @@ impl AnalysisSession {
             }
             None => {
                 self.phase_miss(SessionPhase::Solve);
+                round.note(SessionPhase::Solve, 0);
                 let before = budget.fuel_consumed();
                 let v = if config.branch_feasibility {
                     crate::cond::solve_cond_traced(
@@ -1915,13 +2277,15 @@ impl AnalysisSession {
             let begin = Instant::now();
             let mut out = ProcCount::default();
             if cg.is_reachable(pid) {
-                let key = round.entry_key(program, pid, vals);
-                match stored.as_ref().and_then(|counts| counts.get(&key)) {
-                    Some(&n) => out.n = n,
+                // A store-less run builds no key: it counts every time.
+                let key = round.memo.then(|| round.entry_key(program, pid, vals));
+                match key.and_then(|key| stored.as_ref()?.get(&key).copied()) {
+                    Some(n) => out.n = n,
                     None => {
                         let ssa = self.tallied_ssa(program, pid, kills, round, &mut out.ssa);
                         out.n = count_one_proc(program, calls, vals, pid, &ssa);
-                        out.miss = Some(key);
+                        out.counted = true;
+                        out.miss = key;
                     }
                 }
             }
@@ -1936,14 +2300,17 @@ impl AnalysisSession {
             per_proc.push(count.n);
             ssa.merge(&count.ssa);
             subst.wall += count.time.saturating_sub(count.ssa.wall);
-            match count.miss {
-                Some(key) => misses.push((key, count.n)),
-                None if cg.is_reachable(pid) => subst.hits += 1,
-                None => {}
+            if count.counted {
+                subst.misses += 1;
+            } else if cg.is_reachable(pid) {
+                subst.hits += 1;
             }
+            misses.extend(count.miss.map(|key| (key, count.n)));
         }
         let insert = Instant::now();
-        subst.misses = misses.len() as u64;
+        if subst.misses > 0 {
+            round.note(SessionPhase::Subst, 0);
+        }
         if round.memo && !misses.is_empty() {
             self.store
                 .substs
@@ -1992,6 +2359,7 @@ impl AnalysisSession {
             self.phase_hit(SessionPhase::Dce);
             return cached;
         }
+        r.ctx.note(SessionPhase::Dce, pid.index());
         let scratch = Budget::unlimited();
         let mut step = self.dce_step(r, pid, &scratch);
         step.anomalies = scratch.report().anomalies;
@@ -2040,8 +2408,8 @@ impl AnalysisSession {
         let before = budget.fuel_consumed();
 
         let mut orig = self.base.clone();
-        let cg = self.cached_call_graph(&orig, orig_fp, memo);
-        let modref = self.cached_modref(&orig, &cg, orig_fp, budget, jobs, sink);
+        let cg = self.cached_call_graph(&orig, orig_fp, memo, None);
+        let modref = self.cached_modref(&orig, &cg, orig_fp, budget, jobs, sink, None);
         augment_global_vars(&mut orig, &modref);
         let closure_fps = self.cached_closures(&orig, &cg, orig_fp, jobs, memo);
         // The gsa facet is pinned to its default, as the return jump
@@ -2053,6 +2421,7 @@ impl AnalysisSession {
             mod_info: config.mod_info,
             gsa: false,
             mode: call_sym_mode(config),
+            log: None,
         };
         let counts = {
             let orig = &orig;
@@ -2347,6 +2716,78 @@ main\ncall f(0)\nend\n";
         assert!(counts > 0, "per-procedure counts are cached");
         assert!(store.approx_bytes() < store.len() as u64 * 2048);
         assert!(store.approx_bytes() >= (store.len() - counts) as u64 * 2048);
+    }
+
+    #[test]
+    fn only_path_labels_keep_summary_packs() {
+        let dir = std::env::temp_dir().join(format!("ipcp-session-packs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(crate::diskcache::DiskCache::open(&dir).unwrap());
+        let program = ipcp_ir::compile_to_ir(OCEAN_LIKE).unwrap();
+        let run = |label: &dyn Fn(&mut AnalysisSession)| {
+            let mut session = AnalysisSession::new(&program);
+            session.attach_disk_cache(Arc::clone(&cache));
+            label(&mut session);
+            session.analyze(&AnalysisConfig::default());
+        };
+        run(&|s| s.set_content_audit_label("serve:0123"));
+        assert_eq!(cache.pack_count(), 0, "a content label keeps no pack");
+        assert_eq!(cache.stats().pack_misses, 0, "nor reads one");
+        assert!(crate::audit::load_ledger(&dir, "serve:0123").is_some());
+        let _ = cache.clear();
+        run(&|s| s.set_audit_label("prog.mf"));
+        assert_eq!(cache.pack_count(), 1, "a path label keeps its pack");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_pack_holds_only_its_configurations_summaries() {
+        let program = ipcp_ir::compile_to_ir(OCEAN_LIKE).unwrap();
+        let pack_bytes = |configs: &[AnalysisConfig], tag: &str| {
+            let dir = std::env::temp_dir().join(format!(
+                "ipcp-session-pack-facets-{tag}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cache = Arc::new(crate::diskcache::DiskCache::open(&dir).unwrap());
+            let mut session = AnalysisSession::new(&program);
+            session.attach_disk_cache(Arc::clone(&cache));
+            session.set_audit_label("prog.mf");
+            for config in configs {
+                session.analyze(config);
+            }
+            let last = configs.last().expect("a config");
+            let key = crate::diskcache::pack_key("prog.mf", last);
+            let bytes = std::fs::read(dir.join(format!("{key:016x}.pack"))).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        };
+        // Neither configuration keys anything under the default's MOD
+        // and gsa facets, so analyzing the default first must not grow
+        // its pack.
+        for (tag, config) in [
+            (
+                "no-mod",
+                AnalysisConfig {
+                    mod_info: false,
+                    ..AnalysisConfig::default()
+                },
+            ),
+            (
+                "gsa",
+                AnalysisConfig {
+                    gsa: true,
+                    ..AnalysisConfig::default()
+                },
+            ),
+        ] {
+            let alone = pack_bytes(std::slice::from_ref(&config), &format!("{tag}-alone"));
+            let after = pack_bytes(
+                &[AnalysisConfig::default(), config],
+                &format!("{tag}-after"),
+            );
+            assert_eq!(after, alone, "{tag}");
+        }
     }
 
     #[test]

@@ -46,6 +46,12 @@ pub enum WireError {
     BadUtf8,
     /// Bytes remained after the top-level value was decoded.
     TrailingBytes,
+    /// The bytes decoded, but into a value its type never holds (an
+    /// unsorted table, an over-sized expression).
+    NonCanonical {
+        /// Which type was being decoded.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -56,6 +62,7 @@ impl fmt::Display for WireError {
             WireError::BadLength => f.write_str("length prefix exceeds input"),
             WireError::BadUtf8 => f.write_str("invalid UTF-8 in string"),
             WireError::TrailingBytes => f.write_str("trailing bytes after value"),
+            WireError::NonCanonical { what } => write!(f, "non-canonical {what}"),
         }
     }
 }
@@ -324,7 +331,11 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let n = r.length_prefix()?;
-        let mut out = Vec::with_capacity(n);
+        // Reserve no more bytes than the input has left: a hostile
+        // prefix can claim one element per remaining byte, and elements
+        // are larger in memory than on the wire.
+        let room = r.remaining() / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(n.min(room));
         for _ in 0..n {
             out.push(T::decode(r)?);
         }

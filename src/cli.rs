@@ -748,6 +748,9 @@ pub fn execute(cli: &Cli, source: &str) -> Result<String, String> {
                     ("write_errors", cs.write_errors),
                     ("quarantined", cs.quarantined),
                     ("evicted", cs.evicted),
+                    ("pack_loads", cs.pack_loads),
+                    ("pack_misses", cs.pack_misses),
+                    ("pack_writes", cs.pack_writes),
                 ] {
                     let _ = writeln!(out, "ipcp_diskcache_operations_total{{op=\"{op}\"}} {n}");
                 }
@@ -830,16 +833,21 @@ pub fn execute(cli: &Cli, source: &str) -> Result<String, String> {
                 .map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
             match action {
                 CacheAction::Stats => Ok(format!(
-                    "cache {dir}: {} entries, {} bytes, {} quarantined\n",
+                    "cache {dir}: {} entries, {} summary packs, {} bytes, {} quarantined\n",
                     cache.entry_count(),
+                    cache.pack_count(),
                     cache.total_bytes(),
                     cache.quarantine_count()
                 )),
                 CacheAction::Verify => {
                     let outcome = cache.verify();
                     Ok(format!(
-                        "cache verify: {} valid, {} quarantined\n",
-                        outcome.valid, outcome.quarantined
+                        "cache verify: {} valid, {} quarantined; summary packs: {} valid, \
+                         {} quarantined\n",
+                        outcome.valid,
+                        outcome.quarantined,
+                        outcome.packs_valid,
+                        outcome.packs_quarantined
                     ))
                 }
                 CacheAction::Clear => {

@@ -17,6 +17,10 @@
 //! that puts owned strings back into tokens, the tree or the checker's
 //! tables fails the second test.
 //!
+//! Bytes from outside are held to the input they came in: a summary
+//! pack's decoder, fed a hostile length prefix at every offset, never
+//! makes a single allocation larger than the payload it decodes.
+//!
 //! The counting allocator is per thread, and the analysis runs at
 //! `jobs = 1`, so tests running on other threads do not disturb it.
 
@@ -31,11 +35,13 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn note() {
+fn note(size: usize) {
     // `try_with`: the slot may already be gone while a thread exits.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -44,19 +50,19 @@ fn note() {
 // re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -121,4 +127,50 @@ fn frontend_stays_within_its_allocation_budget() {
         "the frontend made {n} allocations for {procs} procedures \
          ({per_proc:.1} per procedure, ceiling {FRONTEND_CEILING_PER_PROC})"
     );
+}
+
+/// The largest single allocation `f` makes on the calling thread.
+fn largest_allocation(f: impl FnOnce()) -> usize {
+    LARGEST.with(|c| c.set(0));
+    f();
+    LARGEST.with(Cell::get)
+}
+
+#[test]
+fn hostile_pack_length_prefixes_allocate_within_the_payload() {
+    use ipcp::core::pack::SummaryPack;
+    use ipcp::core::{pack_key, AnalysisSession, DiskCache};
+    use ipcp::ir::codec::decode_from_slice;
+    let dir = std::env::temp_dir().join(format!("ipcp-alloc-pack-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let source = generate_scale(&ScaleSpec::with_procs(40, 7)).source;
+    let mut session = AnalysisSession::from_source(&source).expect("generated corpus compiles");
+    session.attach_disk_cache(std::sync::Arc::new(DiskCache::open(&dir).expect("cache")));
+    session.set_audit_label("alloc.mf");
+    let config = AnalysisConfig::default();
+    session.analyze(&config);
+    let key = pack_key("alloc.mf", &config);
+    let image = std::fs::read(dir.join(format!("{key:016x}.pack"))).expect("pack written");
+    let payload = ipcp::core::diskcache::validate_entry(key, &image)
+        .expect("valid pack")
+        .to_vec();
+    assert!(decode_from_slice::<SummaryPack>(&payload).is_ok());
+
+    // At every offset, a length prefix claiming one element per byte
+    // left: the most a prefix may claim before it is rejected outright.
+    let mut worst = 0;
+    for at in 0..payload.len().saturating_sub(8) {
+        let mut bytes = payload.clone();
+        let claim = (payload.len() - at - 8) as u64;
+        bytes[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+        worst = worst.max(largest_allocation(|| {
+            let _ = decode_from_slice::<SummaryPack>(&bytes);
+        }));
+    }
+    assert!(
+        worst <= payload.len(),
+        "a hostile prefix made a {worst}-byte allocation from a {}-byte payload",
+        payload.len()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

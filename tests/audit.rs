@@ -143,3 +143,131 @@ fn why_first_run_and_filters() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One fresh-process `analyze --cache-dir` run of `source` under the
+/// label `scale.mf`, at two jobs (so the pack is read on a worker): the
+/// audit it left, the session's own phase counters, and whether the
+/// outcome's bytes equal a sequential cache-less run's.
+fn cli_run(
+    dir: &std::path::Path,
+    source: &str,
+) -> (
+    std::sync::Arc<ipcp::core::IncrementalAudit>,
+    ipcp::core::SessionStats,
+    bool,
+) {
+    use ipcp::core::{AnalysisConfig, AnalysisSession, DiskCache};
+    use ipcp::ir::codec::encode_to_vec;
+    let config = |jobs| AnalysisConfig {
+        jobs,
+        ..AnalysisConfig::default()
+    };
+    let mut session = AnalysisSession::from_source(source).expect("corpus compiles");
+    session.attach_disk_cache(std::sync::Arc::new(DiskCache::open(dir).expect("cache")));
+    session.set_audit_label("scale.mf");
+    let outcome = encode_to_vec(&session.analyze(&config(2)));
+    let plain = encode_to_vec(&ipcp::analyze_source(source, &config(1)).expect("analyzes"));
+    (
+        session.last_audit().expect("audited"),
+        session.stats(),
+        outcome == plain,
+    )
+}
+
+/// Every phase the run executed lists exactly as many recomputed units
+/// as the session counted misses — per procedure, or one unit for a
+/// program-scoped phase — and each carries `expect(name)` as its reason
+/// label. DCE does not run under the default configuration, so its line
+/// stays the would-recompute view and is not compared.
+fn assert_audit_is_what_ran(
+    audit: &ipcp::core::IncrementalAudit,
+    stats: &ipcp::core::SessionStats,
+    expect: impl Fn(&str) -> &'static str,
+) {
+    use ipcp::core::audit::PROGRAM_SCOPED;
+    use ipcp::core::SessionPhase;
+    for phase in &audit.phases {
+        if matches!(phase.phase, SessionPhase::Dce | SessionPhase::DiskCache) {
+            continue;
+        }
+        let misses = stats.counter(phase.phase).misses;
+        let ran = if PROGRAM_SCOPED.contains(&phase.phase) {
+            misses.min(1)
+        } else {
+            misses
+        };
+        assert_eq!(
+            phase.recomputed.len() as u64,
+            ran,
+            "phase {}: the audit lists {:?}, the session missed {misses}",
+            phase.phase,
+            phase.recomputed
+        );
+        for (name, reason) in &phase.recomputed {
+            assert_eq!(
+                reason.label(),
+                expect(name),
+                "phase {} unit {name}",
+                phase.phase
+            );
+        }
+    }
+}
+
+#[test]
+fn why_reports_what_ran_with_the_summary_pack_loaded_evicted_or_corrupt() {
+    use ipcp::core::{pack_key, AnalysisConfig, SessionPhase};
+    let dir = temp_dir("ran");
+    let base = generate_scale(&ScaleSpec::with_procs(300, 7)).source;
+    let pack = dir.join(format!(
+        "{:016x}.pack",
+        pack_key("scale.mf", &AnalysisConfig::default())
+    ));
+    cli_run(&dir, &base);
+    assert!(pack.exists(), "a cold run writes the label's summary pack");
+    let edited_reason = |name: &str| match name {
+        "rdr0" | "main" | "callgraph" | "modref" | "solve" | "subst" => "input-changed",
+        other => panic!("{other} recomputed although its closure held"),
+    };
+
+    // The pack loaded: only the edited closure ran, and the outcome —
+    // replayed fuel and all — is the cache-less one.
+    let edit = edit_proc_body(&base, "rdr0", "  print(1)");
+    let (audit, stats, same) = cli_run(&dir, &edit);
+    assert_audit_is_what_ran(&audit, &stats, edited_reason);
+    assert_eq!(stats.counter(SessionPhase::Ssa).misses, 2);
+    assert!(same, "a cold run with the pack must answer byte for byte");
+
+    // The pack evicted: everything ran, the unedited procedures because
+    // their summaries were gone.
+    std::fs::remove_file(&pack).expect("the pack was rewritten");
+    let edit = edit_proc_body(&base, "rdr0", "  print(2)");
+    let (audit, stats, same) = cli_run(&dir, &edit);
+    assert!(same);
+    assert_audit_is_what_ran(&audit, &stats, |name| match name {
+        "rdr0" | "main" | "callgraph" | "modref" | "solve" | "subst" => "input-changed",
+        _ => "evicted",
+    });
+    assert_eq!(stats.counter(SessionPhase::Ssa).misses, 300);
+
+    // The pack corrupt: quarantined, and everything ran again.
+    let mut bytes = std::fs::read(&pack).expect("the pack was rewritten");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x20;
+    std::fs::write(&pack, &bytes).unwrap();
+    let edit = edit_proc_body(&base, "rdr0", "  print(3)");
+    let (audit, stats, same) = cli_run(&dir, &edit);
+    assert!(same);
+    assert_audit_is_what_ran(&audit, &stats, |name| match name {
+        "rdr0" | "main" | "callgraph" | "modref" | "solve" | "subst" => "input-changed",
+        _ => "quarantined",
+    });
+    assert_eq!(stats.counter(SessionPhase::Ssa).misses, 300);
+    let rendered = audit.render(Some("retjf"));
+    assert!(
+        rendered.contains("quarantined (checksum mismatch)"),
+        "{rendered}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -387,3 +387,158 @@ fn version_2_entry_and_ledger_are_a_format_version_mismatch() {
     assert_eq!(warm_cache.stats().hits, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---- hostile summary-pack bytes -------------------------------------------
+
+/// A labelled program's summary pack is bytes from outside like any
+/// other entry. Truncated at every offset, flipped at every byte, or
+/// stamped by another format version or toolchain, it must end in a
+/// classified miss — quarantined, with the audit naming why — and the
+/// edited program's cold answer, byte for byte. Re-framed under a valid
+/// checksum (a writer that lies), truncations still fail to decode and
+/// are quarantined, and flips never panic.
+#[test]
+fn hostile_pack_bytes_degrade_to_a_quarantined_miss() {
+    use ipcp::core::diskcache::{encode_entry, HEADER_LEN};
+    use ipcp::core::pack_key;
+    let src = "global n = 4\nproc f(a)\n  print(a + n)\nend\n\
+               func g(x)\n  return x * 3\nend\n\
+               main\n  call f(3)\n  v = g(n)\n  print(v)\nend\n";
+    let edited_src = src.replace("print(v)", "print(v + 1)");
+    let edited = ipcp::ir::compile_to_ir(&edited_src).expect("compiles");
+    let config = AnalysisConfig::default();
+    let golden = encode_to_vec(&AnalysisSession::new(&edited).analyze(&config));
+    let dir = temp_dir("hostile-pack");
+    let label = "hostile.mf";
+    let run = |ir: &ipcp::ir::Program| {
+        let cache = open(&dir);
+        let mut session = cached_session(ir, &cache);
+        session.set_audit_label(label);
+        let outcome = encode_to_vec(&session.analyze(&config));
+        (outcome, cache, session.last_audit().expect("audited"))
+    };
+    run(&ipcp::ir::compile_to_ir(src).expect("compiles"));
+    let key = pack_key(label, &config);
+    let pack = dir.join(format!("{key:016x}.pack"));
+    let image = std::fs::read(&pack).expect("a labelled cold run writes its pack");
+    let payload = validate_entry(key, &image).expect("valid pack").to_vec();
+    let edited_outcome = dir.join(format!(
+        "{:016x}.art",
+        outcome_key(AnalysisSession::new(&edited).base_fingerprint(), &config)
+    ));
+    let pack_reason = |audit: &ipcp::core::IncrementalAudit| {
+        let retjf = audit
+            .phases
+            .iter()
+            .find(|p| p.phase == SessionPhase::ReturnJf)
+            .expect("retjf audited");
+        let (_, reason) = retjf
+            .recomputed
+            .iter()
+            .find(|(name, _)| name == "f")
+            .expect("the unedited f ran without its summaries");
+        reason.clone()
+    };
+
+    // Each case plants `bytes` as the pack and analyzes the edited
+    // program, whose outcome entry is absent.
+    let check = |bytes: &[u8], what: &str, quarantined: bool| -> MissReason {
+        let _ = std::fs::remove_file(&edited_outcome);
+        std::fs::write(&pack, bytes).unwrap();
+        let (outcome, cache, audit) = run(&edited);
+        assert_eq!(outcome, golden, "{what}: wrong answer");
+        let stats = cache.stats();
+        if quarantined {
+            // One pack consult, a quarantined miss, whether the framing
+            // or the decoding refused it.
+            assert_eq!(stats.pack_misses, 1, "{what}");
+            assert_eq!(stats.pack_loads, 0, "{what}");
+            assert_eq!(stats.quarantined, 1, "{what}");
+            assert_eq!(cache.quarantine_count(), 1, "{what}");
+            let _ = std::fs::remove_dir_all(dir.join("quarantine"));
+            pack_reason(&audit)
+        } else {
+            MissReason::FirstComputation
+        }
+    };
+
+    for cut in 0..image.len() {
+        let reason = check(&image[..cut], &format!("truncated at {cut}"), true);
+        assert!(
+            matches!(reason, MissReason::Quarantined { .. }),
+            "truncated at {cut}: {reason:?}"
+        );
+    }
+    for at in 0..image.len() {
+        let mut bytes = image.clone();
+        bytes[at] ^= 0x5a;
+        let reason = check(&bytes, &format!("byte {at} flipped"), true);
+        let want_skew = (8..20).contains(&at);
+        assert_eq!(
+            reason == MissReason::FormatVersionMismatch,
+            want_skew,
+            "byte {at} flipped: {reason:?}"
+        );
+    }
+    // Top-bit flips in two payload words, or in one word and the stored
+    // checksum (header byte 43), must not cancel out.
+    for offsets in [[HEADER_LEN + 7, HEADER_LEN + 15], [HEADER_LEN + 7, 43]] {
+        let mut bytes = image.clone();
+        for at in offsets {
+            bytes[at] ^= 0x80;
+        }
+        assert_eq!(
+            check(&bytes, &format!("bit 7 flipped at {offsets:?}"), true),
+            MissReason::Quarantined {
+                reason: "checksum mismatch".to_string()
+            },
+            "bit 7 flipped at {offsets:?}"
+        );
+    }
+    let mut stamped = image.clone();
+    let stamped_path = dir.join("stamped.bin");
+    std::fs::write(&stamped_path, &stamped).unwrap();
+    stamp_version_2(&stamped_path);
+    stamped = std::fs::read(&stamped_path).unwrap();
+    std::fs::remove_file(&stamped_path).unwrap();
+    assert_eq!(
+        check(&stamped, "version 2", true),
+        MissReason::FormatVersionMismatch
+    );
+
+    // A lying writer: the damage sits under a valid checksum.
+    for cut in 0..payload.len() {
+        let reason = check(
+            &encode_entry(key, &payload[..cut]),
+            &format!("re-framed cut at {cut}"),
+            true,
+        );
+        assert_eq!(
+            reason,
+            MissReason::Quarantined {
+                reason: "payload decode failed".to_string()
+            },
+            "re-framed cut at {cut}"
+        );
+    }
+    for at in 0..payload.len() {
+        let mut bytes = payload.clone();
+        bytes[at] ^= 0x5a;
+        let _ = std::fs::remove_file(&edited_outcome);
+        std::fs::write(&pack, encode_entry(key, &bytes)).unwrap();
+        // A flip that still decodes is a different, well-formed pack:
+        // the answer may change, but nothing panics or hangs.
+        run(&edited);
+        let _ = std::fs::remove_dir_all(dir.join("quarantine"));
+    }
+
+    // The intact pack still loads and serves the unedited procedures.
+    let (outcome, cache, _) = {
+        let _ = std::fs::remove_file(&edited_outcome);
+        std::fs::write(&pack, &image).unwrap();
+        run(&edited)
+    };
+    assert_eq!(outcome, golden);
+    assert_eq!(cache.stats().pack_loads, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
