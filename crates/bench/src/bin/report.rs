@@ -7,27 +7,16 @@
 //! rather than once per table column.
 //!
 //! Pass `--timing` to also print single-run analysis times per
-//! configuration (Criterion benches give the careful numbers).
+//! configuration — the per-jump-function cost view of §3.1.5.
 //! Pass `--robustness [fuel]` to instead emit one JSON line per suite
 //! program describing how a fuel-limited run (default 10000 units)
 //! degraded — the machine-readable face of the resource-governance
 //! subsystem — including a `phase_stats` block with the session's
 //! per-phase wall-clock and cache traffic.
-//! Pass `--bench-json [jobs]` to instead run the 8-configuration
-//! Table-2 sweep per program at `jobs = 1` and `jobs = N` (default:
-//! every available core) and write `BENCH_parallel.json` — sweep
-//! wall-clock, speedup, and the per-phase wall/span stats at both
-//! worker counts — plus `BENCH_obs.json` with the traced per-phase
-//! *self* times and counters of one default-configuration run per
-//! program.
 //! Pass `--trace [path]` to instead run the suite with a recording
 //! observability sink and write one combined Chrome trace-event JSON
 //! file (default `trace.json`; one Chrome process per program),
 //! validated before it is written.
-//! Pass `--cache-bench [dir]` to instead run the 8-configuration sweep
-//! twice through the persistent disk cache — once cold (empty cache,
-//! fresh sessions) and once warm (fresh sessions, populated cache) —
-//! assert the substitution totals are bit-identical, and write
 //! Pass `--scale-bench [max_procs]` to instead run the scaling study:
 //! generated programs of 1k/10k/100k procedures (capped at
 //! `max_procs`) analyzed at worker counts {1, 4, 8}, writing
@@ -37,21 +26,16 @@
 //! Pass `--obs-bench` to instead measure the cost of the observability
 //! stack itself — every suite program analyzed with tracing off and
 //! with a recording sink (spans, counters, latency histograms),
-//! min-of-repeats — and rewrite `BENCH_obs.json` with the self-time
-//! section plus the measured overhead; the run fails if tracing costs
-//! more than 5%.
-//! Pass `--framework-bench` to check the generic value-context engine
-//! against the golden pins and the pre-refactor solver loop, writing
-//! `BENCH_framework.json` with the measured overhead (plus the
-//! separately-costed conditional-propagation sweep).
-//!
-//! `BENCH_cache.json` with per-program and total cold/warm wall-clock
-//! and speedup.
+//! min-of-repeats — and rewrite `BENCH_obs.json` with the per-phase
+//! self times plus the measured overhead; the run fails if tracing
+//! costs more than 5%.
+//! Pass `--emit-scale [procs] [path]` to instead write one scaling
+//! corpus to disk for shell-driven scenarios.
+
 use ipcp_core::obs::{chrome_trace_json_multi, validate_chrome_trace, TraceSink, TraceSnapshot};
-use ipcp_core::{AnalysisConfig, AnalysisSession, DiskCache};
+use ipcp_core::{AnalysisConfig, AnalysisSession};
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 /// `std::fs::write` with the failure turned into a diagnostic instead of
 /// a panic; `main` converts the error into a nonzero exit code.
@@ -76,53 +60,6 @@ fn robustness_report(fuel: u64) {
             session.stats().to_json()
         );
     }
-}
-
-fn bench_json(jobs: usize) -> Result<(), String> {
-    let suite = ipcp_bench::prepare_suite();
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"bench\":\"table2_sweep\",\"jobs\":{jobs},\"programs\":["
-    );
-    for (i, p) in suite.iter().enumerate() {
-        let start = std::time::Instant::now();
-        let (seq_session, seq_totals) = ipcp_bench::run_sweep(&p.ir, 1);
-        let seq_us = start.elapsed().as_micros();
-        let start = std::time::Instant::now();
-        let (par_session, par_totals) = ipcp_bench::run_sweep(&p.ir, jobs);
-        let par_us = start.elapsed().as_micros();
-        assert_eq!(
-            seq_totals, par_totals,
-            "parallel sweep diverged for {}",
-            p.generated.name
-        );
-        let speedup = seq_us as f64 / par_us.max(1) as f64;
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"program\":\"{}\",\"wall_us\":{{\"jobs_1\":{seq_us},\"jobs_n\":{par_us}}},\
-             \"speedup\":{speedup:.2},\"phase_stats_jobs_1\":{},\"phase_stats_jobs_n\":{}}}",
-            p.generated.name,
-            seq_session.stats().to_json(),
-            par_session.stats().to_json()
-        );
-    }
-    out.push_str("]}");
-    write_file("BENCH_parallel.json", &out)?;
-    println!("wrote BENCH_parallel.json ({jobs} workers)");
-
-    // Per-phase *self* times (span duration minus nested children) of
-    // one traced default-configuration run per program.
-    let obs = format!(
-        "{{\"bench\":\"obs_self_time\",\"programs\":{}}}",
-        obs_self_time_programs(&suite)
-    );
-    write_file("BENCH_obs.json", &obs)?;
-    println!("wrote BENCH_obs.json");
-    Ok(())
 }
 
 /// The `programs` array of `BENCH_obs.json`: per-phase self times and
@@ -273,226 +210,6 @@ fn trace_suite(path: &str) -> Result<(), String> {
     println!(
         "wrote {path} ({} events, {} spans, {} threads)",
         stats.events, stats.spans, stats.threads
-    );
-    Ok(())
-}
-
-/// Runs the 8-configuration sweep over the suite through a disk cache
-/// at `dir`: one cold pass against an empty cache, then one warm pass
-/// with fresh sessions against the populated cache. Substitution totals
-/// must be bit-identical across the passes; the wall-clock of both and
-/// the cache traffic go to `BENCH_cache.json`.
-fn cache_bench(dir: &str) -> Result<(), String> {
-    let open = |d: &str| -> Result<Arc<DiskCache>, String> {
-        DiskCache::open(d)
-            .map(Arc::new)
-            .map_err(|e| format!("cannot open cache `{d}`: {e}"))
-    };
-    // Start from a genuinely cold cache even if the directory survives
-    // from an earlier invocation.
-    open(dir)?.clear();
-
-    let suite = ipcp_bench::prepare_suite();
-    let configs = ipcp_bench::sweep_configs(1);
-    // One pass: fresh sessions (no in-memory reuse across passes), all
-    // sharing one disk cache handle, every configuration sequentially.
-    let run_pass = |cache: &Arc<DiskCache>| -> Vec<(u128, Vec<usize>)> {
-        suite
-            .iter()
-            .map(|p| {
-                let mut session = AnalysisSession::new(&p.ir);
-                session.attach_disk_cache(Arc::clone(cache));
-                let start = std::time::Instant::now();
-                let totals: Vec<usize> = configs
-                    .iter()
-                    .map(|(_, c)| session.analyze(c).substitutions.total)
-                    .collect();
-                (start.elapsed().as_micros(), totals)
-            })
-            .collect()
-    };
-
-    let cold_cache = open(dir)?;
-    let cold = run_pass(&cold_cache);
-    let warm_cache = open(dir)?;
-    let warm = run_pass(&warm_cache);
-
-    let mut out = String::new();
-    let _ = write!(out, "{{\"bench\":\"cache_warm_start\",\"programs\":[");
-    let (mut cold_total, mut warm_total) = (0u128, 0u128);
-    for (i, p) in suite.iter().enumerate() {
-        let (cold_us, cold_totals) = &cold[i];
-        let (warm_us, warm_totals) = &warm[i];
-        if cold_totals != warm_totals {
-            return Err(format!(
-                "warm sweep diverged from cold for {}: {cold_totals:?} vs {warm_totals:?}",
-                p.generated.name
-            ));
-        }
-        cold_total += cold_us;
-        warm_total += warm_us;
-        let speedup = *cold_us as f64 / (*warm_us).max(1) as f64;
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"program\":\"{}\",\"cold_us\":{cold_us},\"warm_us\":{warm_us},\
-             \"speedup\":{speedup:.2}}}",
-            p.generated.name
-        );
-    }
-    let speedup = cold_total as f64 / warm_total.max(1) as f64;
-    let _ = write!(
-        out,
-        "],\"total\":{{\"cold_us\":{cold_total},\"warm_us\":{warm_total},\
-         \"speedup\":{speedup:.2}}},\"cold_stats\":{},\"warm_stats\":{}}}",
-        cold_cache.stats().to_json(),
-        warm_cache.stats().to_json()
-    );
-    write_file("BENCH_cache.json", &out)?;
-    println!(
-        "wrote BENCH_cache.json (cold {cold_total}us, warm {warm_total}us, \
-         speedup {speedup:.2}x; warm cache: {})",
-        warm_cache.stats()
-    );
-    Ok(())
-}
-
-/// Quantifies what the generic value-context engine costs against the
-/// code it replaced, and writes `BENCH_framework.json`:
-///
-/// 1. the full Table-2 sweep through the engine, cell-checked against
-///    the golden pins (a wrong number fails the run),
-/// 2. a solver-only microbenchmark — the verbatim pre-refactor loop
-///    ([`ipcp_bench::legacy_solve`]) vs the engine-driven
-///    [`ipcp_core::solve`] on identical inputs with identical results —
-///    reporting the relative overhead (target: ≤5% on the sweep), and
-/// 3. the conditional-propagation sweep, reported separately: `cond`
-///    does strictly more work (feasibility SCCP per context), so its
-///    cost is not part of the legacy-parity budget.
-fn framework_bench() -> Result<(), String> {
-    let suite = ipcp_bench::prepare_suite();
-    let configs = ipcp_bench::table2_configs();
-
-    // Phase 1: the Table-2 sweep through fresh sessions, pinned.
-    let mut sweep = String::from("[");
-    let start = std::time::Instant::now();
-    for (i, (p, (name, expect))) in suite
-        .iter()
-        .zip(ipcp_bench::TABLE2_GOLDEN.iter())
-        .enumerate()
-    {
-        let session = AnalysisSession::new(&p.ir);
-        let totals: Vec<usize> = configs
-            .iter()
-            .map(|(_, c)| session.analyze(c).substitutions.total)
-            .collect();
-        if totals != expect.to_vec() {
-            return Err(format!(
-                "{name}: engine sweep diverged from golden pins: {totals:?} vs {expect:?}"
-            ));
-        }
-        if i > 0 {
-            sweep.push(',');
-        }
-        let cells: Vec<String> = totals.iter().map(usize::to_string).collect();
-        let _ = write!(
-            sweep,
-            "{{\"program\":\"{name}\",\"totals\":[{}]}}",
-            cells.join(",")
-        );
-    }
-    let sweep_us = start.elapsed().as_micros();
-    sweep.push(']');
-
-    // Phase 2: solver-only microbenchmark, legacy loop vs engine.
-    const REPEATS: u32 = 30;
-    let mut micro = String::from("[");
-    let (mut legacy_total, mut engine_total) = (0u128, 0u128);
-    for (i, p) in suite.iter().enumerate() {
-        let inputs = ipcp_bench::solver_inputs(&p.ir, true);
-        let engine = ipcp_core::solve(&inputs.program, &inputs.cg, &inputs.modref, &inputs.jfs);
-        let legacy =
-            ipcp_bench::legacy_solve(&inputs.program, &inputs.cg, &inputs.modref, &inputs.jfs);
-        ipcp_bench::assert_solver_agreement(&inputs.program, &engine, &legacy);
-
-        let start = std::time::Instant::now();
-        for _ in 0..REPEATS {
-            std::hint::black_box(ipcp_bench::legacy_solve(
-                &inputs.program,
-                &inputs.cg,
-                &inputs.modref,
-                &inputs.jfs,
-            ));
-        }
-        let legacy_us = start.elapsed().as_micros();
-        let start = std::time::Instant::now();
-        for _ in 0..REPEATS {
-            std::hint::black_box(ipcp_core::solve(
-                &inputs.program,
-                &inputs.cg,
-                &inputs.modref,
-                &inputs.jfs,
-            ));
-        }
-        let engine_us = start.elapsed().as_micros();
-        legacy_total += legacy_us;
-        engine_total += engine_us;
-        if i > 0 {
-            micro.push(',');
-        }
-        let _ = write!(
-            micro,
-            "{{\"program\":\"{}\",\"legacy_us\":{legacy_us},\"engine_us\":{engine_us},\
-             \"iterations\":{}}}",
-            p.generated.name,
-            engine.iterations()
-        );
-    }
-    micro.push(']');
-    // Two views of the same delta: relative to the solver phase alone,
-    // and amortized over the full Table-2 sweep it is part of — the
-    // ≤5% acceptance target applies to the sweep, where the solver is a
-    // sub-millisecond slice of a multi-second pipeline.
-    let solver_overhead_pct =
-        (engine_total as f64 - legacy_total as f64) / legacy_total.max(1) as f64 * 100.0;
-    let extra_us_per_solve = (engine_total as f64 - legacy_total as f64) / f64::from(REPEATS);
-    let sweep_overhead_pct =
-        extra_us_per_solve * configs.len() as f64 / sweep_us.max(1) as f64 * 100.0;
-
-    // Phase 3: conditional propagation, costed separately.
-    let mut cond = String::from("[");
-    let cond_config = AnalysisConfig::conditional();
-    let start = std::time::Instant::now();
-    for (i, p) in suite.iter().enumerate() {
-        let outcome = p.session().analyze(&cond_config);
-        if i > 0 {
-            cond.push(',');
-        }
-        let _ = write!(
-            cond,
-            "{{\"program\":\"{}\",\"substitutions\":{},\"pruned_call_edges\":{}}}",
-            p.generated.name, outcome.substitutions.total, outcome.stats.pruned_call_edges
-        );
-    }
-    let cond_us = start.elapsed().as_micros();
-    cond.push(']');
-
-    let out = format!(
-        "{{\"bench\":\"framework_overhead\",\
-         \"table2_sweep\":{{\"all_pinned\":true,\"wall_us\":{sweep_us},\"programs\":{sweep}}},\
-         \"solver_microbench\":{{\"repeats\":{REPEATS},\"legacy_total_us\":{legacy_total},\
-         \"engine_total_us\":{engine_total},\"solver_overhead_pct\":{solver_overhead_pct:.2},\
-         \"sweep_overhead_pct\":{sweep_overhead_pct:.4},\"target_sweep_pct\":5.0,\
-         \"programs\":{micro}}},\
-         \"cond_sweep\":{{\"wall_us\":{cond_us},\"programs\":{cond}}}}}"
-    );
-    write_file("BENCH_framework.json", &out)?;
-    println!(
-        "wrote BENCH_framework.json (sweep pinned in {sweep_us}us; engine vs legacy loop: \
-         {solver_overhead_pct:.2}% on the solver phase alone, {sweep_overhead_pct:.4}% \
-         amortized over the Table-2 sweep [target <=5%]; cond sweep {cond_us}us)"
     );
     Ok(())
 }
@@ -670,9 +387,6 @@ fn emit_scale(procs: usize, path: &str) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--framework-bench") {
-        return framework_bench();
-    }
     if args.iter().any(|a| a == "--obs-bench") {
         return obs_bench();
     }
@@ -709,26 +423,6 @@ fn run() -> Result<(), String> {
             .cloned()
             .unwrap_or_else(|| "trace.json".into());
         return trace_suite(&path);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-json") {
-        let jobs = args
-            .get(i + 1)
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or_else(|| ipcp_core::Parallelism::auto().effective());
-        return bench_json(jobs.max(1));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--cache-bench") {
-        let dir = args
-            .get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| {
-                std::env::temp_dir()
-                    .join(format!("ipcp-cache-bench-{}", std::process::id()))
-                    .display()
-                    .to_string()
-            });
-        return cache_bench(&dir);
     }
     let timing = args.iter().any(|a| a == "--timing");
     let jobs = ipcp_core::Parallelism::auto().effective();

@@ -1,17 +1,17 @@
-//! Framework-overhead benchmark support.
+//! Reference oracles for the solver.
 //!
-//! The value-context solver now runs through the generic
-//! `ipcp_core::framework` engine. This module keeps two oracles around
-//! that quantify what the refactor cost:
+//! The value-context solver runs through the generic
+//! `ipcp_core::framework` engine. This module keeps two oracles that pin
+//! what it computes:
 //!
 //! * the **golden Table-2/Table-3 pins** ([`TABLE2_GOLDEN`],
 //!   [`TABLE3_GOLDEN`]) every engine change must reproduce bit-for-bit
 //!   (consumed by `tests/golden.rs`, `tests/framework_golden.rs`, and
-//!   `report --framework-bench`), and
+//!   the repository benchmark's `paper_sweep`), and
 //! * a **verbatim replica of the pre-refactor bespoke solve loop**
-//!   ([`legacy_solve`]) so the generic engine's overhead can be measured
-//!   against the exact code it replaced, on identical inputs, with
-//!   identical results.
+//!   ([`legacy_solve`]) that the engine must agree with — identical
+//!   fixpoint, identical iteration count — on identical inputs
+//!   (`tests/framework_golden.rs`, `tests/flat_table_property.rs`).
 
 use ipcp_core::{ForwardJumpFns, ValSets};
 use ipcp_ir::{ProcId, Program};
@@ -59,7 +59,7 @@ pub const TABLE3_GOLDEN: [(&str, [usize; 4]); 12] = [
 ];
 
 /// Everything the propagation solver consumes, built once per program so
-/// the solver microbenchmark times *only* the solve loop.
+/// the engine and [`legacy_solve`] run on identical inputs.
 pub struct SolverInputs {
     /// The (global-augmented) program.
     pub program: Program,

@@ -9,8 +9,11 @@
 //! * `table3` binary — MOD information, complete propagation, and the
 //!   intraprocedural baseline (paper Table 3),
 //! * `report` binary — all three side by side with the paper's numbers,
-//! * Criterion benches (`benches/`) — the §3.1.5 cost story: analysis
-//!   time per jump function kind, per-phase costs, and scaling sweeps.
+//!   plus `--timing` (the §3.1.5 per-jump-function cost view), the
+//!   scaling and observability-overhead gates, and suite traces.
+//!
+//! Wall-clock measurement of the pipeline, end to end and per layer,
+//! lives in the repository benchmark (`perfbench/`).
 
 use ipcp_core::{analyze, AnalysisConfig, AnalysisSession, JumpFunctionKind};
 use ipcp_suite::{all_specs, generate, paper_row, program_stats, GeneratedProgram, PAPER_SIZES};
@@ -172,21 +175,11 @@ pub fn render_table1(suite: &[PreparedProgram]) -> String {
 
 /// One measured row: substitution totals per configuration, driven
 /// through the program's session so per-program artifacts are computed
-/// once rather than once per column.
-pub fn measure(
-    program: &PreparedProgram,
-    configs: &[(&'static str, AnalysisConfig)],
-) -> Vec<usize> {
-    configs
-        .iter()
-        .map(|(_, c)| program.session.analyze(c).substitutions.total)
-        .collect()
-}
-
-/// [`measure`] with the columns fanned out over `jobs` worker threads,
-/// all sharing the program's one session store (the `RwLock`'d
-/// [`ipcp_core::ArtifactStore`] admits concurrent readers). Results come
-/// back in column order and are bit-identical to the sequential sweep.
+/// once rather than once per column. The columns fan out over `jobs`
+/// worker threads, all sharing the session's one store (the `RwLock`'d
+/// [`ipcp_core::ArtifactStore`] admits concurrent readers); at one
+/// worker they run inline. Results come back in column order and are
+/// bit-identical at any worker count.
 pub fn measure_par(
     program: &PreparedProgram,
     configs: &[(&'static str, AnalysisConfig)],
@@ -197,60 +190,8 @@ pub fn measure_par(
     })
 }
 
-/// The full Table-2-style sweep — all four jump-function kinds, each
-/// with and without return jump functions (8 configurations) — with the
-/// per-analysis worker count pinned to `jobs`.
-pub fn sweep_configs(jobs: usize) -> Vec<(&'static str, AnalysisConfig)> {
-    const NAMES: [[&str; 2]; 4] = [
-        ["lit+rjf", "lit-rjf"],
-        ["intra+rjf", "intra-rjf"],
-        ["pass+rjf", "pass-rjf"],
-        ["poly+rjf", "poly-rjf"],
-    ];
-    let mut configs = Vec::new();
-    for (i, kind) in JumpFunctionKind::ALL.into_iter().enumerate() {
-        for (j, rjf) in [true, false].into_iter().enumerate() {
-            configs.push((
-                NAMES[i][j],
-                AnalysisConfig {
-                    jump_function: kind,
-                    return_jump_functions: rjf,
-                    jobs,
-                    ..AnalysisConfig::default()
-                },
-            ));
-        }
-    }
-    configs
-}
-
-/// Runs the 8-config sweep through one fresh session with the *columns*
-/// fanned out over `jobs` workers, returning the session (for its phase
-/// stats) and the substitution totals. Each column's analysis runs
-/// sequentially inside its worker — parallelizing at the coarsest level
-/// keeps the thread count at `jobs` instead of `jobs²`; intra-analysis
-/// fan-out is for single-configuration runs.
-pub fn run_sweep(ir: &ipcp_ir::Program, jobs: usize) -> (AnalysisSession, Vec<usize>) {
-    let configs = sweep_configs(1);
-    let session = AnalysisSession::new(ir);
-    // Warm the configuration-independent artifacts (call graph, MOD/REF,
-    // per-procedure SSA, return jump functions) with one sequential
-    // column; the remaining columns then fan out as mostly cache-hit
-    // traffic plus their per-configuration work, instead of racing to
-    // compute the shared artifacts redundantly.
-    let mut totals = Vec::with_capacity(configs.len());
-    totals.push(session.analyze(&configs[0].1).substitutions.total);
-    totals.extend(ipcp_core::parallel::par_map(
-        jobs,
-        &configs[1..],
-        |_, (_, c)| session.analyze(c).substitutions.total,
-    ));
-    (session, totals)
-}
-
-/// Wall-clock analysis time per configuration, in microseconds (single
-/// run — Criterion benches give the statistically careful numbers; this
-/// feeds the self-contained `report --timing` view).
+/// Wall-clock analysis time per configuration, in microseconds, of one
+/// fresh run each — the `report --timing` view.
 pub fn measure_timing(
     program: &ipcp_ir::Program,
     configs: &[(&'static str, AnalysisConfig)],

@@ -641,9 +641,10 @@ pub struct RunRecord {
 /// each takes the reason its key components give (first computation, an
 /// input or a facet change) or, when those did not move, the reason the
 /// persisted copy was unusable: for per-procedure phases the summary
-/// pack's miss, for program-scoped ones the outcome entry's. A phase the
-/// configuration skips — and every phase without `ran` — lists the units
-/// whose key components moved: what a run that needed it would compute.
+/// pack's miss, for program-scoped ones the outcome entry's; a phase the
+/// configuration skipped lists nothing. Without `ran`, every phase lists
+/// the units whose key components moved: what a run that needed it would
+/// compute.
 pub fn diff_ledgers(
     prev: Option<&Ledger>,
     current: &Ledger,
@@ -701,10 +702,13 @@ pub fn diff_ledgers(
                 }
             }
         };
-        let reason = match ran.and_then(|r| r.computed.get(&phase)) {
+        let reason = match ran {
             None => moved,
-            Some(units) if units.is_empty() => None,
-            Some(_) => Some(moved.unwrap_or_else(|| unexplained(&disk_miss, &pack_miss))),
+            Some(ran) => ran
+                .computed
+                .get(&phase)
+                .filter(|units| !units.is_empty())
+                .map(|_| moved.unwrap_or_else(|| unexplained(&disk_miss, &pack_miss))),
         };
         let recomputed: Vec<(String, MissReason)> = reason
             .map(|r| (phase.name().to_string(), r))
@@ -733,14 +737,17 @@ pub fn diff_ledgers(
                 Some(_) => None,
             }
         };
-        let recomputed: Vec<(String, MissReason)> = match ran.and_then(|r| r.computed.get(&phase)) {
+        let recomputed: Vec<(String, MissReason)> = match ran {
             None => current
                 .procs
                 .iter()
                 .filter_map(|p| moved(p).map(|r| (p.name.clone(), r)))
                 .collect(),
-            Some(units) => units
-                .iter()
+            Some(ran) => ran
+                .computed
+                .get(&phase)
+                .into_iter()
+                .flatten()
                 .filter_map(|&i| current.procs.get(i))
                 .map(|p| {
                     let reason = moved(p).unwrap_or_else(|| unexplained(&pack_miss, &disk_miss));

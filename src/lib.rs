@@ -14,8 +14,8 @@
 //! | [`suite`] | the twelve synthetic SPEC/PERFECT-style benchmark programs |
 //!
 //! The `ipcp-bench` crate regenerates the paper's Tables 1–3 (binaries
-//! `table1`/`table2`/`table3`/`report`) and benchmarks the §3.1.5 cost
-//! tradeoff with Criterion.
+//! `table1`/`table2`/`table3`/`report`); `report --timing` prints the
+//! §3.1.5 per-jump-function cost view.
 //!
 //! ## Quick start
 //!

@@ -33,7 +33,8 @@ fn edit_proc_body(source: &str, name: &str, replacement: &str) -> String {
     format!("{}{replacement}\n{}", &source[..at], &source[line_end..])
 }
 
-/// The recomputed-unit names listed under one `phase {name}:` section.
+/// The recomputed-unit names listed under one `phase {name}:` section,
+/// sorted.
 fn phase_entries(report: &str, phase: &str) -> Vec<String> {
     let header = format!("phase {phase}:");
     let mut out = Vec::new();
@@ -49,26 +50,32 @@ fn phase_entries(report: &str, phase: &str) -> Vec<String> {
             }
         }
     }
+    out.sort();
     out
 }
 
-#[test]
-fn one_proc_edit_attributes_exactly_its_closure() {
-    let dir = temp_dir("edit");
-    let dir_str = dir.to_string_lossy().into_owned();
+/// The `why` command under `flags` over the cache at `dir`.
+fn why_cli(dir: &str, flags: &[&str]) -> ipcp::cli::Cli {
+    let mut args = argv(&["why", "scale.mf", "--cache-dir", dir]);
+    args.extend(argv(flags));
+    parse_args(&args).unwrap()
+}
+
+/// Populates a fresh cache at `dir` from the 1000-procedure corpus under
+/// `flags`, edits exactly one leaf procedure's body — its closure is
+/// itself plus its only caller, `main` — and returns the edited source
+/// with `ipcp why`'s report of the edit.
+fn why_after_one_edit(dir: &str, flags: &[&str]) -> (String, String) {
     let base = generate_scale(&ScaleSpec::with_procs(1000, 7)).source;
 
     // Cold run populates the cache and writes the audit ledger.
-    let analyze = parse_args(&argv(&["analyze", "scale.mf", "--cache-dir", &dir_str])).unwrap();
-    execute(&analyze, &base).unwrap();
+    let mut args = argv(&["analyze", "scale.mf", "--cache-dir", dir]);
+    args.extend(argv(flags));
+    execute(&parse_args(&args).unwrap(), &base).unwrap();
 
-    // Edit exactly one leaf procedure's body. Its closure is itself plus
-    // its only caller, `main`.
     let edited = edit_proc_body(&base, "rdr0", "  print(424242)");
     assert_ne!(base, edited);
-
-    let why = parse_args(&argv(&["why", "scale.mf", "--cache-dir", &dir_str])).unwrap();
-    let out = execute(&why, &edited).unwrap();
+    let out = execute(&why_cli(dir, flags), &edited).unwrap();
 
     assert!(out.contains("changed procedures: rdr0\n"), "{out}");
     assert!(
@@ -76,16 +83,29 @@ fn one_proc_edit_attributes_exactly_its_closure() {
         "an incremental edit must produce zero first-computation misses:\n{out}"
     );
     assert!(out.contains("input changed (procs: rdr0)"), "{out}");
-    // Every proc-scoped phase recomputes exactly the edited closure.
-    for phase in ["ssa", "retjf", "symvals", "forward-jf", "dce"] {
-        let mut entries = phase_entries(&out, phase);
-        entries.sort();
+    (edited, out)
+}
+
+#[test]
+fn one_proc_edit_attributes_exactly_its_closure() {
+    let dir = temp_dir("edit");
+    let dir_str = dir.to_string_lossy().into_owned();
+    let (edited, out) = why_after_one_edit(&dir_str, &[]);
+
+    // Every proc-scoped phase that ran recomputes exactly the edited
+    // closure.
+    for phase in ["ssa", "retjf", "symvals", "forward-jf"] {
         assert_eq!(
-            entries,
+            phase_entries(&out, phase),
             ["main", "rdr0"],
             "phase {phase} must recompute exactly the edited closure:\n{out}"
         );
     }
+    // DCE runs only under complete propagation, so it recomputes nothing.
+    assert!(
+        out.contains("\nphase dce: 1000/1000 up to date, 0 recomputed\n"),
+        "{out}"
+    );
     // Program-scoped phases attribute their single unit to the edit too.
     for phase in ["callgraph", "modref", "solve", "subst"] {
         assert_eq!(
@@ -97,12 +117,34 @@ fn one_proc_edit_attributes_exactly_its_closure() {
 
     // `why` advanced the ledger and repopulated the cache, so a second
     // run over the same source is served entirely from disk.
-    let again = execute(&why, &edited).unwrap();
+    let again = execute(&why_cli(&dir_str, &[]), &edited).unwrap();
     assert!(!again.contains("changed procedures"), "{again}");
     assert!(!again.contains("input changed"), "{again}");
     assert!(!again.contains("first computation"), "{again}");
     assert!(again.contains("0 recomputed"), "{again}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn complete_propagation_lists_the_dce_steps_that_ran() {
+    let dir = temp_dir("edit-complete");
+    let dir_str = dir.to_string_lossy().into_owned();
+    let (_, out) = why_after_one_edit(&dir_str, &["--complete"]);
+    // The phases the summary pack carries recompute exactly the edited
+    // closure. DCE steps are not in the pack, so a fresh process runs
+    // DCE over every procedure, and the audit lists what ran.
+    for phase in ["retjf", "symvals", "forward-jf"] {
+        assert_eq!(
+            phase_entries(&out, phase),
+            ["main", "rdr0"],
+            "phase {phase} must recompute exactly the edited closure:\n{out}"
+        );
+    }
+    assert!(
+        out.contains("\nphase dce: 0/1000 up to date, 1000 recomputed\n"),
+        "{out}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -130,9 +172,7 @@ fn why_first_run_and_filters() {
             "phase filter must hide {phase}:\n{out}"
         );
     }
-    let mut entries = phase_entries(&out, "ssa");
-    entries.sort();
-    assert_eq!(entries, ["main", "rdr1"], "{out}");
+    assert_eq!(phase_entries(&out, "ssa"), ["main", "rdr1"], "{out}");
 
     // A proc filter keeps only phases that recomputed that unit; after
     // the run above the ledger is current, so nothing is recomputed.
