@@ -13,8 +13,10 @@
 //!
 //! * the program fingerprint and the globals fingerprint,
 //! * per procedure (by *name*, so renumbering across edits does not
-//!   confuse attribution): its own IR fingerprint and its closure
-//!   fingerprint (the Merkle-over-SCC digest cache keys build on),
+//!   confuse attribution): its own IR fingerprint, its closure
+//!   fingerprint (a Merkle-over-SCC digest of everything it reaches),
+//!   and its summary fingerprint (what its callers' keys read of it:
+//!   signature, MOD, REF and return jump functions),
 //! * per phase: the rendered configuration facets its cache key reads,
 //! * the disk-cache keys — outcome entries and summary packs — this
 //!   label has stored (bounded), so a later absence can be classified
@@ -47,6 +49,10 @@
 //! unchanged counts as up to date even when a fresh process recomputes
 //! it in memory — the question answered is "did the inputs move", not
 //! "was this process warm".
+//!
+//! A recomputed procedure whose summary fingerprint came out as the
+//! previous run's is an *early cutoff*: its callers' keys did not move
+//! with it, so its line says that they were cut off.
 
 use crate::diskcache::{encode_entry, validate_entry};
 use crate::driver::AnalysisConfig;
@@ -164,6 +170,10 @@ pub struct LedgerProc {
     /// Closure fingerprint (own IR plus everything transitively
     /// reachable plus the global table).
     pub closure_fp: u64,
+    /// Summary fingerprint under the run's configuration: signature,
+    /// MOD, REF and — when the run built them — the return jump
+    /// functions.
+    pub summary_fp: u64,
 }
 
 impl Wire for LedgerProc {
@@ -171,18 +181,21 @@ impl Wire for LedgerProc {
         self.name.encode(w);
         self.own_fp.encode(w);
         self.closure_fp.encode(w);
+        self.summary_fp.encode(w);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         Ok(LedgerProc {
             name: String::decode(r)?,
             own_fp: u64::decode(r)?,
             closure_fp: u64::decode(r)?,
+            summary_fp: u64::decode(r)?,
         })
     }
 }
 
 /// The per-run key-component record the audit diffs against. See the
-/// module docs.
+/// module docs. Its fingerprints are [`ledger_fp`] folds: the ledger
+/// only detects change.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Ledger {
     /// Fingerprint of the pristine program.
@@ -197,6 +210,15 @@ pub struct Ledger {
     /// Disk-cache keys — outcome entries and summary packs — stored
     /// under this label, newest last, bounded by [`MAX_OUTCOME_KEYS`].
     pub outcome_keys: Vec<u64>,
+}
+
+/// A 128-bit fingerprint as the ledger keeps it: its halves folded into
+/// 64 bits. The ledger only detects change, never keys anything, so a
+/// fold costs at most a missed attribution (a 2⁻⁶⁴ chance per
+/// comparison) and halves the fingerprint bytes of a ledger that is read
+/// and rewritten whole on every cold run.
+pub fn ledger_fp(fp: u128) -> u64 {
+    fp as u64 ^ (fp >> 64) as u64
 }
 
 impl Wire for Ledger {
@@ -438,6 +460,9 @@ pub struct IncrementalAudit {
     pub changed_procs: Vec<String>,
     /// Whether the global table or entry procedure changed.
     pub globals_changed: bool,
+    /// Recomputed procedures whose summary came out unchanged, by name:
+    /// their callers were cut off.
+    pub cut_off: Vec<String>,
     /// Per-phase verdicts, in pipeline order.
     pub phases: Vec<PhaseAudit>,
 }
@@ -512,8 +537,14 @@ impl IncrementalAudit {
             } else {
                 RENDER_LIMIT
             };
+            let proc_scoped = PROC_SCOPED.contains(&phase.phase);
             for (name, reason) in entries.iter().take(limit) {
-                let _ = writeln!(out, "  {}: {}", name, reason.describe());
+                let cut = if proc_scoped && self.cut_off.contains(name) {
+                    "; summary unchanged, callers cut off"
+                } else {
+                    ""
+                };
+                let _ = writeln!(out, "  {}: {}{cut}", name, reason.describe());
             }
             if entries.len() > limit {
                 let _ = writeln!(out, "  … (+{} more)", entries.len() - limit);
@@ -573,6 +604,7 @@ pub fn warm_hit_audit(procs: u64) -> IncrementalAudit {
         first_run: false,
         changed_procs: Vec::new(),
         globals_changed: false,
+        cut_off: Vec::new(),
         phases,
     }
 }
@@ -629,6 +661,9 @@ pub struct RunRecord {
     /// ledger's procedures (unit `0` for a program-scoped phase). A
     /// phase absent did not run under the configuration.
     pub computed: BTreeMap<SessionPhase, BTreeSet<usize>>,
+    /// The procedures nothing calls (indices into the ledger's
+    /// procedures): no cutoff is claimed for them.
+    pub uncalled: BTreeSet<usize>,
     /// Why the per-procedure summary pack could not be used, when one
     /// was consulted and missed.
     pub pack: Option<MissReason>,
@@ -776,12 +811,36 @@ pub fn diff_ledgers(
             recomputed,
         });
     }
+    // A called procedure some per-procedure phase recomputed whose
+    // summary held is an early cutoff: its callers' keys did not move.
+    let recomputed: BTreeSet<&str> = phases
+        .iter()
+        .filter(|p| PROC_SCOPED.contains(&p.phase))
+        .flat_map(|p| p.recomputed.iter().map(|(name, _)| name.as_str()))
+        .collect();
+    let cut_off = current
+        .procs
+        .iter()
+        .enumerate()
+        .filter(|(i, p)| {
+            ran.is_some_and(|r| !r.uncalled.contains(i)) && recomputed.contains(p.name.as_str())
+        })
+        .map(|(_, p)| p)
+        .filter(|p| {
+            prev_procs
+                .as_ref()
+                .and_then(|pm| pm.get(p.name.as_str()))
+                .is_some_and(|q| q.summary_fp == p.summary_fp)
+        })
+        .map(|p| p.name.clone())
+        .collect();
     // Order by pipeline position for stable rendering.
     phases.sort_by_key(|p| SessionPhase::ALL.iter().position(|&q| q == p.phase));
     IncrementalAudit {
         first_run: prev.is_none(),
         changed_procs,
         globals_changed,
+        cut_off,
         phases,
     }
 }
@@ -848,6 +907,7 @@ mod tests {
                     name: name.to_string(),
                     own_fp,
                     closure_fp,
+                    summary_fp: own_fp,
                 })
                 .collect(),
             facets: render_facets(config),

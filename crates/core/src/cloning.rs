@@ -189,8 +189,7 @@ pub fn apply_cloning(
 pub fn clone_report(program: &Program, config: &AnalysisConfig) -> String {
     let session = AnalysisSession::new(program);
     let mut round = program.clone();
-    let state_fp = session.base_fingerprint();
-    session.solved_view(&mut round, state_fp, config, &NoopSink, |r| {
+    session.solved_view(&mut round, session.base_state(), config, &NoopSink, |r| {
         let ops = match (&r.jfs, r.vals.as_deref()) {
             (Some(jfs), Some(vals)) => cloning_opportunities(r.program, r.cg, jfs, vals),
             _ => Vec::new(),

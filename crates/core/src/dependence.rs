@@ -21,20 +21,14 @@ use ipcp_obs::NoopSink;
 pub fn subscript_counts(program: &Program, config: &AnalysisConfig) -> SubscriptCounts {
     let session = AnalysisSession::new(program);
     let mut round = program.clone();
-    session.solved_view(
-        &mut round,
-        session.base_fingerprint(),
-        config,
-        &NoopSink,
-        |r| {
-            let mut total = SubscriptCounts::default();
-            for pid in r.program.proc_ids().filter(|&pid| r.cg.is_reachable(pid)) {
-                let (ssa, result) = r.sccp(pid);
-                total.absorb(count_subscripts(r.program.proc(pid), &ssa, &result));
-            }
-            total
-        },
-    )
+    session.solved_view(&mut round, session.base_state(), config, &NoopSink, |r| {
+        let mut total = SubscriptCounts::default();
+        for pid in r.program.proc_ids().filter(|&pid| r.cg.is_reachable(pid)) {
+            let (ssa, result) = r.sccp(pid);
+            total.absorb(count_subscripts(r.program.proc(pid), &ssa, &result));
+        }
+        total
+    })
 }
 
 #[cfg(test)]

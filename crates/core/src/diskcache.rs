@@ -10,8 +10,8 @@
 //! ## On-disk format
 //!
 //! One file per entry — `<key:016x>.art` for an analysis outcome,
-//! `<key:016x>.pack` for a per-procedure summary pack ([`crate::pack`])
-//! — each laid out as
+//! `<key:016x>.pack` for a per-procedure summary pack ([`crate::pack`]).
+//! An outcome file is one framed entry:
 //!
 //! ```text
 //! offset  size  field
@@ -24,16 +24,40 @@
 //!     44     —  payload ([`Wire`]-encoded artifact)
 //! ```
 //!
-//! Loads validate every header field *and* the checksum; any mismatch
-//! moves the file into `quarantine/` (for postmortem inspection),
-//! records the event in the cache's [`RobustnessReport`], and reports a
-//! miss so the caller recomputes from scratch.
+//! A pack file is a log of *segments*, each framed exactly like an
+//! entry under the pack's key, closed by a 24-byte *seal*:
+//!
+//! ```text
+//! segment 0 (written afresh) │ segment 1 … n (appended) │ seal
+//! seal: magic b"IPCPSEAL" │ segment count (u64 LE) │ chain (u64 LE)
+//! ```
+//!
+//! The chain folds every segment's checksum in file order, so the seal
+//! pins the whole log: a file cut anywhere — a segment boundary included
+//! — or with any byte flipped fails validation. A cold run that loaded
+//! the pack appends one segment holding only the summaries it computed,
+//! overwriting the old seal with the segment and a new seal, under the
+//! directory lock; on load, a later segment's entry wins over an earlier
+//! one's. Once the appended segments outgrow [`PACK_COMPACT_PERCENT`]
+//! of the first segment, the next store compacts instead: it rewrites
+//! the pack as one fresh segment of the run's live summaries, through
+//! temp file and rename. Loads read a pack under the lock, so they never
+//! see half an append.
+//!
+//! Loads validate every header field *and* the checksum — of each
+//! segment and of the seal; any mismatch moves the file (a whole pack,
+//! whichever segment failed) into `quarantine/` (for postmortem
+//! inspection), records the event in the cache's [`RobustnessReport`],
+//! and reports a miss so the caller recomputes from scratch.
 //!
 //! ## Crash safety and concurrency
 //!
 //! Writes go to a process-unique temp file followed by an atomic rename,
 //! so a reader never observes a half-written entry even if the writer
-//! dies mid-write. Mutations additionally serialize on an advisory
+//! dies mid-write. A pack append is the one write in place: a writer
+//! that dies mid-append leaves a pack whose seal no longer matches, so
+//! the next load quarantines it and the run recomputes cold. Mutations
+//! additionally serialize on an advisory
 //! `.lock` file (created with `O_EXCL`, holding the owner's PID); locks
 //! older than [`LOCK_STALE_SECS`] are presumed dead and broken. A store
 //! that cannot acquire the lock or complete its write simply skips
@@ -45,7 +69,10 @@
 //! After each successful store the cache enforces an optional byte
 //! budget by deleting the least-recently-used entries, outcomes and
 //! packs alike (mtime order; a successful load refreshes an entry's
-//! mtime).
+//! mtime). A pack is one file, so it is evicted, quarantined and
+//! counted as one unit. The first store of each cache handle, and every
+//! store that had to break a stale lock, also sweeps the temp files a
+//! crashed writer left behind.
 //!
 //! All I/O funnels through the [`CacheIo`] trait so tests can wrap the
 //! real filesystem with an [`IoFaultInjector`] and prove every fault
@@ -57,12 +84,13 @@ use crate::subst::SubstitutionCounts;
 use ipcp_analysis::budget::{IoFaultInjector, IoFaultKind, IoOp, RobustnessReport};
 use ipcp_analysis::modref::Slot;
 use ipcp_ir::codec::{ByteReader, Wire, WireError, WireSink};
-use ipcp_ir::fingerprint::{combine, Fnv1a};
+use ipcp_ir::fingerprint::Fnv1a;
 use ipcp_ir::Program;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -77,11 +105,18 @@ pub const MAGIC: [u8; 8] = *b"IPCPART1";
 /// rendering, so every key moved. Version 4: per-procedure summary
 /// packs ([`pack_key`]) join the outcome entries, with `Wire` encodings
 /// of jump functions and their store keys, and the payload checksum
-/// runs over 8-byte words.
-pub const FORMAT_VERSION: u32 = 4;
+/// runs over 8-byte words. Version 5: per-procedure keys fold callee
+/// summaries instead of callee bodies, fingerprints widen to 128 bits,
+/// packs become sealed logs of appended segments carrying table
+/// fingerprints and DCE steps, and ledgers record summary fingerprints.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Fixed header size preceding the payload.
 pub const HEADER_LEN: usize = 44;
+
+/// The quarantine reason of a payload that passes its checksum but does
+/// not decode.
+const DECODE_FAILED: &str = "payload decode failed";
 
 /// Advisory locks older than this are presumed to belong to a dead
 /// process and are broken.
@@ -96,12 +131,25 @@ pub fn toolchain_fingerprint() -> u64 {
     h.finish()
 }
 
+/// Folds 64-bit parts (order-sensitive) into one entry-file key.
+fn file_key(parts: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = Fnv1a::new();
+    for part in parts {
+        h.write_u64(part);
+    }
+    h.finish()
+}
+
 /// The cache key for a full analysis outcome: the program fingerprint
 /// combined with every result-affecting configuration facet. `jobs` and
 /// fuel take no part — parallelism is bit-identical by design and
-/// metered runs are never cached.
-pub fn outcome_key(base_fp: u64, config: &AnalysisConfig) -> u64 {
-    combine([base_fp, outcome_facets(config)])
+/// metered runs are never cached. Entry keys name files and stay 64-bit.
+pub fn outcome_key(base_fp: u128, config: &AnalysisConfig) -> u64 {
+    file_key([
+        base_fp as u64,
+        (base_fp >> 64) as u64,
+        outcome_facets(config),
+    ])
 }
 
 /// Keeps summary-pack keys apart from outcome keys even if a label's
@@ -111,10 +159,10 @@ const PACK_DOMAIN: u64 = u64::from_le_bytes(*b"sumpack1");
 /// The cache key of the per-procedure summary pack (see
 /// [`crate::pack`]) of the program analyzed under `label` — typically
 /// its path — with `config`'s outcome facets. One pack per label and
-/// configuration: each cold run overwrites it, so it always holds the
-/// summaries of the label's latest program.
+/// configuration: each cold run appends the summaries it computed, so it
+/// always holds those of the label's latest program.
 pub fn pack_key(label: &str, config: &AnalysisConfig) -> u64 {
-    combine([
+    file_key([
         PACK_DOMAIN,
         crate::audit::label_fp(label),
         outcome_facets(config),
@@ -315,6 +363,129 @@ pub fn validate_entry(key: u64, bytes: &[u8]) -> Result<&[u8], &'static str> {
     Ok(payload)
 }
 
+// ---- pack framing -----------------------------------------------------------
+
+/// First 8 bytes of a pack's seal.
+const SEAL_MAGIC: [u8; 8] = *b"IPCPSEAL";
+
+/// Length of the seal closing every pack file.
+pub const SEAL_LEN: usize = 24;
+
+/// How far a pack may grow by appended segments, in percent of its
+/// first segment's size, before a store compacts it. A fixed share, not
+/// a knob: with it, a pack never exceeds (1 + share) times the size of a
+/// fresh pack of the same summaries.
+pub const PACK_COMPACT_PERCENT: u64 = 25;
+
+/// The seal chain before any segment.
+const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The seal chain after one more segment, whose checksum is `checksum`.
+fn chain_step(chain: u64, checksum: u64) -> u64 {
+    let h = (chain ^ checksum).wrapping_mul(0x0000_0100_0000_01b3);
+    h ^ (h >> 32)
+}
+
+fn seal(count: u64, chain: u64) -> [u8; SEAL_LEN] {
+    let mut out = [0u8; SEAL_LEN];
+    out[..8].copy_from_slice(&SEAL_MAGIC);
+    out[8..16].copy_from_slice(&count.to_le_bytes());
+    out[16..].copy_from_slice(&chain.to_le_bytes());
+    out
+}
+
+/// Frames `payloads` into a complete pack file image: one entry per
+/// segment, in order, then the seal.
+pub fn encode_pack(key: u64, payloads: &[&[u8]]) -> Vec<u8> {
+    let size: usize = payloads.iter().map(|p| HEADER_LEN + p.len()).sum();
+    let mut out = Vec::with_capacity(size + SEAL_LEN);
+    let mut chain = CHAIN_SEED;
+    for payload in payloads {
+        chain = chain_step(chain, checksum(payload));
+        out.extend_from_slice(&encode_entry(key, payload));
+    }
+    out.extend_from_slice(&seal(payloads.len() as u64, chain));
+    out
+}
+
+/// Validates a whole pack file image against its expected `key` and
+/// returns its segments' payloads, in file order.
+///
+/// # Errors
+///
+/// A stable human-readable reason — the quarantine classification: the
+/// first segment's framing failure ([`validate_entry`]'s reasons), a
+/// cut that leaves no seal, or a seal whose magic, segment count or
+/// chain (`"checksum mismatch"`) disagrees with the segments.
+pub fn pack_segments(key: u64, bytes: &[u8]) -> Result<Vec<&[u8]>, &'static str> {
+    let mut segments = Vec::new();
+    let mut chain = CHAIN_SEED;
+    let mut rest = bytes;
+    while rest.len() != SEAL_LEN {
+        if rest.len() < HEADER_LEN {
+            return Err("truncated pack");
+        }
+        // A length past the end is cut to it, so the header check reports it.
+        let end = usize::try_from(read_u64_at(rest, 28))
+            .ok()
+            .and_then(|len| len.checked_add(HEADER_LEN))
+            .map_or(rest.len(), |end| end.min(rest.len()));
+        segments.push(validate_entry(key, &rest[..end])?);
+        chain = chain_step(chain, read_u64_at(rest, 36));
+        rest = &rest[end..];
+    }
+    if rest[..8] != SEAL_MAGIC {
+        return Err("bad seal");
+    }
+    if segments.is_empty() || read_u64_at(rest, 8) != segments.len() as u64 {
+        return Err("segment count mismatch");
+    }
+    if read_u64_at(rest, 16) != chain {
+        return Err("checksum mismatch");
+    }
+    Ok(segments)
+}
+
+/// What an append needs of a pack on disk, read from its first header
+/// and its seal alone; the segments are validated on the next load.
+struct PackTail {
+    /// File length.
+    len: u64,
+    /// Length of the first segment, header included.
+    base: u64,
+    count: u64,
+    chain: u64,
+}
+
+/// The tail of `key`'s pack at `path`, or `None` when there is no pack
+/// to append to: absent, unreadable, or framed for another key, format
+/// or toolchain.
+fn pack_tail(path: &Path, key: u64) -> Option<PackTail> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut file = std::fs::File::open(path).ok()?;
+    let len = file.metadata().ok()?.len();
+    if len < (HEADER_LEN + SEAL_LEN) as u64 {
+        return None;
+    }
+    let mut header = [0u8; HEADER_LEN];
+    file.read_exact(&mut header).ok()?;
+    let mut tail = [0u8; SEAL_LEN];
+    file.seek(SeekFrom::End(-(SEAL_LEN as i64))).ok()?;
+    file.read_exact(&mut tail).ok()?;
+    let framed = header[..8] == MAGIC
+        && header[8..12] == FORMAT_VERSION.to_le_bytes()
+        && read_u64_at(&header, 12) == toolchain_fingerprint()
+        && read_u64_at(&header, 20) == key
+        && tail[..8] == SEAL_MAGIC;
+    let base = (HEADER_LEN as u64).checked_add(read_u64_at(&header, 28))?;
+    (framed && base + SEAL_LEN as u64 <= len).then(|| PackTail {
+        len,
+        base,
+        count: read_u64_at(&tail, 8),
+        chain: read_u64_at(&tail, 16),
+    })
+}
+
 // ---- pluggable I/O --------------------------------------------------------
 
 /// The filesystem surface the cache touches, abstracted for fault
@@ -354,6 +525,21 @@ pub trait CacheIo: Send + Sync {
     ///
     /// `AlreadyExists` when another process holds the lock.
     fn create_lock(&self, path: &Path) -> io::Result<()>;
+
+    /// Overwrites the file from byte `at` on with `bytes`, dropping what
+    /// followed: how a pack's seal gives way to an appended segment and
+    /// a new seal.
+    ///
+    /// # Errors
+    ///
+    /// The underlying I/O error.
+    fn append(&self, path: &Path, at: u64, bytes: &[u8]) -> io::Result<()> {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
+        file.set_len(at)?;
+        file.seek(SeekFrom::Start(at))?;
+        file.write_all(bytes)
+    }
 }
 
 /// The real filesystem.
@@ -401,42 +587,49 @@ impl FaultyIo {
     }
 }
 
+impl FaultyIo {
+    /// The bytes a write lands when the armed fault strikes it, or the
+    /// error it fails with; `None` when no fault strikes this write.
+    fn strike(&self, bytes: &[u8]) -> Option<io::Result<Vec<u8>>> {
+        if !self.injector.should_fire(IoOp::Write) {
+            return None;
+        }
+        Some(match self.injector.kind() {
+            // A crash mid-write: only a prefix reaches the disk, and
+            // the write call itself appears to succeed.
+            IoFaultKind::TornWrite => Ok(bytes[..bytes.len() / 2].to_vec()),
+            // The bytes land whole, then lose their tail.
+            IoFaultKind::Truncate => Ok(bytes[..bytes.len().saturating_sub(8)].to_vec()),
+            // Media bit rot: one bit of the payload flips silently.
+            IoFaultKind::BitFlip => {
+                let mut corrupt = bytes.to_vec();
+                if let Some(last) = corrupt.last_mut() {
+                    *last ^= 0x01;
+                }
+                Ok(corrupt)
+            }
+            IoFaultKind::Enospc => Err(io::Error::new(
+                io::ErrorKind::StorageFull,
+                "injected ENOSPC",
+            )),
+            IoFaultKind::Eacces => Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                "injected EACCES",
+            )),
+            IoFaultKind::RenameFail => unreachable!("rename faults target IoOp::Rename"),
+        })
+    }
+}
+
 impl CacheIo for FaultyIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         self.inner.read(path)
     }
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        if self.injector.should_fire(IoOp::Write) {
-            return match self.injector.kind() {
-                // A crash mid-write: only a prefix reaches the disk, and
-                // the write call itself appears to succeed.
-                IoFaultKind::TornWrite => self.inner.write(path, &bytes[..bytes.len() / 2]),
-                // The file lands whole, then loses its tail.
-                IoFaultKind::Truncate => {
-                    self.inner.write(path, bytes)?;
-                    let keep = bytes.len().saturating_sub(8);
-                    self.inner.write(path, &bytes[..keep])
-                }
-                // Media bit rot: one bit of the payload flips silently.
-                IoFaultKind::BitFlip => {
-                    let mut corrupt = bytes.to_vec();
-                    if let Some(last) = corrupt.last_mut() {
-                        *last ^= 0x01;
-                    }
-                    self.inner.write(path, &corrupt)
-                }
-                IoFaultKind::Enospc => Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "injected ENOSPC",
-                )),
-                IoFaultKind::Eacces => Err(io::Error::new(
-                    io::ErrorKind::PermissionDenied,
-                    "injected EACCES",
-                )),
-                IoFaultKind::RenameFail => unreachable!("rename faults target IoOp::Rename"),
-            };
+        match self.strike(bytes) {
+            Some(landed) => self.inner.write(path, &landed?),
+            None => self.inner.write(path, bytes),
         }
-        self.inner.write(path, bytes)
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         if self.injector.should_fire(IoOp::Rename) {
@@ -450,6 +643,12 @@ impl CacheIo for FaultyIo {
     fn create_lock(&self, path: &Path) -> io::Result<()> {
         self.inner.create_lock(path)
     }
+    fn append(&self, path: &Path, at: u64, bytes: &[u8]) -> io::Result<()> {
+        match self.strike(bytes) {
+            Some(landed) => self.inner.append(path, at, &landed?),
+            None => self.inner.append(path, at, bytes),
+        }
+    }
 }
 
 // ---- advisory lock --------------------------------------------------------
@@ -457,6 +656,9 @@ impl CacheIo for FaultyIo {
 struct DirLock<'a> {
     io: &'a dyn CacheIo,
     path: PathBuf,
+    /// Whether acquiring it meant breaking a stale lock, whose dead
+    /// owner may have left temp files behind.
+    broke: bool,
 }
 
 /// The lock file's mtime, if it can be observed at all.
@@ -476,9 +678,10 @@ impl<'a> DirLock<'a> {
     /// briefly against live contenders.
     fn acquire(io: &'a dyn CacheIo, dir: &Path) -> io::Result<Self> {
         let path = dir.join(".lock");
+        let mut broke = false;
         for attempt in 0..50 {
             match io.create_lock(&path) {
-                Ok(()) => return Ok(DirLock { io, path }),
+                Ok(()) => return Ok(DirLock { io, path, broke }),
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                     let judged = lock_mtime(&path);
                     if lock_is_stale(judged) {
@@ -486,6 +689,7 @@ impl<'a> DirLock<'a> {
                         // break mutex, then loop straight back to the
                         // O_EXCL create so exactly one breaker wins.
                         Self::break_stale(io, dir, &path, judged);
+                        broke = true;
                     } else if attempt == 49 {
                         return Err(e);
                     } else {
@@ -681,6 +885,8 @@ pub struct DiskCache {
     io: Box<dyn CacheIo>,
     stats: Mutex<CacheStats>,
     anomalies: Mutex<BTreeMap<String, u64>>,
+    /// Whether this handle has swept dead temp files yet.
+    swept: AtomicBool,
 }
 
 impl fmt::Debug for DiskCache {
@@ -717,6 +923,7 @@ impl DiskCache {
             io,
             stats: Mutex::new(CacheStats::default()),
             anomalies: Mutex::new(BTreeMap::new()),
+            swept: AtomicBool::new(false),
         })
     }
 
@@ -783,7 +990,7 @@ impl DiskCache {
     ///
     /// The [`LoadMiss`] classification of the failed load.
     pub fn load_classified(&self, key: u64) -> Result<Vec<u8>, LoadMiss> {
-        self.load_entry(key, Entry::Outcome, Some)
+        self.load_decoded(key, |payload| Some(payload.to_vec()))
     }
 
     /// [`DiskCache::load_classified`] through `decode`: a payload that
@@ -799,11 +1006,16 @@ impl DiskCache {
         key: u64,
         decode: impl FnOnce(&[u8]) -> Option<T>,
     ) -> Result<T, LoadMiss> {
-        self.load_entry(key, Entry::Outcome, |payload| decode(&payload))
+        self.load_entry(key, Entry::Outcome, |bytes| {
+            decode(validate_entry(key, &bytes)?).ok_or(DECODE_FAILED)
+        })
     }
 
-    /// [`DiskCache::load_decoded`] for a summary pack: the same
-    /// validation and quarantine, counted as pack traffic.
+    /// Loads a summary pack: its segments validated against the seal
+    /// and decoded by `decode`, in file order. Any invalid or undecodable
+    /// segment quarantines the whole pack. Counted as pack traffic. The
+    /// file is read under the directory lock, so an append in flight is
+    /// never seen half done.
     ///
     /// # Errors
     ///
@@ -811,9 +1023,15 @@ impl DiskCache {
     pub fn load_pack<T>(
         &self,
         key: u64,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Result<T, LoadMiss> {
-        self.load_entry(key, Entry::Pack, |payload| decode(&payload))
+        decode: impl FnMut(&[u8]) -> Option<T>,
+    ) -> Result<Vec<T>, LoadMiss> {
+        self.load_entry(key, Entry::Pack, |bytes| {
+            pack_segments(key, &bytes)?
+                .into_iter()
+                .map(decode)
+                .collect::<Option<Vec<T>>>()
+                .ok_or(DECODE_FAILED)
+        })
     }
 
     fn count(
@@ -833,16 +1051,27 @@ impl DiskCache {
         self.count(entry, |s| &mut s.misses, |s| &mut s.pack_misses);
     }
 
-    /// Reads, validates and decodes one entry; only an entry that
-    /// decodes counts as a hit (or pack load).
+    /// Reads one entry and hands its bytes to `parse`, which validates
+    /// and decodes them; only an entry that parses counts as a hit (or
+    /// pack load), and one that fails is quarantined for the reason
+    /// `parse` gives.
     fn load_entry<T>(
         &self,
         key: u64,
         entry: Entry,
-        decode: impl FnOnce(Vec<u8>) -> Option<T>,
+        parse: impl FnOnce(Vec<u8>) -> Result<T, &'static str>,
     ) -> Result<T, LoadMiss> {
         let path = self.entry_path(key, entry);
-        let bytes = match self.io.read(&path) {
+        let read = match entry {
+            Entry::Outcome => self.io.read(&path),
+            // Appends are in place; a reader that cannot get the lock
+            // reads anyway, and at worst quarantines a torn pack.
+            Entry::Pack => {
+                let _lock = DirLock::acquire(self.io.as_ref(), &self.dir).ok();
+                self.io.read(&path)
+            }
+        };
+        let bytes = match read {
             Ok(bytes) => bytes,
             Err(e) => {
                 let reason = if e.kind() == io::ErrorKind::NotFound {
@@ -855,26 +1084,16 @@ impl DiskCache {
                 return Err(reason);
             }
         };
-        if let Err(reason) = validate_entry(key, &bytes) {
-            self.quarantine_file(&path, reason);
-            self.count_miss(entry);
-            return Err(LoadMiss::Invalid(reason));
-        }
-        // Hand the read buffer itself on, header drained: no second
-        // allocation of an outcome-sized payload.
-        let mut payload = bytes;
-        payload.drain(..HEADER_LEN);
-        match decode(payload) {
-            Some(value) => {
+        match parse(bytes) {
+            Ok(value) => {
                 touch(&path);
                 self.count(entry, |s| &mut s.hits, |s| &mut s.pack_loads);
                 Ok(value)
             }
-            None => {
-                const REASON: &str = "payload decode failed";
-                self.quarantine_file(&path, REASON);
+            Err(reason) => {
+                self.quarantine_file(&path, reason);
                 self.count_miss(entry);
-                Err(LoadMiss::Invalid(REASON))
+                Err(LoadMiss::Invalid(reason))
             }
         }
     }
@@ -884,41 +1103,100 @@ impl DiskCache {
     /// swallowed — the analysis result is already in hand; the cache
     /// merely failed to remember it.
     pub fn store(&self, key: u64, payload: &[u8]) {
-        self.store_entry(key, payload, Entry::Outcome);
+        self.publish(key, &encode_entry(key, payload), Entry::Outcome);
     }
 
-    /// [`DiskCache::store`] for a summary pack, counted as pack traffic.
+    /// Writes `payload` afresh as `key`'s whole summary pack, one
+    /// segment, like [`DiskCache::store`]; counted as pack traffic.
     pub fn store_pack(&self, key: u64, payload: &[u8]) {
-        self.store_entry(key, payload, Entry::Pack);
+        self.publish(key, &encode_pack(key, &[payload]), Entry::Pack);
     }
 
-    fn store_entry(&self, key: u64, payload: &[u8], entry: Entry) {
-        let lock = match DirLock::acquire(self.io.as_ref(), &self.dir) {
-            Ok(lock) => lock,
+    /// Appends `segment` to `key`'s summary pack under the directory
+    /// lock, or — when there is no pack to append to, or the appended
+    /// segments would outgrow [`PACK_COMPACT_PERCENT`] of the first one
+    /// — compacts: writes `fresh()` as the whole pack, like
+    /// [`DiskCache::store_pack`]. Returns the payload bytes written (0
+    /// when the store failed; failures are counted and swallowed).
+    pub fn append_pack(&self, key: u64, segment: &[u8], fresh: impl FnOnce() -> Vec<u8>) -> usize {
+        let Some(lock) = self.lock_for_store() else {
+            return 0;
+        };
+        let path = self.entry_path(key, Entry::Pack);
+        let appended = (HEADER_LEN + segment.len()) as u64;
+        let tail = pack_tail(&path, key).filter(|t| {
+            let grown = t.len - t.base - SEAL_LEN as u64 + appended;
+            grown * 100 <= t.base * PACK_COMPACT_PERCENT
+        });
+        let Some(tail) = tail else {
+            let payload = fresh();
+            let written =
+                self.publish_locked(key, &encode_pack(key, &[&payload]), Entry::Pack, &lock);
+            return if written { payload.len() } else { 0 };
+        };
+        let mut bytes = encode_entry(key, segment);
+        let chain = chain_step(tail.chain, checksum(segment));
+        bytes.extend_from_slice(&seal(tail.count + 1, chain));
+        if let Err(e) = self.io.append(&path, tail.len - SEAL_LEN as u64, &bytes) {
+            self.stats.lock().expect("cache stats lock").write_errors += 1;
+            self.note_anomaly(&format!("diskcache: append failed ({})", e.kind()));
+            return 0;
+        }
+        self.count(Entry::Pack, |s| &mut s.writes, |s| &mut s.pack_writes);
+        self.after_store(&lock);
+        segment.len()
+    }
+
+    /// The directory lock for a store, or `None` (counted) when it
+    /// cannot be had.
+    fn lock_for_store(&self) -> Option<DirLock<'_>> {
+        match DirLock::acquire(self.io.as_ref(), &self.dir) {
+            Ok(lock) => Some(lock),
             Err(e) => {
                 self.stats.lock().expect("cache stats lock").write_errors += 1;
                 self.note_anomaly(&format!("diskcache: lock failed ({})", e.kind()));
-                return;
+                None
             }
-        };
+        }
+    }
+
+    fn publish(&self, key: u64, image: &[u8], entry: Entry) {
+        if let Some(lock) = self.lock_for_store() {
+            self.publish_locked(key, image, entry, &lock);
+        }
+    }
+
+    /// Writes the file `image` as `key`'s entry through temp file and
+    /// rename, under `lock`; whether it landed.
+    fn publish_locked(&self, key: u64, image: &[u8], entry: Entry, lock: &DirLock<'_>) -> bool {
         let tmp = self
             .dir
             .join(format!(".tmp-{key:016x}.{}", std::process::id()));
-        let image = encode_entry(key, payload);
-        if let Err(e) = self.io.write(&tmp, &image) {
+        if let Err(e) = self.io.write(&tmp, image) {
             let _ = self.io.remove(&tmp);
             self.stats.lock().expect("cache stats lock").write_errors += 1;
             self.note_anomaly(&format!("diskcache: write failed ({})", e.kind()));
-            return;
+            return false;
         }
         if let Err(e) = self.io.rename(&tmp, &self.entry_path(key, entry)) {
             let _ = self.io.remove(&tmp);
             self.stats.lock().expect("cache stats lock").write_errors += 1;
             self.note_anomaly(&format!("diskcache: rename failed ({})", e.kind()));
-            return;
+            return false;
         }
         self.count(entry, |s| &mut s.writes, |s| &mut s.pack_writes);
-        self.evict_over_budget(&lock);
+        self.after_store(lock);
+        true
+    }
+
+    /// Housekeeping after a successful store: the dead-temp sweep — on
+    /// the handle's first store, and whenever the lock had to be broken
+    /// — then the byte budget.
+    fn after_store(&self, lock: &DirLock<'_>) {
+        if lock.broke || !self.swept.swap(true, Ordering::Relaxed) {
+            self.sweep_dead_temps();
+        }
+        self.evict_over_budget(lock);
     }
 
     /// Deletes least-recently-used entries until the byte budget holds.
@@ -927,7 +1205,6 @@ impl DiskCache {
     /// advisory lock, and anything else sharing the directory are out of
     /// scope.
     fn evict_over_budget(&self, lock: &DirLock<'_>) {
-        self.sweep_dead_temps();
         let Some(max) = self.max_bytes else { return };
         let mut entries = self.list_entries();
         let mut total: u64 = entries.iter().map(|e| e.size).sum();
@@ -1041,9 +1318,10 @@ impl DiskCache {
     pub fn verify(&self) -> VerifyOutcome {
         let mut outcome = VerifyOutcome::default();
         for entry in self.list_entries() {
-            let verdict = match self.io.read(&entry.path) {
-                Ok(bytes) => validate_entry(entry.key, &bytes).map(|_| ()),
-                Err(_) => Err("unreadable entry"),
+            let verdict = match (self.io.read(&entry.path), entry.kind) {
+                (Ok(bytes), Entry::Outcome) => validate_entry(entry.key, &bytes).map(|_| ()),
+                (Ok(bytes), Entry::Pack) => pack_segments(entry.key, &bytes).map(|_| ()),
+                (Err(_), _) => Err("unreadable entry"),
             };
             let (valid, quarantined) = match entry.kind {
                 Entry::Outcome => (&mut outcome.valid, &mut outcome.quarantined),

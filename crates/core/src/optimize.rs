@@ -10,10 +10,9 @@
 
 use crate::cloning::{apply_cloning, cloning_opportunities};
 use crate::driver::AnalysisConfig;
-use crate::session::AnalysisSession;
+use crate::session::{AnalysisSession, ProgramState};
 use crate::subst::{seeded_sccp, substitute_proc};
 use ipcp_analysis::dce::dce_round;
-use ipcp_ir::fingerprint::fingerprint;
 use ipcp_ir::Program;
 use ipcp_obs::NoopSink;
 use ipcp_ssa::build_ssa;
@@ -72,7 +71,7 @@ pub struct OptimizeStats {
 pub fn optimize(program: &Program, config: &OptimizeConfig) -> (Program, OptimizeStats) {
     let session = AnalysisSession::new(program);
     let mut program = program.clone();
-    let mut state_fp = session.base_fingerprint();
+    let mut state = session.base_state().clone();
     let mut stats = OptimizeStats {
         instrs_before: program.instr_count(),
         ..OptimizeStats::default()
@@ -84,7 +83,7 @@ pub fn optimize(program: &Program, config: &OptimizeConfig) -> (Program, Optimiz
         // clones are analyzed next round), the operands it substituted,
         // and whether it changed anything.
         let (next, clones, substituted, changed) =
-            session.solved_view(&mut program, state_fp, &config.analysis, &NoopSink, |r| {
+            session.solved_view(&mut program, &state, &config.analysis, &NoopSink, |r| {
                 // ---- clone (optional) ------------------------------------
                 if let (true, Some(jfs), Some(vals)) =
                     (config.clone_procedures, &r.jfs, r.vals.as_deref())
@@ -123,7 +122,7 @@ pub fn optimize(program: &Program, config: &OptimizeConfig) -> (Program, Optimiz
         if !changed {
             break;
         }
-        state_fp = fingerprint(&program);
+        state = ProgramState::of(&program, crate::parallel::effective_jobs(&config.analysis));
     }
 
     stats.instrs_after = program.instr_count();

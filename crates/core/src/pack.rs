@@ -4,55 +4,71 @@
 //! The paper's analyzer builds each procedure's jump functions — return
 //! (`R`) and forward (`J`) — once, then runs one whole-program solve. A
 //! [`SummaryPack`] persists the per-procedure half of that split for
-//! one labelled program and configuration: every return-jump-function
-//! table, forward site vector (with the symbolic-value fuel beneath it)
-//! and substitution count of the program's current procedure closures,
+//! one labelled program and configuration: return-jump-function tables
+//! (each with its fingerprint, the table's part of the procedure's
+//! summary), forward site vectors (with the symbolic-value fuel beneath
+//! them), substitution counts and complete propagation's DCE steps,
 //! each under the exact store key the session looks it up by, with the
 //! fuel its computation recorded. A later process that misses the
 //! whole-outcome entry (the source was edited) loads the pack into its
-//! store, so only the procedures whose closures changed are rebuilt.
+//! store, so only the procedures whose keys changed are rebuilt.
 //!
-//! The pack is one ordinary [`crate::diskcache::DiskCache`] entry under
-//! [`crate::diskcache::pack_key`], so framing, checksums, quarantine,
-//! locking and LRU eviction are the cache's own. SSA and symbolic values
-//! stay out (large, and cheap to rebuild for the few procedures that
-//! need them), as do the program-scoped artifacts (call graph, MOD/REF,
-//! the solve), which are keyed by the whole program state.
+//! On disk a pack is one [`crate::diskcache::DiskCache`] file under
+//! [`crate::diskcache::pack_key`] holding a sequence of segments, each a
+//! `SummaryPack` framed like a cache entry: the first written afresh,
+//! every later one appended by a cold run with only the summaries it
+//! computed (see the disk cache's format docs). Framing, checksums,
+//! quarantine, locking and LRU eviction are the cache's own. SSA and
+//! symbolic values stay out (large, and cheap to rebuild for the few
+//! procedures that need them), as do the program-scoped artifacts (call
+//! graph, MOD/REF, the solve), which are keyed by the whole program
+//! state.
 
 use crate::forward::SiteJumpFns;
 use crate::jump::JumpFn;
 use crate::retjf::RjfTable;
-use crate::session::{CallSymMode, EntryKey, ForwardKey, RjfKey};
+use crate::session::{DceStep, EntryKey, ForwardKey, RjfKey};
 use ipcp_analysis::{Slot, SlotTable, SymExpr};
 use ipcp_ir::codec::{ByteReader, Wire, WireError, WireSink};
-use ipcp_ir::ProcId;
+use ipcp_ir::{ProcId, Procedure};
+use std::collections::BTreeMap;
 use std::mem::size_of;
 use std::sync::Arc;
 
-/// The persisted per-procedure artifacts of one program and
-/// configuration. Each list is sorted by key, so equal stores encode to
-/// equal bytes. Opaque outside the crate: it is written and read only
+/// One segment of persisted per-procedure artifacts of one program and
+/// configuration. Each list is sorted by key, so equal key sets encode
+/// to equal bytes. Opaque outside the crate: it is written and read only
 /// through its [`Wire`] encoding.
 #[derive(Default)]
 pub struct SummaryPack {
-    /// Return-jump-function tables with their recorded fuel.
-    pub(crate) rjfs: Vec<(RjfKey, u64, Arc<RjfTable>)>,
+    /// Return-jump-function tables with their recorded fuel and their
+    /// fingerprint.
+    pub(crate) rjfs: Vec<(RjfKey, u64, u128, Arc<RjfTable>)>,
     /// Forward jump-function site vectors, each with the fuel the
-    /// symbolic evaluation beneath it recorded (under the key's
-    /// [`SymKey`] part): a hit replays that fuel instead of evaluating.
-    /// The site vectors record no fuel of their own; the forward
-    /// phase's checkpoint is recomputed on every run.
+    /// symbolic evaluation beneath it recorded: a hit replays that fuel
+    /// instead of evaluating. The site vectors record no fuel of their
+    /// own; the forward phase's checkpoint is recomputed on every run.
     pub(crate) forwards: Vec<(ForwardKey, u64, Arc<Vec<SiteJumpFns>>)>,
     /// Per-procedure substitution counts.
     pub(crate) substs: Vec<(EntryKey, usize)>,
+    /// Complete propagation's per-procedure DCE steps, with their fuel.
+    pub(crate) dces: Vec<(EntryKey, u64, Arc<DceStep>)>,
+}
+
+/// A reserve for `n` decoded elements of `T`, capped by what the rest
+/// of the input could hold, so a hostile length prefix allocates within
+/// the payload.
+fn bounded<T>(n: usize, r: &ByteReader<'_>) -> Vec<T> {
+    Vec::with_capacity(n.min(r.remaining() / size_of::<T>().max(1)))
 }
 
 impl Wire for SummaryPack {
     fn encode<W: WireSink>(&self, w: &mut W) {
         w.u64(self.rjfs.len() as u64);
-        for (key, fuel, table) in &self.rjfs {
+        for (key, fuel, fp, table) in &self.rjfs {
             key.encode(w);
             fuel.encode(w);
+            fp.encode(w);
             table.encode(w);
         }
         w.u64(self.forwards.len() as u64);
@@ -62,29 +78,57 @@ impl Wire for SummaryPack {
             sites.encode(w);
         }
         self.substs.encode(w);
+        w.u64(self.dces.len() as u64);
+        for (key, fuel, step) in &self.dces {
+            key.encode(w);
+            fuel.encode(w);
+            step.encode(w);
+        }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let n = r.length_prefix()?;
-        let mut rjfs =
-            Vec::with_capacity(n.min(r.remaining() / size_of::<(RjfKey, u64, Arc<RjfTable>)>()));
+        let mut rjfs = bounded(n, r);
         for _ in 0..n {
             let key = RjfKey::decode(r)?;
             let fuel = u64::decode(r)?;
-            rjfs.push((key, fuel, Arc::new(RjfTable::decode(r)?)));
+            let fp = u128::decode(r)?;
+            rjfs.push((key, fuel, fp, Arc::new(RjfTable::decode(r)?)));
         }
         let n = r.length_prefix()?;
-        let mut forwards = Vec::with_capacity(
-            n.min(r.remaining() / size_of::<(ForwardKey, u64, Arc<Vec<SiteJumpFns>>)>()),
-        );
+        let mut forwards = bounded(n, r);
         for _ in 0..n {
             let key = ForwardKey::decode(r)?;
             let sym_fuel = u64::decode(r)?;
             forwards.push((key, sym_fuel, Arc::new(Vec::<SiteJumpFns>::decode(r)?)));
         }
+        let substs = Vec::decode(r)?;
+        let n = r.length_prefix()?;
+        let mut dces = bounded(n, r);
+        for _ in 0..n {
+            let key = EntryKey::decode(r)?;
+            let fuel = u64::decode(r)?;
+            dces.push((key, fuel, Arc::new(DceStep::decode(r)?)));
+        }
         Ok(SummaryPack {
             rjfs,
             forwards,
-            substs: Vec::decode(r)?,
+            substs,
+            dces,
+        })
+    }
+}
+
+impl Wire for DceStep {
+    fn encode<W: WireSink>(&self, w: &mut W) {
+        self.proc.encode(w);
+        self.changed.encode(w);
+        self.anomalies.encode(w);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Ok(DceStep {
+            proc: Procedure::decode(r)?,
+            changed: bool::decode(r)?,
+            anomalies: BTreeMap::decode(r)?,
         })
     }
 }
@@ -140,76 +184,29 @@ impl Wire for SiteJumpFns {
 
 // ---- store keys -----------------------------------------------------------
 
-impl Wire for CallSymMode {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.u8(match self {
-            CallSymMode::Pessimistic => 0,
-            CallSymMode::ConstEval => 1,
-            CallSymMode::Compose => 2,
-        });
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(CallSymMode::Pessimistic),
-            1 => Ok(CallSymMode::ConstEval),
-            2 => Ok(CallSymMode::Compose),
-            tag => Err(WireError::BadTag {
-                what: "CallSymMode",
-                tag,
-            }),
-        }
-    }
-}
-
 impl Wire for RjfKey {
     fn encode<W: WireSink>(&self, w: &mut W) {
-        self.closure_fp.encode(w);
-        self.mod_info.encode(w);
-        self.gsa.encode(w);
+        self.0.encode(w);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        Ok(RjfKey {
-            closure_fp: u64::decode(r)?,
-            mod_info: bool::decode(r)?,
-            gsa: bool::decode(r)?,
-        })
+        Ok(RjfKey(u128::decode(r)?))
     }
 }
 
 impl Wire for ForwardKey {
     fn encode<W: WireSink>(&self, w: &mut W) {
-        self.closure_fp.encode(w);
-        self.mod_info.encode(w);
-        self.gsa.encode(w);
-        self.mode.encode(w);
-        self.kind.encode(w);
+        self.0.encode(w);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        Ok(ForwardKey {
-            closure_fp: u64::decode(r)?,
-            mod_info: bool::decode(r)?,
-            gsa: bool::decode(r)?,
-            mode: CallSymMode::decode(r)?,
-            kind: Wire::decode(r)?,
-        })
+        Ok(ForwardKey(u128::decode(r)?))
     }
 }
 
 impl Wire for EntryKey {
     fn encode<W: WireSink>(&self, w: &mut W) {
-        self.closure_fp.encode(w);
-        self.mod_info.encode(w);
-        self.gsa.encode(w);
-        self.recovery.encode(w);
-        self.entry_fp.encode(w);
+        self.0.encode(w);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        Ok(EntryKey {
-            closure_fp: u64::decode(r)?,
-            mod_info: bool::decode(r)?,
-            gsa: bool::decode(r)?,
-            recovery: bool::decode(r)?,
-            entry_fp: u64::decode(r)?,
-        })
+        Ok(EntryKey(u128::decode(r)?))
     }
 }

@@ -14,19 +14,26 @@
 //!             └─────────────────────────────────────────┴─► forward JFs ─► solve ─► substitute ─► DCE
 //! ```
 //!
-//! Each artifact is keyed by a content fingerprint of the IR it read —
-//! the owning procedure plus its transitive callees and the globals
-//! (per-procedure artifacts), or the whole program (solver-level
-//! artifacts) — together with *only the configuration facets that phase
-//! consults*: SSA construction depends on `mod_info` but not on
-//! `jump_function`; symbolic values additionally depend on `gsa` and the
+//! Each artifact is keyed by content fingerprints of what it read,
+//! together with *only the configuration facets that phase consults*:
+//! SSA construction depends on `mod_info` but not on `jump_function`;
+//! symbolic values additionally depend on `gsa` and the
 //! return-jump-function evaluation mode; the solver depends on the JF
-//! kind and solver choice but not on how SSA was built. A Table-2/3
-//! sweep therefore reuses SSA/MOD/RJF work across columns instead of
-//! recomputing it, and *complete propagation* becomes incremental for
-//! free: after a DCE round only the procedures whose IR fingerprint
-//! changed — plus their call-graph dependents, whose closure
-//! fingerprints change with them — miss the cache.
+//! kind and solver choice but not on how SSA was built. Solver-level
+//! artifacts read the whole program state. A per-procedure artifact
+//! reads the procedure's own IR, the IR of the other members of its SCC,
+//! the globals, and its callees only through their *summaries*: the
+//! signature, the MOD and REF sets, and — when the phase consults them —
+//! the return-jump-function table (the paper's `R`). A per-procedure key
+//! therefore folds those and nothing else, so an edit that leaves a
+//! callee's summary unchanged stops at the callee: its callers keep
+//! their keys (*early cutoff*). Keys are resolved bottom-up, one SCC
+//! wave at a time, because a caller's key needs its callees' table
+//! fingerprints; each table's fingerprint is taken once, when it is
+//! built, and stored beside it. A Table-2/3 sweep reuses SSA/MOD/RJF
+//! work across columns, and *complete propagation* is incremental for
+//! free: after a DCE round only the procedures whose IR changed, and
+//! callers of procedures whose summaries changed, miss the cache.
 //!
 //! ## Fuel semantics
 //!
@@ -67,8 +74,8 @@
 //! only hit/miss counters can differ under concurrent sweeps.
 
 use crate::audit::{
-    classify_disk_miss, diff_ledgers, outcome_facets_changed, render_facets, DiskOutcome,
-    IncrementalAudit, Ledger, LedgerProc, RunRecord,
+    classify_disk_miss, diff_ledgers, ledger_fp, outcome_facets_changed, render_facets,
+    DiskOutcome, IncrementalAudit, Ledger, LedgerProc, RunRecord,
 };
 use crate::binding::solve_binding_budgeted;
 use crate::driver::{
@@ -86,7 +93,7 @@ use crate::retjf::{
     build_return_jfs_budgeted, build_rjf_for_proc, ReturnJumpFns, RjfComposer, RjfConstEval,
     RjfLattice, RjfTable,
 };
-use crate::solver::{entry_constants_fp, solve_traced, ValSets};
+use crate::solver::{hash_entry_constants, solve_traced, ValSets};
 use crate::subst::{count_one_proc, seeded_sccp, seeded_sccp_budgeted, SubstitutionCounts};
 use ipcp_analysis::dce::dce_round_budgeted;
 use ipcp_analysis::symeval::{
@@ -97,15 +104,15 @@ use ipcp_analysis::{
     CallGraph, CallLattice, ModKills, ModRefInfo, PessimisticCalls, Phase, SccpResult, Slot,
 };
 use ipcp_ir::codec::Wire;
-use ipcp_ir::fingerprint::{combine, fingerprint, Fnv1a};
+use ipcp_ir::fingerprint::{combine, fingerprint, Fp128};
 use ipcp_ir::{ProcId, Procedure, Program};
 use ipcp_lang::Diagnostics;
 use ipcp_obs::{NoopSink, ObsSink, SpanGuard};
 use ipcp_ssa::{build_ssa, KillOracle, SsaProc, WorstCaseKills};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// The session's observable phases: the pipeline stages plus the
@@ -364,8 +371,8 @@ impl fmt::Display for SessionStats {
 /// facet of the configuration that symbolic values and forward jump
 /// functions actually read (`return_jump_functions`/`mod_info`/
 /// `rjf_full_composition` collapse into this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) enum CallSymMode {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum CallSymMode {
     /// No recovery through calls (RJFs disabled *or* no MOD info).
     Pessimistic,
     /// The paper's constant-or-⊥ evaluation rule.
@@ -384,51 +391,36 @@ fn call_sym_mode(config: &AnalysisConfig) -> CallSymMode {
     }
 }
 
+/// Key of a procedure's SSA form: its base key and `mod_info`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SsaKey {
-    closure_fp: u64,
-    mod_info: bool,
-}
+struct SsaKey(u128);
 
+/// Key of a procedure's return-jump-function table: its base key, the
+/// facets the table is built under (`mod_info`, `gsa`) and the table
+/// fingerprints of its SCC's callees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct RjfKey {
-    pub(crate) closure_fp: u64,
-    pub(crate) mod_info: bool,
-    pub(crate) gsa: bool,
-}
+pub(crate) struct RjfKey(pub(crate) u128);
 
+/// Key of a procedure's symbolic values: its base key, `mod_info`,
+/// `gsa`, the call-evaluation mode and — unless that mode ignores them —
+/// its SCC's callee table fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct SymKey {
-    pub(crate) closure_fp: u64,
-    pub(crate) mod_info: bool,
-    pub(crate) gsa: bool,
-    pub(crate) mode: CallSymMode,
-}
+struct SymKey(u128);
 
+/// Key of a procedure's forward jump-function site vector: the key of
+/// the symbolic values it was built over, and the jump-function kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct ForwardKey {
-    pub(crate) closure_fp: u64,
-    pub(crate) mod_info: bool,
-    pub(crate) gsa: bool,
-    pub(crate) mode: CallSymMode,
-    pub(crate) kind: JumpFunctionKind,
-}
+pub(crate) struct ForwardKey(pub(crate) u128);
 
 impl ForwardKey {
-    /// The key of the symbolic values the site vector was built over.
-    pub(crate) fn sym_key(&self) -> SymKey {
-        SymKey {
-            closure_fp: self.closure_fp,
-            mod_info: self.mod_info,
-            gsa: self.gsa,
-            mode: self.mode,
-        }
+    fn new(sym: SymKey, kind: JumpFunctionKind) -> Self {
+        ForwardKey(combine([sym.0, kind as u128]))
     }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SolveKey {
-    state_fp: u64,
+    state_fp: u128,
     mod_info: bool,
     gsa: bool,
     mode: CallSymMode,
@@ -441,29 +433,23 @@ struct SolveKey {
 
 /// Key of the per-procedure artifacts that run SCCP seeded with the
 /// solved `VAL` sets — DCE steps and substitution counts. SCCP reads the
-/// procedure's closure, the facets its SSA and call lattice were built
-/// under, and the entry constants; a column whose `VAL` sets leave a
-/// procedure's entry constants unchanged reuses its artifacts.
+/// procedure's base key, the facets its SSA and call lattice were built
+/// under (with the callee table fingerprints when calls go through the
+/// return jump functions), and the entry constants
+/// ([`hash_entry_constants`]: the same for every environment that seeds
+/// SCCP with the same constants, the unseeded baseline included). A
+/// column whose `VAL` sets leave a procedure's entry constants unchanged
+/// reuses its artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct EntryKey {
-    pub(crate) closure_fp: u64,
-    pub(crate) mod_info: bool,
-    pub(crate) gsa: bool,
-    /// Whether call effects go through the RJF lattice.
-    pub(crate) recovery: bool,
-    /// [`entry_constants_fp`] of the procedure (the same for every
-    /// environment that seeds SCCP with the same constants, the unseeded
-    /// baseline included).
-    pub(crate) entry_fp: u64,
-}
+pub(crate) struct EntryKey(pub(crate) u128);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CountingKey {
     /// Fingerprint of the pristine program the count runs over.
-    orig_fp: u64,
+    orig_fp: u128,
     /// Fingerprint of the final (post-DCE) state whose solve produced
     /// the seeding `VAL` sets.
-    final_fp: u64,
+    final_fp: u128,
     mod_info: bool,
     /// The `VAL` sets seeding the count were solved under this facet,
     /// even though the counting pass itself always uses default
@@ -517,12 +503,12 @@ fn replay_anomalies(budget: &Budget, anomalies: &BTreeMap<String, u64>) {
 }
 
 /// Result of one SCCP + DCE step over a procedure.
-struct DceStep {
-    proc: Procedure,
-    changed: bool,
+pub(crate) struct DceStep {
+    pub(crate) proc: Procedure,
+    pub(crate) changed: bool,
     /// The malformed-IR shapes the step recovered from, for the caller
     /// to replay (empty when the step metered on the run's own budget).
-    anomalies: BTreeMap<String, u64>,
+    pub(crate) anomalies: BTreeMap<String, u64>,
 }
 
 /// One procedure's substitution count as a fan-out worker found it.
@@ -531,9 +517,9 @@ struct ProcCount {
     n: usize,
     /// Whether `n` was counted rather than read from the store.
     counted: bool,
-    /// The key to insert `n` under, when the count was computed and
-    /// the run keeps a store.
-    miss: Option<EntryKey>,
+    /// The key `n` was looked up (and, when counted, is inserted) under:
+    /// `None` for unreachable procedures and store-less runs.
+    key: Option<EntryKey>,
     /// Worker time, SSA lookup included.
     time: Duration,
     /// The SSA lookup of a computed count.
@@ -591,6 +577,17 @@ impl FanoutTally {
     }
 }
 
+/// A stored return-jump-function table: the fuel its computation
+/// consumed, replayed on every hit, and its fingerprint — the table's
+/// part of the procedure's summary — taken once, when it was built, so
+/// a hit never re-hashes it.
+#[derive(Clone)]
+pub(crate) struct CachedRjf {
+    pub(crate) value: Arc<RjfTable>,
+    pub(crate) fuel: u64,
+    pub(crate) fp: u128,
+}
+
 /// The session-scoped artifact store. Every map is keyed by content
 /// fingerprints plus the configuration facets its phase reads; see the
 /// module docs for the key structure.
@@ -600,19 +597,18 @@ impl FanoutTally {
 /// serialize; writes hold one map's lock for a single insert.
 #[derive(Default)]
 pub struct ArtifactStore {
-    call_graphs: RwLock<HashMap<u64, Arc<CallGraph>>>,
-    modrefs: RwLock<HashMap<u64, Cached<ModRefInfo>>>,
-    /// Per-procedure closure fingerprints of the *augmented* program, by
-    /// pre-augmentation state fingerprint (augmentation is deterministic,
-    /// so the state fingerprint determines them).
-    closures: RwLock<HashMap<u64, Arc<ClosureData>>>,
+    call_graphs: RwLock<HashMap<u128, Arc<CallGraph>>>,
+    modrefs: RwLock<HashMap<u128, Cached<ModRefInfo>>>,
+    /// Per-procedure key components of the *augmented* program, by
+    /// state fingerprint (augmentation is deterministic, so the state
+    /// fingerprint determines them).
+    states: RwLock<HashMap<u128, Arc<StateKeys>>>,
     ssas: RwLock<HashMap<SsaKey, Arc<SsaProc>>>,
-    rjf_procs: RwLock<HashMap<RjfKey, Cached<RjfTable>>>,
+    rjf_procs: RwLock<HashMap<RjfKey, CachedRjf>>,
     syms: RwLock<HashMap<SymKey, Cached<SymMap>>>,
-    /// Symbolic-value fuel without the values, as a summary pack
-    /// carries it: enough to replay a procedure whose stored site
-    /// vector hits.
-    sym_fuels: RwLock<HashMap<SymKey, u64>>,
+    /// Forward site vectors, each with the fuel of the symbolic
+    /// evaluation beneath it, replayed on a hit (the site vector records
+    /// none of its own).
     forward_procs: RwLock<HashMap<ForwardKey, Cached<Vec<SiteJumpFns>>>>,
     solves: RwLock<HashMap<SolveKey, Cached<ValSets>>>,
     /// Per-procedure substitution counts.
@@ -626,11 +622,10 @@ impl ArtifactStore {
     pub fn len(&self) -> usize {
         self.call_graphs.read().unwrap().len()
             + self.modrefs.read().unwrap().len()
-            + self.closures.read().unwrap().len()
+            + self.states.read().unwrap().len()
             + self.ssas.read().unwrap().len()
             + self.rjf_procs.read().unwrap().len()
             + self.syms.read().unwrap().len()
-            + self.sym_fuels.read().unwrap().len()
             + self.forward_procs.read().unwrap().len()
             + self.solves.read().unwrap().len()
             + self.substs.read().unwrap().len()
@@ -645,136 +640,291 @@ impl ArtifactStore {
 
     /// A rough estimate of the store's resident bytes: ~2 KiB per
     /// artifact (outcome-sized artifacts dominate; per-procedure ones
-    /// are much smaller), except substitution counts and symbolic-value
-    /// fuel records, which are counted at their real size — a key, a
-    /// word and a hash-table control byte each.
+    /// are much smaller), except substitution counts, which are counted
+    /// at their real size — a key, a word and a hash-table control byte
+    /// each.
     fn approx_bytes(&self) -> u64 {
         let counts = self.substs.read().expect("subst store lock").len();
-        let fuels = self.sym_fuels.read().expect("sym fuel store lock").len();
         let per_count = std::mem::size_of::<(EntryKey, usize)>() + 1;
-        let per_fuel = std::mem::size_of::<(SymKey, u64)>() + 1;
-        ((self.len() - counts - fuels) * 2048 + counts * per_count + fuels * per_fuel) as u64
+        ((self.len() - counts) * 2048 + counts * per_count) as u64
     }
 
-    /// Seeds the store with a summary pack's artifacts. An artifact the
-    /// session already holds is kept: under one key both are the same
-    /// bytes.
-    fn seed(&self, pack: SummaryPack) {
+    /// Seeds the store with a summary pack's segments, in file order.
+    /// A later segment's artifact wins over an earlier one's, and an
+    /// artifact the session already holds is kept: under one key all
+    /// are the same bytes.
+    fn seed(&self, segments: Vec<SummaryPack>) {
         let mut rjfs = self.rjf_procs.write().expect("rjf store lock");
-        for (key, fuel, value) in pack.rjfs {
-            rjfs.entry(key).or_insert(Cached { value, fuel });
-        }
-        drop(rjfs);
         let mut forwards = self.forward_procs.write().expect("forward store lock");
-        let mut fuels = self.sym_fuels.write().expect("sym fuel store lock");
-        for (key, sym_fuel, value) in pack.forwards {
-            fuels.entry(key.sym_key()).or_insert(sym_fuel);
-            forwards.entry(key).or_insert(Cached { value, fuel: 0 });
-        }
-        drop((forwards, fuels));
         let mut substs = self.substs.write().expect("subst store lock");
-        for (key, n) in pack.substs {
-            substs.entry(key).or_insert(n);
+        let mut dces = self.dces.write().expect("dce store lock");
+        for pack in segments.into_iter().rev() {
+            for (key, fuel, fp, value) in pack.rjfs {
+                rjfs.entry(key).or_insert(CachedRjf { value, fuel, fp });
+            }
+            for (key, fuel, value) in pack.forwards {
+                forwards.entry(key).or_insert(Cached { value, fuel });
+            }
+            for (key, n) in pack.substs {
+                substs.entry(key).or_insert(n);
+            }
+            for (key, fuel, step) in pack.dces {
+                dces.entry(key).or_insert(Cached { value: step, fuel });
+            }
         }
     }
 
-    /// The summary pack of `config` over the store's live procedure
-    /// closures: every per-procedure artifact a pack carries whose
-    /// closure fingerprint belongs to a program state the session has
-    /// analyzed and whose key facets `config`'s runs use — the round's,
-    /// plus the gsa-free ones complete propagation's recount keys under.
-    /// Artifacts of closures an edit replaced — loaded from an older
-    /// pack — drop out, so a pack never outgrows its program, and a
-    /// session answering several configurations under one label writes
-    /// each pack at its own configuration's size.
-    fn summary_pack(&self, config: &AnalysisConfig) -> SummaryPack {
-        let mode = call_sym_mode(config);
-        let gsa_used = |gsa: bool| gsa == config.gsa || (config.complete_propagation && !gsa);
-        let rjf_used = |key: &RjfKey| {
-            config.return_jump_functions && key.mod_info == config.mod_info && gsa_used(key.gsa)
-        };
-        let forward_used = |key: &ForwardKey| {
-            config.interprocedural
-                && key.mod_info == config.mod_info
-                && key.gsa == config.gsa
-                && key.mode == mode
-                && key.kind == config.jump_function
-        };
-        let subst_used = |key: &EntryKey| {
-            key.mod_info == config.mod_info
-                && key.recovery == (mode != CallSymMode::Pessimistic)
-                && gsa_used(key.gsa)
-        };
-        let live: HashSet<u64> = self
-            .closures
-            .read()
-            .expect("closure store lock")
-            .values()
-            .flat_map(|c| c.closures.iter().copied())
-            .collect();
+    /// The summary pack of `keys`: every listed artifact the store
+    /// holds, each list sorted by key without duplicates, so equal key
+    /// sets encode to equal bytes.
+    fn pack_of(&self, keys: &PackKeys) -> SummaryPack {
+        fn sorted<K: Ord + Copy>(keys: &[K]) -> Vec<K> {
+            let mut keys = keys.to_vec();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        }
         let mut pack = SummaryPack::default();
-        for (key, cached) in self.rjf_procs.read().expect("rjf store lock").iter() {
-            if live.contains(&key.closure_fp) && rjf_used(key) {
-                pack.rjfs
-                    .push((*key, cached.fuel, Arc::clone(&cached.value)));
-            }
-        }
-        {
-            let syms = self.syms.read().expect("sym store lock");
-            let fuels = self.sym_fuels.read().expect("sym fuel store lock");
-            for (key, cached) in self
-                .forward_procs
-                .read()
-                .expect("forward store lock")
-                .iter()
-            {
-                if !live.contains(&key.closure_fp) || !forward_used(key) {
-                    continue;
-                }
-                // Every stored site vector was built over symbolic values
-                // computed or replayed under its key, so the fuel is known.
-                let sym_key = key.sym_key();
-                let sym_fuel = syms
-                    .get(&sym_key)
-                    .map(|c| c.fuel)
-                    .or_else(|| fuels.get(&sym_key).copied());
-                if let Some(sym_fuel) = sym_fuel {
-                    pack.forwards
-                        .push((*key, sym_fuel, Arc::clone(&cached.value)));
-                }
-            }
-        }
-        for (key, &n) in self.substs.read().expect("subst store lock").iter() {
-            if live.contains(&key.closure_fp) && subst_used(key) {
-                pack.substs.push((*key, n));
-            }
-        }
-        pack.rjfs.sort_unstable_by_key(|e| e.0);
-        pack.forwards.sort_unstable_by_key(|e| e.0);
-        pack.substs.sort_unstable_by_key(|e| e.0);
+        let rjfs = self.rjf_procs.read().expect("rjf store lock");
+        pack.rjfs = sorted(&keys.rjfs)
+            .into_iter()
+            .filter_map(|key| {
+                let c = rjfs.get(&key)?;
+                Some((key, c.fuel, c.fp, Arc::clone(&c.value)))
+            })
+            .collect();
+        drop(rjfs);
+        let forwards = self.forward_procs.read().expect("forward store lock");
+        pack.forwards = sorted(&keys.forwards)
+            .into_iter()
+            .filter_map(|key| {
+                let c = forwards.get(&key)?;
+                Some((key, c.fuel, Arc::clone(&c.value)))
+            })
+            .collect();
+        drop(forwards);
+        let substs = self.substs.read().expect("subst store lock");
+        pack.substs = sorted(&keys.substs)
+            .into_iter()
+            .filter_map(|key| Some((key, *substs.get(&key)?)))
+            .collect();
+        drop(substs);
+        let dces = self.dces.read().expect("dce store lock");
+        pack.dces = sorted(&keys.dces)
+            .into_iter()
+            .filter_map(|key| {
+                let c = dces.get(&key)?;
+                Some((key, c.fuel, Arc::clone(&c.value)))
+            })
+            .collect();
         pack
     }
 }
 
-/// The fingerprint components of one program state: per-procedure own
-/// and closure fingerprints plus the global-table fingerprint. Cache
-/// keys read the closures (via `Index`); the incrementality audit's
-/// ledger records all three. A store-less run, which builds no keys and
-/// keeps no ledger, carries an empty one.
-#[derive(Default)]
-struct ClosureData {
-    /// Closure fingerprints, indexed by `ProcId::index()`.
-    closures: Vec<u64>,
+/// The fingerprints of one program state: each procedure's own IR, the
+/// global table and entry procedure, and their combination, the state
+/// fingerprint. Computed once per state — for the pristine program, when
+/// the session opens — and reused by every key built over the state.
+#[derive(Clone, Default)]
+pub(crate) struct ProgramState {
+    /// The globals fingerprint and every procedure's, combined.
+    pub(crate) fp: u128,
+    globals: u128,
     /// Own-IR fingerprints, indexed by `ProcId::index()`.
-    own: Vec<u64>,
-    /// Fingerprint of the global table and entry procedure.
-    globals: u64,
+    procs: Arc<Vec<u128>>,
 }
 
-impl std::ops::Index<usize> for ClosureData {
-    type Output = u64;
-    fn index(&self, i: usize) -> &u64 {
-        &self.closures[i]
+impl ProgramState {
+    /// Fingerprints `program`, its procedures on up to `jobs` workers.
+    pub(crate) fn of(program: &Program, jobs: usize) -> Self {
+        let procs: Vec<u128> = par_map(jobs, &program.procs, |_, p| fingerprint(p));
+        let mut h = Fp128::new();
+        program.globals.encode(&mut h);
+        program.main.encode(&mut h);
+        let globals = h.finish();
+        ProgramState {
+            fp: combine(std::iter::once(globals).chain(procs.iter().copied())),
+            globals,
+            procs: Arc::new(procs),
+        }
+    }
+}
+
+/// The per-procedure key components of one program state. Cache keys
+/// read the base keys and signatures (see the module docs); the
+/// incrementality audit's ledger records the own, closure and summary
+/// fingerprints. A store-less run, which builds no key and keeps no
+/// ledger, carries an empty one.
+#[derive(Default)]
+struct StateKeys {
+    /// Own-IR fingerprints of the state, indexed by `ProcId::index()`.
+    own: Arc<Vec<u128>>,
+    /// Fingerprint of the global table and entry procedure.
+    globals: u128,
+    /// Closure fingerprints: own IR plus every transitively reachable
+    /// callee's, as a Merkle hash over the SCC condensation. Keys do not
+    /// read them; the audit ledger does.
+    closures: Vec<u128>,
+    /// The summary a caller reads, without the return jump functions:
+    /// procedure kind, formal types, MOD and REF.
+    sigs: Vec<u128>,
+    /// The base of every per-procedure key: the own fingerprints of the
+    /// procedure's SCC, the globals, the procedure's index, own
+    /// fingerprint and signature, and the signatures of the SCC's callees.
+    base: Vec<u128>,
+    /// Each procedure's SCC, an index into [`CallGraph::sccs`].
+    scc: Vec<u32>,
+    /// The distinct callees outside each SCC in first-occurrence order,
+    /// flattened: SCC `i`'s are `callees[starts[i]..starts[i + 1]]`.
+    callees: Vec<ProcId>,
+    starts: Vec<u32>,
+}
+
+impl StateKeys {
+    /// The distinct callees outside SCC `scc`.
+    fn callees(&self, scc: usize) -> &[ProcId] {
+        &self.callees[self.starts[scc] as usize..self.starts[scc + 1] as usize]
+    }
+}
+
+/// The key components of the augmented `program` at `state` (whose own
+/// fingerprints were taken before augmentation: augmentation is a pure
+/// function of the state).
+fn state_keys(
+    program: &Program,
+    cg: &CallGraph,
+    modref: &ModRefInfo,
+    state: &ProgramState,
+) -> StateKeys {
+    let own = &state.procs;
+    let sigs: Vec<u128> = program
+        .proc_ids()
+        .map(|pid| {
+            let proc = program.proc(pid);
+            let mut h = Fp128::new();
+            proc.kind.encode(&mut h);
+            proc.num_formals.encode(&mut h);
+            for v in proc.formal_ids() {
+                proc.var(v).ty.encode(&mut h);
+            }
+            for set in [modref.mods(pid), modref.refs(pid)] {
+                h.word(set.len() as u64);
+                for slot in set {
+                    slot.encode(&mut h);
+                }
+            }
+            h.finish()
+        })
+        .collect();
+
+    // One pass over the SCC condensation, bottom-up, so every callee
+    // SCC's closure is final before its callers fold it in. Callees are
+    // deduplicated with stamp arrays, in first-occurrence order, keeping
+    // every digest deterministic.
+    let sccs = cg.sccs();
+    let n = program.procs.len();
+    let mut scc = vec![0u32; n];
+    let mut base = vec![0u128; n];
+    let mut closure_of_scc = vec![0u128; sccs.len()];
+    let mut callees = Vec::new();
+    let mut starts = Vec::with_capacity(sccs.len() + 1);
+    let mut callee_stamp = vec![usize::MAX; n];
+    let mut scc_stamp = vec![usize::MAX; sccs.len()];
+    for (i, members) in sccs.iter().enumerate() {
+        starts.push(callees.len() as u32);
+        let mut own_part = Fp128::new();
+        own_part.write(state.globals);
+        for &pid in members {
+            scc[pid.index()] = i as u32;
+            own_part.word(pid.index() as u64);
+            own_part.write(own[pid.index()]);
+        }
+        let (mut closure, mut key) = (own_part, own_part);
+        for &pid in members {
+            for site in cg.sites(pid) {
+                let (c, cs) = (site.callee, cg.scc_of(site.callee));
+                if cs == i {
+                    continue;
+                }
+                if scc_stamp[cs] != i {
+                    scc_stamp[cs] = i;
+                    closure.write(closure_of_scc[cs]);
+                }
+                if callee_stamp[c.index()] != i {
+                    callee_stamp[c.index()] = i;
+                    callees.push(c);
+                    key.write(sigs[c.index()]);
+                }
+            }
+        }
+        closure_of_scc[i] = closure.finish();
+        let key = key.finish();
+        for &pid in members {
+            let p = pid.index();
+            base[p] = combine([key, p as u128, own[p], sigs[p]]);
+        }
+    }
+    starts.push(callees.len() as u32);
+    let closures = (0..n)
+        .map(|p| combine([closure_of_scc[scc[p] as usize], own[p]]))
+        .collect();
+    StateKeys {
+        own: Arc::clone(own),
+        globals: state.globals,
+        closures,
+        sigs,
+        base,
+        scc,
+        callees,
+        starts,
+    }
+}
+
+/// The summary-pack keys of the per-procedure artifacts one run used.
+#[derive(Default)]
+pub(crate) struct PackKeys {
+    rjfs: Vec<RjfKey>,
+    forwards: Vec<ForwardKey>,
+    substs: Vec<EntryKey>,
+    dces: Vec<EntryKey>,
+}
+
+impl PackKeys {
+    fn is_empty(&self) -> bool {
+        self.rjfs.is_empty()
+            && self.forwards.is_empty()
+            && self.substs.is_empty()
+            && self.dces.is_empty()
+    }
+}
+
+/// What a pack-keeping run used and computed of the artifacts a summary
+/// pack carries: the computed ones become the segment it appends, and
+/// all it used make the pack when it is written afresh.
+#[derive(Default)]
+struct PackLog {
+    used: Mutex<PackKeys>,
+    computed: Mutex<PackKeys>,
+}
+
+impl PackLog {
+    /// Records the keys of one phase: `keys` in use, of which those with
+    /// `computed` set were computed by this run.
+    fn record<K: Copy>(
+        &self,
+        keys: &[K],
+        computed: impl Fn(usize) -> bool,
+        list: impl Fn(&mut PackKeys) -> &mut Vec<K>,
+    ) {
+        list(&mut self.used.lock().expect("pack log lock")).extend_from_slice(keys);
+        let mut fresh = self.computed.lock().expect("pack log lock");
+        let fresh = list(&mut fresh);
+        fresh.extend(
+            keys.iter()
+                .enumerate()
+                .filter(|&(i, _)| computed(i))
+                .map(|(_, &k)| k),
+        );
     }
 }
 
@@ -844,61 +994,120 @@ fn note_miss(log: Option<&MissLog>, phase: SessionPhase, unit: usize) {
 }
 
 /// Per-round derived context: the program-state fingerprint and the
-/// per-procedure closure fingerprints all cache keys build on.
+/// per-procedure key components all cache keys build on.
 struct RoundCtx {
     /// Whether artifacts come from and go to the store: false for a
     /// metered run, which recomputes every artifact on its own budget.
     memo: bool,
-    state_fp: u64,
-    closure_fps: Arc<ClosureData>,
+    state_fp: u128,
+    keys: Arc<StateKeys>,
     mod_info: bool,
     gsa: bool,
     mode: CallSymMode,
+    /// The round's return-jump-function table fingerprints, set once
+    /// the tables are resolved (memoized rounds with return jump
+    /// functions only).
+    tables: OnceLock<RoundTables>,
     /// What the round computed, when the incrementality audit asks.
     log: Option<Arc<MissLog>>,
+    /// The summary-pack keys the round used, when the run keeps a pack.
+    pack: Option<Arc<PackLog>>,
 }
+
+/// The return-jump-function table fingerprints of one round.
+struct RoundTables {
+    /// Each procedure's table fingerprint.
+    procs: Vec<u128>,
+    /// Per SCC, its callees' table fingerprints folded in callee order:
+    /// what the keys of every phase that reads the tables combine.
+    callees: Vec<u128>,
+}
+
+/// Domain tags keeping the per-procedure key spaces apart.
+const SSA_KEY: u64 = 1;
+const RJF_KEY: u64 = 2;
+const SYM_KEY: u64 = 3;
+const ENTRY_KEY: u64 = 4;
 
 impl RoundCtx {
     fn note(&self, phase: SessionPhase, unit: usize) {
         note_miss(self.log.as_deref(), phase, unit);
     }
 
-    fn rjf_key(&self, pid: ProcId, options: SymEvalOptions) -> RjfKey {
-        RjfKey {
-            closure_fp: self.closure_fps[pid.index()],
-            mod_info: self.mod_info,
-            gsa: options.gated_phis,
+    /// `pid`'s key in the `tag` space, unfinished: its base key, the
+    /// `facets` word and, when the phase reads return jump functions,
+    /// `callees` (its SCC's callee table fingerprints).
+    fn key(&self, tag: u64, pid: ProcId, facets: u64, callees: Option<u128>) -> Fp128 {
+        let mut h = Fp128::new();
+        h.word(tag);
+        h.write(self.keys.base[pid.index()]);
+        h.word(facets);
+        if let Some(callees) = callees {
+            h.write(callees);
         }
+        h
+    }
+
+    /// `pid`'s SCC's callee table fingerprints.
+    fn callee_tables(&self, pid: ProcId) -> u128 {
+        let tables = self
+            .tables
+            .get()
+            .expect("return jump functions resolve before the keys that read them");
+        tables.callees[self.keys.scc[pid.index()] as usize]
+    }
+
+    /// The facets word: `mod_info`, `gsa` and, for symbolic values and
+    /// entry keys, the call mode.
+    fn facets(&self, gsa: bool, mode: Option<CallSymMode>) -> u64 {
+        let mode = mode.map_or(0, |m| m as u64 + 1);
+        u64::from(self.mod_info) | u64::from(gsa) << 1 | mode << 2
+    }
+
+    fn ssa_key(&self, pid: ProcId) -> SsaKey {
+        SsaKey(
+            self.key(SSA_KEY, pid, u64::from(self.mod_info), None)
+                .finish(),
+        )
+    }
+
+    /// `pid`'s table key, over its SCC's callee table fingerprints.
+    fn rjf_key(&self, pid: ProcId, options: SymEvalOptions, callees: u128) -> RjfKey {
+        let facets = self.facets(options.gated_phis, None);
+        RjfKey(self.key(RJF_KEY, pid, facets, Some(callees)).finish())
     }
 
     fn sym_key(&self, pid: ProcId) -> SymKey {
-        SymKey {
-            closure_fp: self.closure_fps[pid.index()],
-            mod_info: self.mod_info,
-            gsa: self.gsa,
-            mode: self.mode,
-        }
-    }
-
-    fn forward_key(&self, pid: ProcId, kind: JumpFunctionKind) -> ForwardKey {
-        let sym = self.sym_key(pid);
-        ForwardKey {
-            closure_fp: sym.closure_fp,
-            mod_info: sym.mod_info,
-            gsa: sym.gsa,
-            mode: sym.mode,
-            kind,
-        }
+        let callees = (self.mode != CallSymMode::Pessimistic).then(|| self.callee_tables(pid));
+        let facets = self.facets(self.gsa, Some(self.mode));
+        SymKey(self.key(SYM_KEY, pid, facets, callees).finish())
     }
 
     /// The [`EntryKey`] of `pid` seeded with `vals` (`None`: unseeded).
+    /// Call effects go through the return jump functions exactly when
+    /// the call mode is not pessimistic.
     fn entry_key(&self, program: &Program, pid: ProcId, vals: Option<&ValSets>) -> EntryKey {
-        EntryKey {
-            closure_fp: self.closure_fps[pid.index()],
-            mod_info: self.mod_info,
-            gsa: self.gsa,
-            recovery: self.mode != CallSymMode::Pessimistic,
-            entry_fp: entry_constants_fp(program, pid, vals),
+        let recovery = self.mode != CallSymMode::Pessimistic;
+        let callees = recovery.then(|| self.callee_tables(pid));
+        let facets = self.facets(self.gsa, Some(self.mode));
+        let mut h = self.key(ENTRY_KEY, pid, facets, callees);
+        hash_entry_constants(&mut h, program, pid, vals);
+        EntryKey(h.finish())
+    }
+
+    /// Each procedure's summary fingerprint under the round's facets:
+    /// its signature, MOD and REF, and its return-jump-function table
+    /// when the round built them.
+    fn summary_fps(&self) -> Vec<u128> {
+        match self.tables.get() {
+            Some(tables) => self
+                .keys
+                .sigs
+                .iter()
+                .zip(&tables.procs)
+                .map(|(&sig, &table)| combine([sig, table]))
+                .collect(),
+            None => self.keys.sigs.clone(),
         }
     }
 }
@@ -962,9 +1171,9 @@ impl SolvedRound<'_> {
 /// A memoized pass manager over one program. See the module docs.
 pub struct AnalysisSession {
     base: Program,
-    /// `fingerprint(&base)`, computed once: every analysis starts
-    /// from the pristine program, so round 0 never re-fingerprints it.
-    base_fp: u64,
+    /// The pristine program's fingerprints, taken once: every analysis
+    /// starts from the pristine program, so round 0 never re-hashes it.
+    base_state: ProgramState,
     store: ArtifactStore,
     stats: Mutex<SessionStats>,
     /// Optional persistent backing store; outcomes of unmetered runs are
@@ -989,7 +1198,7 @@ impl AnalysisSession {
     pub fn new(program: &Program) -> Self {
         AnalysisSession {
             base: program.clone(),
-            base_fp: fingerprint(program),
+            base_state: ProgramState::of(program, 1),
             store: ArtifactStore::default(),
             stats: Mutex::new(SessionStats::default()),
             disk: None,
@@ -1053,8 +1262,8 @@ impl AnalysisSession {
             ipcp_ir::codec::decode_from_slice::<SummaryPack>(payload).ok()
         });
         let miss = match loaded {
-            Ok(pack) => {
-                self.store.seed(pack);
+            Ok(segments) => {
+                self.store.seed(segments);
                 None
             }
             Err(miss) => Some(miss),
@@ -1107,10 +1316,24 @@ impl AnalysisSession {
         &self.base
     }
 
+    /// Moves the session to `program` — typically an edit of its
+    /// program — keeping the artifact store, the stats and the previous
+    /// run's ledger: the next analysis recomputes only what the edit
+    /// changed, and its audit attributes that to the edit.
+    pub fn set_program(&mut self, program: &Program) {
+        self.base = program.clone();
+        self.base_state = ProgramState::of(program, 1);
+    }
+
     /// The pristine program's fingerprint — the identity every cache key
     /// (in-memory and on-disk) builds on.
-    pub fn base_fingerprint(&self) -> u64 {
-        self.base_fp
+    pub fn base_fingerprint(&self) -> u128 {
+        self.base_state.fp
+    }
+
+    /// The pristine program's fingerprints, for views over round 0.
+    pub(crate) fn base_state(&self) -> &ProgramState {
+        &self.base_state
     }
 
     /// A cheap order-of-magnitude estimate of the session's resident
@@ -1226,7 +1449,7 @@ impl AnalysisSession {
         // A metered run consults no disk cache and takes no part in the
         // incrementality audit.
         if !budget.is_unmetered() {
-            return self.analyze_uncached_obs(config, budget, sink, None);
+            return self.analyze_uncached_obs(config, budget, sink, None, None);
         }
         let Some(disk) = self.disk.as_ref() else {
             let audit = AuditCtx {
@@ -1235,12 +1458,12 @@ impl AnalysisSession {
                 outcome_key: None,
                 pack: None,
             };
-            return self.analyze_uncached_obs(config, budget, sink, Some(audit));
+            return self.analyze_uncached_obs(config, budget, sink, Some(audit), None);
         };
 
         // Persistent warm path: a validated entry is the cold outcome,
         // returned verbatim — bit-identity by construction.
-        let key = crate::diskcache::outcome_key(self.base_fp, config);
+        let key = crate::diskcache::outcome_key(self.base_state.fp, config);
         let quarantined_before = disk.stats().quarantined;
         let start = Instant::now();
         let loaded = {
@@ -1283,7 +1506,7 @@ impl AnalysisSession {
         let prev_ledger = self.previous_ledger();
         let base_changed = prev_ledger
             .as_ref()
-            .is_some_and(|p| p.base_fp != self.base_fp);
+            .is_some_and(|p| p.base_fp != ledger_fp(self.base_state.fp));
         let facets_changed = prev_ledger
             .as_ref()
             .map(|p| outcome_facets_changed(p, config))
@@ -1295,8 +1518,8 @@ impl AnalysisSession {
             base_changed,
             &facets_changed,
         );
-        // The per-procedure summaries of the label's last cold run: with
-        // them, only the procedures whose closures changed recompute.
+        // The per-procedure summaries of the label's earlier cold runs:
+        // with them, only the procedures whose keys changed recompute.
         let pack = self
             .audit_label
             .as_deref()
@@ -1311,15 +1534,29 @@ impl AnalysisSession {
             outcome_key: Some(key),
             pack,
         };
-        let outcome = self.analyze_uncached_obs(config, budget, sink, Some(audit));
+        let pack_log = pack.map(|_| Arc::new(PackLog::default()));
+        let outcome =
+            self.analyze_uncached_obs(config, budget, sink, Some(audit), pack_log.as_ref());
 
         let start = Instant::now();
         // The pack goes first: under byte-budget pressure LRU eviction
         // then drops it before the newer outcome entry.
-        if let Some((pack_key, _)) = pack {
-            let payload = ipcp_ir::codec::encode_to_vec(&self.store.summary_pack(config));
-            sink.count("diskcache.pack_bytes", payload.len() as u64);
-            disk.store_pack(pack_key, &payload);
+        if let (Some((pack_key, miss)), Some(log)) = (pack, pack_log) {
+            let encode = |keys: &PackKeys| ipcp_ir::codec::encode_to_vec(&self.store.pack_of(keys));
+            let used = || encode(&log.used.lock().expect("pack log lock"));
+            let computed = std::mem::take(&mut *log.computed.lock().expect("pack log lock"));
+            // A loaded pack grows by the run's computed summaries; one
+            // that could not be loaded is written afresh.
+            let written = if miss.is_some() {
+                let payload = used();
+                disk.store_pack(pack_key, &payload);
+                payload.len()
+            } else if computed.is_empty() {
+                0
+            } else {
+                disk.append_pack(pack_key, &encode(&computed), used)
+            };
+            sink.count("diskcache.pack_bytes", written as u64);
         }
         disk.store(key, &ipcp_ir::codec::encode_to_vec(&outcome));
         self.phase_wall(SessionPhase::DiskCache, start.elapsed());
@@ -1335,6 +1572,7 @@ impl AnalysisSession {
         budget: &Budget,
         sink: &dyn ObsSink,
         mut audit: Option<AuditCtx>,
+        pack: Option<&Arc<PackLog>>,
     ) -> AnalysisOutcome {
         let memo = budget.is_unmetered();
         let jobs = if memo {
@@ -1350,13 +1588,13 @@ impl AnalysisSession {
             self.stats.lock().unwrap().rounds += 1;
 
             // Round 0 always runs over the pristine program, whose
-            // fingerprint is precomputed; a store-less run keys nothing,
+            // fingerprints are precomputed; a store-less run keys nothing,
             // so it fingerprints no later state either.
             let start = Instant::now();
-            let state_fp = if first_round || !memo {
-                self.base_fp
+            let state = if first_round || !memo {
+                self.base_state.clone()
             } else {
-                fingerprint(&program)
+                ProgramState::of(&program, jobs)
             };
             first_round = false;
             self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
@@ -1367,15 +1605,16 @@ impl AnalysisSession {
 
             // DCE rewrites are collected while the round borrows
             // `program` and applied after the borrows end.
-            let (substitutions, vals, changed, new_procs) = self.with_solved_round(
+            let (substitutions, vals, changed, new_procs, ledger) = self.with_solved_round(
                 &mut program,
-                state_fp,
+                &state,
                 config,
                 budget,
                 jobs,
                 sink,
                 &mut stats,
                 log.clone(),
+                pack,
                 |mut r| {
                     // Spent once the solve has read them.
                     r.jfs = None;
@@ -1406,8 +1645,12 @@ impl AnalysisSession {
                             let steps = par_map_obs(jobs, &pids, sink, "dce.proc", |_, &pid| {
                                 self.cached_dce_step(&r, pid)
                             });
+                            if let Some(pack) = pack {
+                                let keys: Vec<EntryKey> = steps.iter().map(|s| s.1).collect();
+                                pack.record(&keys, |i| !steps[i].2, |k| &mut k.dces);
+                            }
                             // Replayed in `ProcId` order, like every fan-out.
-                            for (pid, step) in pids.into_iter().zip(steps) {
+                            for (pid, (step, _, _)) in pids.into_iter().zip(steps) {
                                 budget.checkpoint(Phase::Sccp, step.fuel);
                                 replay_anomalies(budget, &step.value.anomalies);
                                 changed |= step.value.changed;
@@ -1424,12 +1667,31 @@ impl AnalysisSession {
                             self.phase_span(SessionPhase::Dce, start.elapsed());
                         }
                     }
-                    (substitutions, r.vals, changed, new_procs)
+                    // The audit's ledger records the round's key
+                    // components and summaries; a procedure nothing
+                    // calls has no callers to cut off.
+                    let ledger = log.as_ref().map(|_| {
+                        let uncalled = r
+                            .program
+                            .proc_ids()
+                            .filter(|&pid| r.cg.callers(pid).is_empty())
+                            .map(ProcId::index)
+                            .collect();
+                        (Arc::clone(&r.ctx.keys), r.ctx.summary_fps(), uncalled)
+                    });
+                    (substitutions, r.vals, changed, new_procs, ledger)
                 },
             );
 
-            if let (Some(actx), Some(log)) = (audit.take(), log) {
-                self.commit_round_audit(config, actx, log.take());
+            if let (Some(actx), Some(log), Some((keys, summaries, uncalled))) =
+                (audit.take(), log, ledger)
+            {
+                let ran = RunRecord {
+                    computed: log.take(),
+                    uncalled,
+                    pack: None,
+                };
+                self.commit_round_audit(config, actx, ran, &keys, &summaries);
             }
             for (pid, proc) in new_procs {
                 *program.proc_mut(pid) = proc;
@@ -1449,8 +1711,20 @@ impl AnalysisSession {
             // final (DCE-refined) CONSTANTS.
             let substitutions = if stats.dce_rounds > 0 {
                 let _span = SpanGuard::enter(sink, "counting", "phase");
-                let final_fp = if memo { fingerprint(&program) } else { 0 };
-                self.cached_counting_pass(config, vals.as_deref(), final_fp, budget, jobs, sink)
+                let final_fp = if memo {
+                    ProgramState::of(&program, jobs).fp
+                } else {
+                    0
+                };
+                self.cached_counting_pass(
+                    config,
+                    vals.as_deref(),
+                    final_fp,
+                    budget,
+                    jobs,
+                    sink,
+                    pack,
+                )
             } else {
                 substitutions
             };
@@ -1476,18 +1750,20 @@ impl AnalysisSession {
     fn with_solved_round<R>(
         &self,
         program: &mut Program,
-        state_fp: u64,
+        state: &ProgramState,
         config: &AnalysisConfig,
         budget: &Budget,
         jobs: usize,
         sink: &dyn ObsSink,
         stats: &mut PhaseStats,
         log: Option<Arc<MissLog>>,
+        pack: Option<&Arc<PackLog>>,
         rest: impl FnOnce(SolvedRound<'_>) -> R,
     ) -> R {
         // The call graph is built against the pre-augmentation program
         // (call edges are unaffected by augmentation).
         let memo = budget.is_unmetered();
+        let state_fp = state.fp;
         let cg = {
             let _span = SpanGuard::enter(sink, "call_graph", "phase");
             self.cached_call_graph(program, state_fp, memo, log.as_deref())
@@ -1496,19 +1772,21 @@ impl AnalysisSession {
         augment_global_vars(program, &modref);
         let program = &*program;
 
-        let closure_fps = {
+        let keys = {
             let _span = SpanGuard::enter(sink, "closures", "phase");
-            self.cached_closures(program, &cg, state_fp, jobs, memo)
+            self.cached_state_keys(program, &cg, &modref, state, memo)
         };
 
         let round = RoundCtx {
             memo,
             state_fp,
-            closure_fps,
+            keys,
             mod_info: config.mod_info,
             gsa: config.gsa,
             mode: call_sym_mode(config),
+            tables: OnceLock::new(),
             log,
+            pack: pack.cloned(),
         };
 
         let mod_kills;
@@ -1586,28 +1864,22 @@ impl AnalysisSession {
     }
 
     /// The incrementality audit of round 0: diffs its key components —
-    /// the pristine program's closure fingerprints, which the round left
-    /// in the store — against the previous ledger, attributes every unit
-    /// the round computed (`computed`, from its [`MissLog`]), and commits
-    /// the audit and the advanced ledger.
+    /// the pristine program's own, closure and summary fingerprints —
+    /// against the previous ledger, attributes every unit the round
+    /// computed (`ran`, from its [`MissLog`]), and commits the audit and
+    /// the advanced ledger.
     fn commit_round_audit(
         &self,
         config: &AnalysisConfig,
         actx: AuditCtx,
-        computed: BTreeMap<SessionPhase, BTreeSet<usize>>,
+        mut ran: RunRecord,
+        keys: &StateKeys,
+        summaries: &[u128],
     ) {
         let start = Instant::now();
-        let closures = self
-            .store
-            .closures
-            .read()
-            .expect("closure store lock")
-            .get(&self.base_fp)
-            .map(Arc::clone)
-            .expect("round 0 stored its closure fingerprints");
         let mut ledger = Ledger {
-            base_fp: self.base_fp,
-            globals_fp: closures.globals,
+            base_fp: ledger_fp(self.base_state.fp),
+            globals_fp: ledger_fp(keys.globals),
             procs: self
                 .base
                 .procs
@@ -1615,8 +1887,9 @@ impl AnalysisSession {
                 .enumerate()
                 .map(|(i, p)| LedgerProc {
                     name: p.name.clone(),
-                    own_fp: closures.own[i],
-                    closure_fp: closures.closures[i],
+                    own_fp: ledger_fp(keys.own[i]),
+                    closure_fp: ledger_fp(keys.closures[i]),
+                    summary_fp: ledger_fp(summaries[i]),
                 })
                 .collect(),
             facets: render_facets(config),
@@ -1630,12 +1903,9 @@ impl AnalysisSession {
         for key in [actx.outcome_key, pack_key].into_iter().flatten() {
             ledger.remember_outcome_key(key);
         }
-        let ran = RunRecord {
-            computed,
-            pack: actx.pack.and_then(|(key, miss)| {
-                miss.map(|miss| classify_disk_miss(actx.prev.as_ref(), &miss, key, false, &[]))
-            }),
-        };
+        ran.pack = actx.pack.and_then(|(key, miss)| {
+            miss.map(|miss| classify_disk_miss(actx.prev.as_ref(), &miss, key, false, &[]))
+        });
         let report = diff_ledgers(actx.prev.as_ref(), &ledger, actx.disk, Some(&ran));
         self.commit_audit(report, ledger);
         self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
@@ -1661,19 +1931,20 @@ impl AnalysisSession {
     pub(crate) fn solved_view<R>(
         &self,
         program: &mut Program,
-        state_fp: u64,
+        state: &ProgramState,
         config: &AnalysisConfig,
         sink: &dyn ObsSink,
         view: impl FnOnce(SolvedRound<'_>) -> R,
     ) -> R {
         self.with_solved_round(
             program,
-            state_fp,
+            state,
             config,
             &Budget::unlimited(),
             crate::parallel::effective_jobs(config),
             sink,
             &mut PhaseStats::default(),
+            None,
             None,
             view,
         )
@@ -1690,44 +1961,44 @@ impl AnalysisSession {
     pub fn provenance(&self, config: &AnalysisConfig, sink: &dyn ObsSink) -> Provenance {
         let _span = SpanGuard::enter(sink, "provenance", "phase");
         let mut program = self.base.clone();
-        let record = self.solved_view(&mut program, self.base_fp, config, sink, |r| {
+        let record = self.solved_view(&mut program, &self.base_state, config, sink, |r| {
             crate::provenance::record(&r, config, sink)
         });
         record.into_provenance(program)
     }
 
-    /// Closure fingerprints of the augmented program, cached by the
+    /// The key components of the augmented program, cached by the
     /// pre-augmentation state fingerprint (augmentation is a pure
     /// function of that state, so the key is sound). A store-less run
     /// reads no key and keeps no ledger, so it gets none.
-    fn cached_closures(
+    fn cached_state_keys(
         &self,
         program: &Program,
         cg: &CallGraph,
-        state_fp: u64,
-        jobs: usize,
+        modref: &ModRefInfo,
+        state: &ProgramState,
         memo: bool,
-    ) -> Arc<ClosureData> {
+    ) -> Arc<StateKeys> {
         if !memo {
             return Arc::default();
         }
         let start = Instant::now();
-        let fps = match lookup(true, &self.store.closures, &state_fp) {
-            Some(fps) => fps,
+        let keys = match lookup(true, &self.store.states, &state.fp) {
+            Some(keys) => keys,
             None => {
-                let fps = Arc::new(closure_fingerprints(program, cg, jobs));
-                remember(true, &self.store.closures, state_fp, Arc::clone(&fps));
-                fps
+                let keys = Arc::new(state_keys(program, cg, modref, state));
+                remember(true, &self.store.states, state.fp, Arc::clone(&keys));
+                keys
             }
         };
         self.phase_wall(SessionPhase::Fingerprint, start.elapsed());
-        fps
+        keys
     }
 
     fn cached_call_graph(
         &self,
         program: &Program,
-        state_fp: u64,
+        state_fp: u128,
         memo: bool,
         log: Option<&MissLog>,
     ) -> Arc<CallGraph> {
@@ -1757,7 +2028,7 @@ impl AnalysisSession {
         &self,
         program: &Program,
         cg: &CallGraph,
-        state_fp: u64,
+        state_fp: u128,
         budget: &Budget,
         jobs: usize,
         sink: &dyn ObsSink,
@@ -1818,10 +2089,7 @@ impl AnalysisSession {
     ) -> Arc<SsaProc> {
         let start = Instant::now();
         // A store-less run builds no key.
-        let key = round.memo.then(|| SsaKey {
-            closure_fp: round.closure_fps[pid.index()],
-            mod_info: round.mod_info,
-        });
+        let key = round.memo.then(|| round.ssa_key(pid));
         if let Some(ssa) = key.and_then(|key| lookup(true, &self.store.ssas, &key)) {
             tally.add(true, start.elapsed());
             return ssa;
@@ -1835,11 +2103,12 @@ impl AnalysisSession {
         ssa
     }
 
-    /// One procedure's return-jump-function table, cached, with the fuel
-    /// to replay on the main budget. `rjfs` must already hold the final
-    /// tables of every callee outside `pid`'s SCC (and the SCC-local
-    /// partial tables when `pid` is recursive) — exactly what the
-    /// bottom-up SCC order and the wave schedule both guarantee.
+    /// One procedure's return-jump-function table under `key`, cached,
+    /// with the fuel to replay on the main budget and the table's
+    /// fingerprint, and whether it was computed here. `rjfs` must
+    /// already hold the final tables of every callee outside `pid`'s SCC
+    /// (and the SCC-local partial tables when `pid` is recursive) —
+    /// exactly what the wave schedule guarantees.
     ///
     /// Misses compute on a private scratch budget so parallel workers
     /// never touch the (thread-local) main budget; the caller replays
@@ -1851,16 +2120,16 @@ impl AnalysisSession {
         &self,
         program: &Program,
         pid: ProcId,
+        key: RjfKey,
         rjfs: &dyn crate::retjf::RjfSource,
         round: &RoundCtx,
         kills: &dyn KillOracle,
         options: SymEvalOptions,
         tally: &mut FanoutTally,
-    ) -> (Arc<RjfTable>, u64) {
-        let key = round.rjf_key(pid, options);
+    ) -> (CachedRjf, bool) {
         if let Some(cached) = lookup(round.memo, &self.store.rjf_procs, &key) {
             tally.main.add(true, Duration::ZERO);
-            return (cached.value, cached.fuel);
+            return (cached, false);
         }
         round.note(SessionPhase::ReturnJf, pid.index());
         let scratch = Budget::unlimited();
@@ -1868,31 +2137,33 @@ impl AnalysisSession {
         scratch.checkpoint(Phase::ReturnJf, 1);
         let ssa = self.tallied_ssa(program, pid, kills, round, &mut tally.ssa);
         let start = Instant::now();
-        let map = Arc::new(build_rjf_for_proc(
-            program, pid, rjfs, &ssa, options, &scratch,
-        ));
-        let fuel = scratch.fuel_consumed();
-        let value = Arc::clone(&map);
-        remember(
-            round.memo,
-            &self.store.rjf_procs,
-            key,
-            Cached { value, fuel },
-        );
+        let table = build_rjf_for_proc(program, pid, rjfs, &ssa, options, &scratch);
+        // The table's fingerprint is taken once, here: every caller's
+        // key reads it, and a later hit carries it from the store.
+        let cached = CachedRjf {
+            fp: fingerprint(&table),
+            value: Arc::new(table),
+            fuel: scratch.fuel_consumed(),
+        };
+        remember(round.memo, &self.store.rjf_procs, key, cached.clone());
         tally.main.add(false, start.elapsed());
-        (map, fuel)
+        (cached, true)
     }
 
     /// Builds the full return-jump-function table bottom-up over the
-    /// call-graph condensation, reusing cached per-procedure tables. A
-    /// metered run hands its budget to
+    /// call-graph condensation, reusing cached per-procedure tables, and
+    /// leaves the table fingerprints in `round` for the keys of the
+    /// phases that read the tables. A metered run hands its budget to
     /// [`build_return_jfs_budgeted`] instead.
     ///
     /// Scheduling runs in SCC *waves*: every SCC of one wave only calls
-    /// into strictly lower (already merged) waves, so all of a wave's
-    /// SCCs build concurrently. Recursive SCCs layer a copy-free
-    /// [`crate::retjf::SccOverlay`] over the shared table and run their
-    /// members in bottom-up order, exactly like the sequential pass. Merging per wave in ascending SCC order
+    /// into strictly lower (already merged) waves. Each wave first
+    /// resolves its keys — which fold the table fingerprints of the SCC's
+    /// callees, all final by then — and installs every SCC the store
+    /// holds whole; only the SCCs with work left fan out, concurrently.
+    /// Recursive SCCs layer a copy-free [`crate::retjf::SccOverlay`] over
+    /// the shared table and run their members in bottom-up order, exactly
+    /// like the sequential pass. Merging per wave in ascending SCC order
     /// keeps the result and the fuel replay deterministic.
     #[allow(clippy::too_many_arguments)]
     fn cached_return_jfs(
@@ -1912,88 +2183,119 @@ impl AnalysisSession {
             self.metered_phase(SessionPhase::ReturnJf, program, start);
             return rjfs;
         }
-        let mut rjfs = ReturnJumpFns::empty(program.procs.len());
+        let n = program.procs.len();
+        let mut rjfs = ReturnJumpFns::empty(n);
         let sccs = cg.sccs();
         // Per-procedure work estimate (≈ instruction visits) for the
         // cost-based wave gate.
-        let est: Vec<u64> = program
-            .proc_ids()
-            .map(|pid| {
-                let proc = program.proc(pid);
-                proc.block_ids()
-                    .map(|b| proc.block(b).instrs.len() as u64 + 1)
-                    .sum::<u64>()
-                    .max(1)
-            })
-            .collect();
+        let est = |pid: ProcId| {
+            let proc = program.proc(pid);
+            proc.block_ids()
+                .map(|b| proc.block(b).instrs.len() as u64 + 1)
+                .sum::<u64>()
+                .max(1)
+        };
         let start = Instant::now();
         let mut tally = FanoutTally::default();
-        // Store hits first: an SCC whose every member's table is stored
-        // is installed here, so the waves — and their cost gate — see
-        // only the SCCs with work left.
-        let mut pending = vec![false; sccs.len()];
-        {
-            let stored = self.store.rjf_procs.read().expect("rjf store lock");
-            let hit = |pid: ProcId| stored.get(&round.rjf_key(pid, options));
-            for (si, scc) in sccs.iter().enumerate() {
-                if !scc.iter().all(|&pid| hit(pid).is_some()) {
-                    pending[si] = true;
-                    continue;
-                }
-                for &pid in scc {
-                    let cached = hit(pid).expect("every member hit");
-                    budget.checkpoint(Phase::ReturnJf, cached.fuel);
-                    rjfs.set_proc(pid, Arc::clone(&cached.value));
-                    tally.main.add(true, Duration::ZERO);
+        let mut tables = RoundTables {
+            procs: vec![0; n],
+            callees: vec![0; sccs.len()],
+        };
+        // Every key the phase used, and which of them it computed, when
+        // the run keeps a pack.
+        let mut used: Option<Vec<(RjfKey, bool)>> =
+            round.pack.as_ref().map(|_| Vec::with_capacity(n));
+        for wave in scc_waves(cg) {
+            let resolve = Instant::now();
+            let mut pending: Vec<(usize, Vec<RjfKey>)> = Vec::new();
+            {
+                let stored = self.store.rjf_procs.read().expect("rjf store lock");
+                for si in wave {
+                    let callees = combine(
+                        round
+                            .keys
+                            .callees(si)
+                            .iter()
+                            .map(|c| tables.procs[c.index()]),
+                    );
+                    tables.callees[si] = callees;
+                    let keys: Vec<RjfKey> = sccs[si]
+                        .iter()
+                        .map(|&pid| round.rjf_key(pid, options, callees))
+                        .collect();
+                    let hits: Option<Vec<&CachedRjf>> =
+                        keys.iter().map(|k| stored.get(k)).collect();
+                    let Some(hits) = hits else {
+                        pending.push((si, keys));
+                        continue;
+                    };
+                    for ((&pid, key), cached) in sccs[si].iter().zip(keys).zip(hits) {
+                        budget.checkpoint(Phase::ReturnJf, cached.fuel);
+                        rjfs.set_proc(pid, Arc::clone(&cached.value));
+                        tables.procs[pid.index()] = cached.fp;
+                        tally.main.add(true, Duration::ZERO);
+                        used.iter_mut().for_each(|u| u.push((key, false)));
+                    }
                 }
             }
-        }
-        tally.main.wall += start.elapsed();
-        for mut wave in scc_waves(cg) {
-            wave.retain(|&si| pending[si]);
-            if wave.is_empty() {
+            tally.main.wall += resolve.elapsed();
+            if pending.is_empty() {
                 continue;
             }
             // Narrow or featherweight waves can't amortize a spawn; the
             // cost gate runs them inline and saves the fork/join for
             // levels with real work.
-            let units: u64 = wave
+            let units: u64 = pending
                 .iter()
-                .flat_map(|&si| sccs[si].iter())
-                .map(|&pid| est[pid.index()])
+                .flat_map(|(si, _)| sccs[*si].iter())
+                .map(|&pid| est(pid))
                 .sum();
-            let wave_jobs = wave_jobs(jobs, wave.len(), units);
-            let built = par_map_obs(wave_jobs, &wave, sink, "return_jfs.proc", |_, &scc_idx| {
-                let scc = &sccs[scc_idx];
-                let mut tally = FanoutTally::default();
-                let mut out = Vec::with_capacity(scc.len());
-                if let [pid] = scc[..] {
-                    let (map, fuel) =
-                        self.rjf_for_proc(program, pid, &rjfs, round, kills, options, &mut tally);
-                    out.push((pid, map, fuel));
-                } else {
-                    // Recursive SCC: members read each other's partial
-                    // tables, so give the SCC a copy-free overlay and run
-                    // its members in the sequential bottom-up order.
-                    let mut overlay = crate::retjf::SccOverlay::new(&rjfs);
-                    for &pid in scc {
-                        let (map, fuel) = self.rjf_for_proc(
-                            program, pid, &overlay, round, kills, options, &mut tally,
+            let wave_jobs = wave_jobs(jobs, pending.len(), units);
+            let built = par_map_obs(
+                wave_jobs,
+                &pending,
+                sink,
+                "return_jfs.proc",
+                |_, (si, keys)| {
+                    let scc = &sccs[*si];
+                    let mut tally = FanoutTally::default();
+                    let mut out = Vec::with_capacity(scc.len());
+                    if let [pid] = scc[..] {
+                        let (cached, computed) = self.rjf_for_proc(
+                            program, pid, keys[0], &rjfs, round, kills, options, &mut tally,
                         );
-                        overlay.push(pid, Arc::clone(&map));
-                        out.push((pid, map, fuel));
+                        out.push((pid, keys[0], cached, computed));
+                    } else {
+                        // Recursive SCC: members read each other's partial
+                        // tables, so give the SCC a copy-free overlay and run
+                        // its members in the sequential bottom-up order.
+                        let mut overlay = crate::retjf::SccOverlay::new(&rjfs);
+                        for (&pid, &key) in scc.iter().zip(keys) {
+                            let (cached, computed) = self.rjf_for_proc(
+                                program, pid, key, &overlay, round, kills, options, &mut tally,
+                            );
+                            overlay.push(pid, Arc::clone(&cached.value));
+                            out.push((pid, key, cached, computed));
+                        }
                     }
-                }
-                (out, tally)
-            });
+                    (out, tally)
+                },
+            );
             for (members, worker) in built {
                 tally.merge(&worker);
-                for (pid, map, fuel) in members {
-                    budget.checkpoint(Phase::ReturnJf, fuel);
-                    rjfs.set_proc(pid, map);
+                for (pid, key, cached, computed) in members {
+                    budget.checkpoint(Phase::ReturnJf, cached.fuel);
+                    tables.procs[pid.index()] = cached.fp;
+                    rjfs.set_proc(pid, cached.value);
+                    used.iter_mut().for_each(|u| u.push((key, computed)));
                 }
             }
         }
+        if let (Some(pack), Some(used)) = (&round.pack, used) {
+            let keys: Vec<RjfKey> = used.iter().map(|u| u.0).collect();
+            pack.record(&keys, |i| used[i].1, |k| &mut k.rjfs);
+        }
+        let _ = round.tables.set(tables);
         let mut stats = self.stats.lock().expect("session stats lock");
         tally.ssa.record(&mut stats, SessionPhase::Ssa);
         tally.main.record(&mut stats, SessionPhase::ReturnJf);
@@ -2003,20 +2305,21 @@ impl AnalysisSession {
         rjfs
     }
 
-    /// One procedure's symbolic values, cached, with the fuel to replay
-    /// (misses meter on a private scratch budget; see [`Self::rjf_for_proc`]).
+    /// One procedure's symbolic values under `key`, cached, with the
+    /// fuel to replay (misses meter on a private scratch budget; see
+    /// [`Self::rjf_for_proc`]).
     #[allow(clippy::too_many_arguments)]
     fn sym_for_proc(
         &self,
         program: &Program,
         pid: ProcId,
+        key: SymKey,
         round: &RoundCtx,
         kills: &dyn KillOracle,
         call_sym: &dyn CallSymbolics,
         options: SymEvalOptions,
         tally: &mut FanoutTally,
     ) -> (Arc<SymMap>, u64) {
-        let key = round.sym_key(pid);
         if let Some(cached) = lookup(round.memo, &self.store.syms, &key) {
             tally.symvals.add(true, Duration::ZERO);
             return (cached.value, cached.fuel);
@@ -2039,9 +2342,11 @@ impl AnalysisSession {
         (sym, fuel)
     }
 
-    /// One procedure's forward jump-function site vector, cached
-    /// (fuel-free beyond the per-procedure construction checkpoint the
-    /// caller replays).
+    /// One procedure's forward jump-function site vector under `key`,
+    /// cached with the fuel of the symbolic evaluation beneath it
+    /// (`sym_fuel`): a later hit replays that fuel without evaluating.
+    /// The site vector records no fuel of its own beyond the
+    /// per-procedure construction checkpoint the caller replays.
     #[allow(clippy::too_many_arguments)]
     fn forward_sites_for_proc(
         &self,
@@ -2049,13 +2354,13 @@ impl AnalysisSession {
         cg: &CallGraph,
         modref: &ModRefInfo,
         kind: JumpFunctionKind,
+        key: ForwardKey,
         pid: ProcId,
         round: &RoundCtx,
         kills: &dyn KillOracle,
-        sym: &SymMap,
+        (sym, sym_fuel): (&SymMap, u64),
         tally: &mut FanoutTally,
     ) -> Arc<Vec<SiteJumpFns>> {
-        let key = round.forward_key(pid, kind);
         if let Some(cached) = lookup(round.memo, &self.store.forward_procs, &key) {
             tally.main.add(true, Duration::ZERO);
             return cached.value;
@@ -2069,7 +2374,10 @@ impl AnalysisSession {
             round.memo,
             &self.store.forward_procs,
             key,
-            Cached { value, fuel: 0 },
+            Cached {
+                value,
+                fuel: sym_fuel,
+            },
         );
         tally.main.add(false, start.elapsed());
         sites
@@ -2115,48 +2423,63 @@ impl AnalysisSession {
         let pids: Vec<ProcId> = program.proc_ids().collect();
         let start = Instant::now();
         let mut tally = FanoutTally::default();
-        // Store hits first: a stored site vector whose symbolic-value
-        // fuel is known needs neither SSA nor the symbolic values, only
-        // the fuel replayed, so the workers see only the misses.
+        let sym_keys: Vec<SymKey> = pids.iter().map(|&pid| round.sym_key(pid)).collect();
+        let keys: Vec<ForwardKey> = sym_keys
+            .iter()
+            .map(|&sym| ForwardKey::new(sym, kind))
+            .collect();
+        // Store hits first: a stored site vector carries the fuel of the
+        // symbolic values beneath it, so a hit needs neither SSA nor the
+        // symbolic values, only the fuel replayed, and the workers see
+        // only the misses.
         let stored: Vec<Option<(u64, Arc<Vec<SiteJumpFns>>)>> = {
             let forwards = self.store.forward_procs.read().expect("forward store lock");
-            let syms = self.store.syms.read().expect("sym store lock");
-            let fuels = self.store.sym_fuels.read().expect("sym fuel store lock");
-            pids.iter()
-                .map(|&pid| {
-                    let key = round.forward_key(pid, kind);
-                    let sites = forwards.get(&key)?;
-                    let sym_key = key.sym_key();
-                    let fuel = syms
-                        .get(&sym_key)
-                        .map(|c| c.fuel)
-                        .or_else(|| fuels.get(&sym_key).copied())?;
+            keys.iter()
+                .map(|key| {
+                    let sites = forwards.get(key)?;
                     tally.symvals.add(true, Duration::ZERO);
                     tally.main.add(true, Duration::ZERO);
-                    Some((fuel, Arc::clone(&sites.value)))
+                    Some((sites.fuel, Arc::clone(&sites.value)))
                 })
                 .collect()
         };
         tally.main.wall += start.elapsed();
-        let misses: Vec<ProcId> = pids
-            .iter()
-            .zip(&stored)
-            .filter(|(_, hit)| hit.is_none())
-            .map(|(&pid, _)| pid)
+        let misses: Vec<(ProcId, SymKey, ForwardKey)> = (0..pids.len())
+            .filter(|&i| stored[i].is_none())
+            .map(|i| (pids[i], sym_keys[i], keys[i]))
             .collect();
-        let built = par_map_obs(jobs, &misses, sink, "forward_jfs.proc", |_, &pid| {
-            let mut tally = FanoutTally::default();
-            // Symbolic values are resolved (computed or fuel-replayed)
-            // for every procedure, so consumption matches
-            // `build_forward_jfs_budgeted`, which evaluates every procedure.
-            let (sym, sym_fuel) =
-                self.sym_for_proc(program, pid, round, kills, call_sym, options, &mut tally);
-            let sites = self.forward_sites_for_proc(
-                program, cg, modref, kind, pid, round, kills, &sym, &mut tally,
-            );
-            (sym_fuel, sites, tally)
-        });
+        let built = par_map_obs(
+            jobs,
+            &misses,
+            sink,
+            "forward_jfs.proc",
+            |_, &(pid, sym_key, key)| {
+                let mut tally = FanoutTally::default();
+                // Symbolic values are resolved (computed or fuel-replayed)
+                // for every procedure, so consumption matches
+                // `build_forward_jfs_budgeted`, which evaluates every procedure.
+                let (sym, sym_fuel) = self.sym_for_proc(
+                    program, pid, sym_key, round, kills, call_sym, options, &mut tally,
+                );
+                let sites = self.forward_sites_for_proc(
+                    program,
+                    cg,
+                    modref,
+                    kind,
+                    key,
+                    pid,
+                    round,
+                    kills,
+                    (&sym, sym_fuel),
+                    &mut tally,
+                );
+                (sym_fuel, sites, tally)
+            },
+        );
         let span = start.elapsed();
+        if let Some(pack) = &round.pack {
+            pack.record(&keys, |i| stored[i].is_none(), |k| &mut k.forwards);
+        }
         let mut per_proc = Vec::with_capacity(pids.len());
         let mut built = built.into_iter();
         for (pid, hit) in pids.into_iter().zip(stored) {
@@ -2246,11 +2569,11 @@ impl AnalysisSession {
 
     /// Substitution counts of every procedure, each served from the
     /// store unless its [`EntryKey`] is new: a column recounts only the
-    /// procedures whose closure, facets or entry constants moved.
+    /// procedures whose key components, facets or entry constants moved.
     /// Unreachable procedures count 0 without a lookup (reachability
-    /// depends on callers, which the closure does not cover). Misses are
-    /// inserted in one batch after the `ProcId`-ordered merge, so workers
-    /// never contend on the write lock.
+    /// depends on callers, which no per-procedure key covers). Misses
+    /// are inserted in one batch after the `ProcId`-ordered merge, so
+    /// workers never contend on the write lock.
     ///
     /// The one place substitution time is recorded: worker time (SSA
     /// builds excluded; they count as SSA) as wall, and at `jobs > 1`
@@ -2278,14 +2601,13 @@ impl AnalysisSession {
             let mut out = ProcCount::default();
             if cg.is_reachable(pid) {
                 // A store-less run builds no key: it counts every time.
-                let key = round.memo.then(|| round.entry_key(program, pid, vals));
-                match key.and_then(|key| stored.as_ref()?.get(&key).copied()) {
+                out.key = round.memo.then(|| round.entry_key(program, pid, vals));
+                match out.key.and_then(|key| stored.as_ref()?.get(&key).copied()) {
                     Some(n) => out.n = n,
                     None => {
                         let ssa = self.tallied_ssa(program, pid, kills, round, &mut out.ssa);
                         out.n = count_one_proc(program, calls, vals, pid, &ssa);
                         out.counted = true;
-                        out.miss = key;
                     }
                 }
             }
@@ -2295,6 +2617,7 @@ impl AnalysisSession {
         drop(stored);
         let mut per_proc = Vec::with_capacity(pids.len());
         let mut misses = Vec::new();
+        let mut keys = Vec::new();
         let (mut ssa, mut subst) = (PhaseTally::default(), PhaseTally::default());
         for (&pid, count) in pids.iter().zip(counted) {
             per_proc.push(count.n);
@@ -2305,11 +2628,20 @@ impl AnalysisSession {
             } else if cg.is_reachable(pid) {
                 subst.hits += 1;
             }
-            misses.extend(count.miss.map(|key| (key, count.n)));
+            if let Some(key) = count.key {
+                keys.push((key, count.counted));
+                if count.counted {
+                    misses.push((key, count.n));
+                }
+            }
         }
         let insert = Instant::now();
         if subst.misses > 0 {
             round.note(SessionPhase::Subst, 0);
+        }
+        if let Some(pack) = &round.pack {
+            let used: Vec<EntryKey> = keys.iter().map(|k| k.0).collect();
+            pack.record(&used, |i| keys[i].1, |k| &mut k.substs);
         }
         if round.memo && !misses.is_empty() {
             self.store
@@ -2349,15 +2681,20 @@ impl AnalysisSession {
     }
 
     /// [`Self::dce_step`], cached by its [`EntryKey`]: after a DCE round,
-    /// only procedures whose IR changed (or whose callees' IR changed, or
-    /// whose entry constants moved) are re-processed. A miss meters on a
-    /// scratch budget, and the step keeps the fuel and anomalies it
-    /// recorded there for the caller to replay in `ProcId` order.
-    fn cached_dce_step(&self, r: &SolvedRound<'_>, pid: ProcId) -> Cached<DceStep> {
+    /// only procedures whose IR changed (or whose callees' summaries
+    /// changed, or whose entry constants moved) are re-processed. A miss
+    /// meters on a scratch budget, and the step keeps the fuel and
+    /// anomalies it recorded there for the caller to replay in `ProcId`
+    /// order. Returns the step, its key, and whether it was computed.
+    fn cached_dce_step(
+        &self,
+        r: &SolvedRound<'_>,
+        pid: ProcId,
+    ) -> (Cached<DceStep>, EntryKey, bool) {
         let key = r.ctx.entry_key(r.program, pid, r.vals.as_deref());
         if let Some(cached) = lookup(r.ctx.memo, &self.store.dces, &key) {
             self.phase_hit(SessionPhase::Dce);
-            return cached;
+            return (cached, key, false);
         }
         r.ctx.note(SessionPhase::Dce, pid.index());
         let scratch = Budget::unlimited();
@@ -2368,23 +2705,25 @@ impl AnalysisSession {
             fuel: scratch.fuel_consumed(),
         };
         remember(r.ctx.memo, &self.store.dces, key, cached.clone());
-        cached
+        (cached, key, true)
     }
 
     /// The complete-propagation recount over the pristine program with
     /// the final `VAL` sets. It rebuilds its side tables (call graph,
     /// MOD/REF, return jump functions) over the pristine program, the
     /// return jump functions with *default* symbolic-evaluation options.
+    #[allow(clippy::too_many_arguments)]
     fn cached_counting_pass(
         &self,
         config: &AnalysisConfig,
         vals: Option<&ValSets>,
-        final_fp: u64,
+        final_fp: u128,
         budget: &Budget,
         jobs: usize,
         sink: &dyn ObsSink,
+        pack: Option<&Arc<PackLog>>,
     ) -> SubstitutionCounts {
-        let orig_fp = self.base_fp;
+        let orig_fp = self.base_state.fp;
         let key = CountingKey {
             orig_fp,
             final_fp,
@@ -2411,17 +2750,19 @@ impl AnalysisSession {
         let cg = self.cached_call_graph(&orig, orig_fp, memo, None);
         let modref = self.cached_modref(&orig, &cg, orig_fp, budget, jobs, sink, None);
         augment_global_vars(&mut orig, &modref);
-        let closure_fps = self.cached_closures(&orig, &cg, orig_fp, jobs, memo);
+        let keys = self.cached_state_keys(&orig, &cg, &modref, &self.base_state, memo);
         // The gsa facet is pinned to its default, as the return jump
         // functions are built with default options.
         let round = RoundCtx {
             memo,
             state_fp: orig_fp,
-            closure_fps,
+            keys,
             mod_info: config.mod_info,
             gsa: false,
             mode: call_sym_mode(config),
+            tables: OnceLock::new(),
             log: None,
+            pack: pack.cloned(),
         };
         let counts = {
             let orig = &orig;
@@ -2458,65 +2799,6 @@ impl AnalysisSession {
         let value = Arc::new(counts.clone());
         remember(memo, &self.store.countings, key, Cached { value, fuel });
         counts
-    }
-}
-
-/// Per-procedure closure fingerprints: each procedure's own IR combined
-/// with the IR of every transitively reachable callee plus the global
-/// table. Any artifact derived from a procedure reads at most this set,
-/// so the closure fingerprint is a sound cache key — and after a DCE
-/// round it changes exactly for the procedures whose own IR changed plus
-/// their call-graph dependents, which is what makes complete propagation
-/// incremental.
-fn closure_fingerprints(program: &Program, cg: &CallGraph, jobs: usize) -> ClosureData {
-    let proc_fps: Vec<u64> = par_map(jobs, &program.procs, |_, p| fingerprint(p));
-    let globals_fp = {
-        let mut h = Fnv1a::new();
-        program.globals.encode(&mut h);
-        program.main.encode(&mut h);
-        h.finish()
-    };
-
-    // Merkle hash over the SCC condensation instead of one reachability
-    // DFS per procedure (which is O(procs × edges) — quadratic on the
-    // deep call towers of 100k-procedure programs). `sccs()` is
-    // bottom-up, so every callee SCC's closure hash is final before its
-    // callers fold it in; a hash of child closure hashes changes exactly
-    // when some transitively reachable procedure's IR changes, which is
-    // all a cache key needs. Child SCCs are deduplicated with a stamp
-    // array in first-occurrence order, keeping the digest deterministic.
-    let sccs = cg.sccs();
-    let mut scc_fp = vec![0u64; sccs.len()];
-    let mut child_stamp = vec![usize::MAX; sccs.len()];
-    for (i, scc) in sccs.iter().enumerate() {
-        let mut parts = Vec::with_capacity(scc.len() * 2 + 2);
-        parts.push(globals_fp);
-        for &pid in scc {
-            parts.push(pid.index() as u64);
-            parts.push(proc_fps[pid.index()]);
-        }
-        for &pid in scc {
-            for site in cg.sites(pid) {
-                let c = cg.scc_of(site.callee);
-                if c != i && child_stamp[c] != i {
-                    child_stamp[c] = i;
-                    parts.push(scc_fp[c]);
-                }
-            }
-        }
-        scc_fp[i] = combine(parts);
-    }
-
-    // Procedures of one SCC share a closure; their keys differ by the
-    // procedure's own fingerprint, exactly as the DFS scheme's did.
-    let closures = program
-        .proc_ids()
-        .map(|pid| combine([scc_fp[cg.scc_of(pid)], proc_fps[pid.index()]]))
-        .collect();
-    ClosureData {
-        closures,
-        own: proc_fps,
-        globals: globals_fp,
     }
 }
 
@@ -2704,6 +2986,41 @@ main\ncall f(0)\nend\n";
             "subst wall {wall} ns exceeds {jobs} x span {span} ns"
         );
         assert!(after.wall_nanos <= jobs as u128 * after.span_nanos);
+    }
+
+    #[test]
+    fn callers_stop_at_an_unchanged_summary_and_follow_a_changed_one() {
+        // leaf → mid → top → main, and `main` passes what `leaf` wrote
+        // on to `show`: its forward jump function reads `leaf`'s return
+        // jump function through `main`'s symbolic values.
+        let source = |leaf: &str| {
+            format!(
+                "global g\nproc leaf()\n{leaf}end\nproc mid()\ncall leaf()\nend\n\
+                 proc top()\ncall mid()\nend\nproc show(x)\nprint(x)\nend\n\
+                 main\ncall top()\ncall show(g)\nend\n"
+            )
+        };
+        let config = AnalysisConfig::default();
+        let mut session = AnalysisSession::from_source(&source("g = 5\n")).unwrap();
+        session.analyze(&config);
+        // SSA and return-jump-function misses of analyzing the edit
+        // `leaf` in the same session.
+        let mut edit = |leaf: &str| {
+            let program = ipcp_ir::compile_to_ir(&source(leaf)).unwrap();
+            session.set_program(&program);
+            let before = session.stats();
+            let got = session.analyze(&config);
+            assert_outcomes_equal(&got, &store_less(&program, &config), leaf);
+            let misses =
+                |phase| session.stats().counter(phase).misses - before.counter(phase).misses;
+            (misses(SessionPhase::Ssa), misses(SessionPhase::ReturnJf))
+        };
+        // A print leaves `leaf`'s summary as it was: its callers keep
+        // their keys.
+        assert_eq!(edit("g = 5\nprint(1)\n"), (1, 1));
+        // A new constant moves `leaf`'s return jump function, and with it
+        // every caller's table; SSA, which reads only MOD, stops at `leaf`.
+        assert_eq!(edit("g = 6\nprint(1)\n"), (1, 4));
     }
 
     #[test]

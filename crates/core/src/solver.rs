@@ -13,7 +13,7 @@
 use crate::forward::ForwardJumpFns;
 use crate::framework::{solve_value_contexts, DataflowProblem, EdgeSink, EngineOutcome};
 use ipcp_analysis::{Budget, CallGraph, LatticeVal, ModRefInfo, Slot, SlotTable};
-use ipcp_ir::fingerprint::Fnv1a;
+use ipcp_ir::fingerprint::Fp128;
 use ipcp_ir::{ProcId, Procedure, Program, VarId, VarKind};
 use std::collections::BTreeMap;
 
@@ -244,23 +244,26 @@ pub fn entry_env_of(program: &Program, p: ProcId, vals: &ValSets) -> impl Fn(Var
     }
 }
 
-/// Fingerprint of exactly what [`entry_env_of`] passes to SCCP: the
+/// Absorbs into `h` exactly what [`entry_env_of`] passes to SCCP: the
 /// `(variable, constant)` pairs of `p`. Every other variable enters as
-/// ⊥, so two `VAL` sets with equal fingerprints seed identical SCCP runs
-/// — as does `None` (the unseeded, all-⊥ baseline) whenever `p` has no
-/// entry constants.
-pub(crate) fn entry_constants_fp(program: &Program, p: ProcId, vals: Option<&ValSets>) -> u64 {
-    let mut h = Fnv1a::new();
+/// ⊥, so two `VAL` sets that absorb alike seed identical SCCP runs — as
+/// does `None` (the unseeded, all-⊥ baseline) whenever `p` has no entry
+/// constants.
+pub(crate) fn hash_entry_constants(
+    h: &mut Fp128,
+    program: &Program,
+    p: ProcId,
+    vals: Option<&ValSets>,
+) {
     if let Some(vals) = vals {
         let proc = program.proc(p);
         for v in proc.var_ids() {
             if let Some(c) = entry_constant(proc, p, v, vals) {
-                h.write_u64(u64::from(v.0));
-                h.write_u64(c as u64);
+                h.word(u64::from(v.0));
+                h.word(c as u64);
             }
         }
     }
-    h.finish()
 }
 
 #[cfg(test)]

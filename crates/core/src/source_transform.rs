@@ -46,9 +46,8 @@ pub fn transform_source(
     // uniform[proc name][var name] = c when every SSA version of the
     // variable is the same constant (⊤ versions in unreached code ignored).
     let names = &checked.program.names;
-    let state_fp = session.base_fingerprint();
     let uniform: HashMap<String, HashMap<Symbol, i64>> =
-        session.solved_view(&mut program, state_fp, config, &NoopSink, |r| {
+        session.solved_view(&mut program, session.base_state(), config, &NoopSink, |r| {
             let reachable = r.program.proc_ids().filter(|&pid| r.cg.is_reachable(pid));
             reachable
                 .map(|pid| {

@@ -269,6 +269,18 @@ impl Wire for u64 {
     }
 }
 
+// A fingerprint: low word first.
+impl Wire for u128 {
+    fn encode<W: WireSink>(&self, w: &mut W) {
+        w.u64(*self as u64);
+        w.u64((*self >> 64) as u64);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let lo = r.u64()?;
+        Ok(u128::from(lo) | u128::from(r.u64()?) << 64)
+    }
+}
+
 impl Wire for i64 {
     fn encode<W: WireSink>(&self, w: &mut W) {
         w.u64(*self as u64);

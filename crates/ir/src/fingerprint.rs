@@ -1,22 +1,26 @@
 //! Content fingerprints over IR values.
 //!
 //! The analysis session (`ipcp-core`) keys cached artifacts by *what the
-//! phase actually read*: a procedure's own IR, the IR of its transitive
+//! phase actually read*: a procedure's own IR, the summaries of its
 //! callees, and the handful of configuration facets the phase consults.
-//! The IR side of those keys is a 64-bit FNV-1a hash of the value's
+//! The IR side of those keys is a 128-bit word-wise hash of the value's
 //! canonical [`Wire`] encoding ([`crate::codec`]), streamed straight into
-//! the hasher ([`Fnv1a`] is a [`WireSink`]) without materializing the
-//! bytes. Cache keys and disk payloads therefore share one definition of
-//! identity: two values fingerprint alike exactly when their encodings
-//! hash alike, and the encoding round-trips every field of the value.
+//! the hasher ([`Fp128`] is a [`WireSink`]) without materializing the
+//! bytes. Each primitive the encoder emits — a tag byte, a `u32`, a
+//! `u64`, a length-prefixed byte run — is absorbed as whole words, one
+//! multiply per word instead of one per byte. The encoding is
+//! type-directed and decodable, so two values of one type emit the same
+//! word sequence exactly when their encodings are equal: cache keys and
+//! disk payloads share one definition of identity.
 //!
 //! These fingerprints are *cache keys*, not cryptographic digests: a
 //! collision costs a stale artifact. With `n` live keys the chance of
-//! any collision is about `n² / 2⁶⁵` (the birthday bound). A store for a
+//! any collision is about `n² / 2¹²⁹` (the birthday bound). A store for a
 //! 100k-procedure program holds on the order of 10⁶ per-procedure keys
-//! across a configuration sweep, which puts that chance near 3·10⁻⁸ —
-//! acceptable for a cache, and the reason widening to 128 bits is left
-//! for stores another few orders of magnitude larger.
+//! across a configuration sweep, which puts that chance near 1.5·10⁻²⁷.
+//!
+//! [`Fnv1a`] stays for the few 64-bit identities that name files (entry
+//! keys, label hashes, the toolchain stamp), where inputs are short.
 
 use crate::codec::{Wire, WireSink};
 
@@ -64,20 +68,103 @@ impl WireSink for Fnv1a {
     }
 }
 
+/// PCG's 128-bit LCG multiplier: odd, with dense high and low halves,
+/// so one multiply carries every bit of a word into the upper state.
+const MIX: u128 = 0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645;
+/// The offset basis: FNV-1a's 128-bit one.
+const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+
+/// A 128-bit word-wise hasher, usable as a [`WireSink`].
+///
+/// Each absorbed word is xored into the state, which is multiplied by a
+/// dense odd 128-bit constant and then folded (high half xored into the
+/// low half), because a multiply alone only carries bits upward. Every
+/// step is a bijection of the state, so a change confined to one word
+/// always changes the digest.
+#[derive(Debug, Clone, Copy)]
+pub struct Fp128(u128);
+
+impl Default for Fp128 {
+    fn default() -> Self {
+        Fp128(OFFSET)
+    }
+}
+
+impl Fp128 {
+    /// A fresh hasher.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Absorbs one 64-bit word.
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        let h = (self.0 ^ u128::from(w)).wrapping_mul(MIX);
+        self.0 = h ^ (h >> 64);
+    }
+
+    /// Absorbs a 128-bit value, e.g. another fingerprint.
+    #[inline]
+    pub fn write(&mut self, v: u128) {
+        self.word(v as u64);
+        self.word((v >> 64) as u64);
+    }
+
+    /// The digest accumulated so far.
+    pub fn finish(&self) -> u128 {
+        self.0
+    }
+}
+
+impl WireSink for Fp128 {
+    /// A byte run as its length and then its 8-byte words, the tail
+    /// zero-padded (the length keeps the padding unambiguous).
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        if !words.remainder().is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..words.remainder().len()].copy_from_slice(words.remainder());
+            self.word(u64::from_le_bytes(tail));
+        }
+    }
+
+    #[inline]
+    fn u8(&mut self, v: u8) {
+        self.word(u64::from(v));
+    }
+
+    #[inline]
+    fn u32(&mut self, v: u32) {
+        self.word(u64::from(v));
+    }
+
+    #[inline]
+    fn u64(&mut self, v: u64) {
+        self.word(v);
+    }
+}
+
 /// Fingerprints a value by streaming its [`Wire`] encoding through
-/// FNV-1a, without materializing the bytes.
-pub fn fingerprint<T: Wire>(value: &T) -> u64 {
-    let mut hasher = Fnv1a::new();
+/// [`Fp128`], without materializing the bytes.
+pub fn fingerprint<T: Wire>(value: &T) -> u128 {
+    let mut hasher = Fp128::new();
     value.encode(&mut hasher);
     hasher.finish()
 }
 
 /// Folds already-computed fingerprints (order-sensitive) into one.
-pub fn combine(parts: impl IntoIterator<Item = u64>) -> u64 {
-    let mut hasher = Fnv1a::new();
+pub fn combine(parts: impl IntoIterator<Item = u128>) -> u128 {
+    let mut hasher = Fp128::new();
+    let mut n = 0u64;
     for part in parts {
-        hasher.write_u64(part);
+        hasher.write(part);
+        n += 1;
     }
+    hasher.word(n);
     hasher.finish()
 }
 
@@ -90,15 +177,18 @@ mod tests {
         let s = |x: &str| x.to_string();
         assert_eq!(fingerprint(&s("abc")), fingerprint(&s("abc")));
         assert_ne!(fingerprint(&s("abc")), fingerprint(&s("abd")));
+        assert_ne!(fingerprint(&s("abcdefgh")), fingerprint(&s("abcdefgh\0")));
         assert_ne!(fingerprint(&1u32), fingerprint(&2u32));
     }
 
     #[test]
-    fn streaming_matches_encoded_hash() {
-        let value = vec![1u64, 2, 3];
-        let mut h = Fnv1a::new();
-        h.write_bytes(&crate::codec::encode_to_vec(&value));
-        assert_eq!(fingerprint(&value), h.finish());
+    fn every_bit_of_a_word_reaches_both_halves() {
+        let base = fingerprint(&0u64);
+        for bit in 0..64 {
+            let moved = fingerprint(&(1u64 << bit)) ^ base;
+            assert_ne!(moved as u64, 0, "bit {bit}: low half untouched");
+            assert_ne!((moved >> 64) as u64, 0, "bit {bit}: high half untouched");
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! tables fails the second test.
 //!
 //! Bytes from outside are held to the input they came in: a summary
-//! pack's decoder, fed a hostile length prefix at every offset, never
-//! makes a single allocation larger than the payload it decodes.
+//! pack segment's decoder, fed a hostile length prefix at every offset
+//! of every segment, never makes a single allocation larger than the
+//! payload it decodes.
 //!
 //! The counting allocator is per thread, and the analysis runs at
 //! `jobs = 1`, so tests running on other threads do not disturb it.
@@ -138,39 +139,53 @@ fn largest_allocation(f: impl FnOnce()) -> usize {
 
 #[test]
 fn hostile_pack_length_prefixes_allocate_within_the_payload() {
+    use ipcp::core::diskcache::pack_segments;
     use ipcp::core::pack::SummaryPack;
     use ipcp::core::{pack_key, AnalysisSession, DiskCache};
     use ipcp::ir::codec::decode_from_slice;
     let dir = std::env::temp_dir().join(format!("ipcp-alloc-pack-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let source = generate_scale(&ScaleSpec::with_procs(40, 7)).source;
-    let mut session = AnalysisSession::from_source(&source).expect("generated corpus compiles");
-    session.attach_disk_cache(std::sync::Arc::new(DiskCache::open(&dir).expect("cache")));
-    session.set_audit_label("alloc.mf");
     let config = AnalysisConfig::default();
-    session.analyze(&config);
+    // A cold run writes the pack; two edited cold runs append a
+    // segment each.
+    for edit in ["", "  print(1)\n", "  print(2)\n"] {
+        let at = source.find("proc rdr0()\n").expect("corpus has rdr0") + "proc rdr0()\n".len();
+        let edited = format!("{}{edit}{}", &source[..at], &source[at..]);
+        let mut session = AnalysisSession::from_source(&edited).expect("generated corpus compiles");
+        session.attach_disk_cache(std::sync::Arc::new(DiskCache::open(&dir).expect("cache")));
+        session.set_audit_label("alloc.mf");
+        session.analyze(&config);
+    }
     let key = pack_key("alloc.mf", &config);
     let image = std::fs::read(dir.join(format!("{key:016x}.pack"))).expect("pack written");
-    let payload = ipcp::core::diskcache::validate_entry(key, &image)
-        .expect("valid pack")
-        .to_vec();
-    assert!(decode_from_slice::<SummaryPack>(&payload).is_ok());
+    let segments = pack_segments(key, &image).expect("valid pack");
+    assert_eq!(segments.len(), 3, "two appended segments");
 
-    // At every offset, a length prefix claiming one element per byte
-    // left: the most a prefix may claim before it is rejected outright.
-    let mut worst = 0;
-    for at in 0..payload.len().saturating_sub(8) {
-        let mut bytes = payload.clone();
-        let claim = (payload.len() - at - 8) as u64;
-        bytes[at..at + 8].copy_from_slice(&claim.to_le_bytes());
-        worst = worst.max(largest_allocation(|| {
-            let _ = decode_from_slice::<SummaryPack>(&bytes);
-        }));
+    for payload in segments {
+        let genuine = largest_allocation(|| {
+            assert!(decode_from_slice::<SummaryPack>(payload).is_ok());
+        });
+        // A tiny segment's genuine decode may already allocate a little
+        // more than its wire bytes (a `Vec` grows to four elements); a
+        // hostile prefix must add nothing beyond that or the payload.
+        let bound = payload.len().max(genuine);
+        // At every offset, a length prefix claiming one element per byte
+        // left: the most a prefix may claim before it is rejected outright.
+        let mut worst = 0;
+        for at in 0..payload.len().saturating_sub(8) {
+            let mut bytes = payload.to_vec();
+            let claim = (payload.len() - at - 8) as u64;
+            bytes[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+            worst = worst.max(largest_allocation(|| {
+                let _ = decode_from_slice::<SummaryPack>(&bytes);
+            }));
+        }
+        assert!(
+            worst <= bound,
+            "a hostile prefix made a {worst}-byte allocation from a {}-byte payload",
+            payload.len()
+        );
     }
-    assert!(
-        worst <= payload.len(),
-        "a hostile prefix made a {worst}-byte allocation from a {}-byte payload",
-        payload.len()
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }

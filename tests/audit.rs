@@ -131,10 +131,9 @@ fn complete_propagation_lists_the_dce_steps_that_ran() {
     let dir = temp_dir("edit-complete");
     let dir_str = dir.to_string_lossy().into_owned();
     let (_, out) = why_after_one_edit(&dir_str, &["--complete"]);
-    // The phases the summary pack carries recompute exactly the edited
-    // closure. DCE steps are not in the pack, so a fresh process runs
-    // DCE over every procedure, and the audit lists what ran.
-    for phase in ["retjf", "symvals", "forward-jf"] {
+    // Every phase the summary pack carries — DCE steps included —
+    // recomputes exactly the edited closure.
+    for phase in ["retjf", "symvals", "forward-jf", "dce"] {
         assert_eq!(
             phase_entries(&out, phase),
             ["main", "rdr0"],
@@ -142,8 +141,115 @@ fn complete_propagation_lists_the_dce_steps_that_ran() {
         );
     }
     assert!(
-        out.contains("\nphase dce: 0/1000 up to date, 1000 recomputed\n"),
+        out.contains("\nphase dce: 998/1000 up to date, 2 recomputed\n"),
         "{out}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Appends `line` to the body of `proc {name}`, as the benchmark's
+/// edits do.
+fn append_to_proc(source: &str, name: &str, line: &str) -> String {
+    let marker = format!("proc {name}(");
+    let start = source.find(&marker).expect("proc present in corpus");
+    let at = start + source[start..].find("\nend\n").expect("proc ends") + 1;
+    format!("{}{line}\n{}", &source[..at], &source[at..])
+}
+
+/// An edit that leaves `rdr0`'s summary — signature, MOD, REF and
+/// return jump functions — unchanged stops at `rdr0`: every
+/// per-procedure phase recomputes it alone, `why` says its callers were
+/// cut off, and the answer is the cache-less one, at one and two jobs.
+#[test]
+fn a_summary_preserving_edit_recomputes_only_the_edited_procedure() {
+    let base = generate_scale(&ScaleSpec::with_procs(1000, 7)).source;
+    let edited = append_to_proc(&base, "rdr0", "  print(1)");
+    for jobs in ["1", "2"] {
+        let dir = temp_dir(&format!("cutoff-{jobs}"));
+        let dir_str = dir.to_string_lossy().into_owned();
+        let flags = ["--jobs", jobs];
+        let mut analyze = argv(&["analyze", "scale.mf", "--cache-dir", &dir_str]);
+        analyze.extend(argv(&flags));
+        execute(&parse_args(&analyze).unwrap(), &base).unwrap();
+
+        let out = execute(&why_cli(&dir_str, &flags), &edited).unwrap();
+        for phase in ["ssa", "retjf", "symvals", "forward-jf"] {
+            assert_eq!(
+                phase_entries(&out, phase),
+                ["rdr0"],
+                "jobs {jobs}: phase {phase} must recompute rdr0 alone:\n{out}"
+            );
+        }
+        assert!(
+            out.contains(
+                "\nphase ssa: 999/1000 up to date, 1 recomputed\n  \
+                 rdr0: input changed (procs: rdr0); summary unchanged, callers cut off\n"
+            ),
+            "jobs {jobs}:\n{out}"
+        );
+
+        // The cut-off run's outcome, served from the cache it wrote, is
+        // the cache-less answer byte for byte.
+        let warm = execute(&parse_args(&analyze).unwrap(), &edited).unwrap();
+        let mut plain = argv(&["analyze", "scale.mf"]);
+        plain.extend(argv(&flags));
+        assert_eq!(
+            warm,
+            execute(&parse_args(&plain).unwrap(), &edited).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// An edit that gives a tower leaf a new return jump function — it
+/// starts writing a global — changes the summary of every procedure
+/// above it, so the whole caller chain recomputes its return jump
+/// functions, symbolic values and forward jump functions, and builds its
+/// SSA again: no cutoff stops it. (SSA is not in the summary pack, so a
+/// procedure whose substitution count must be redone because the new
+/// constant reaches its entry builds its SSA too.)
+#[test]
+fn a_return_jump_function_edit_recomputes_the_whole_caller_chain() {
+    use ipcp::core::SessionPhase;
+    let dir = temp_dir("tower");
+    let base = generate_scale(&ScaleSpec::with_procs(1000, 7)).source;
+    cli_run(&dir, &base);
+    let (audit, _, same) = cli_run(&dir, &append_to_proc(&base, "twr0x63", "  gs0 = 5"));
+    assert!(same, "the edited run must answer cache-less");
+
+    let mut chain: Vec<String> = (0..64).map(|i| format!("twr0x{i}")).collect();
+    chain.push("main".to_string());
+    chain.sort();
+    let recomputed = |phase| {
+        let mut names: Vec<String> = audit
+            .phases
+            .iter()
+            .find(|p| p.phase == phase)
+            .expect("phase audited")
+            .recomputed
+            .iter()
+            .map(|(name, _)| name.clone())
+            .collect();
+        names.sort();
+        names
+    };
+    for phase in [
+        SessionPhase::ReturnJf,
+        SessionPhase::SymVals,
+        SessionPhase::ForwardJf,
+    ] {
+        assert_eq!(
+            recomputed(phase),
+            chain,
+            "phase {phase} must recompute the whole chain"
+        );
+    }
+    let ssa = recomputed(SessionPhase::Ssa);
+    assert!(chain.iter().all(|p| ssa.contains(p)), "{ssa:?}");
+    assert!(
+        chain.iter().all(|p| !audit.cut_off.contains(p)),
+        "{:?}",
+        audit.cut_off
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

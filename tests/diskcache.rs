@@ -19,8 +19,9 @@ use ipcp::core::{
     outcome_key, AnalysisConfig, AnalysisSession, DiskCache, FaultyIo, IoFaultInjector,
     IoFaultKind, MissReason, SessionPhase,
 };
-use ipcp::ir::codec::encode_to_vec;
+use ipcp::ir::codec::{decode_from_slice, encode_to_vec};
 use ipcp::ir::fingerprint::Fnv1a;
+use ipcp::suite::gen::{generate_scale, ScaleSpec};
 use ipcp::JumpFunctionKind;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -313,15 +314,15 @@ fn fault_campaign_every_kind_degrades_to_cold() {
 
 // ---- format-version skew ---------------------------------------------------
 
-/// Rewrites a framed file (cache entry or ledger) as a version-2 writer
-/// stamped it: the version field, and the toolchain fingerprint derived
-/// from it. Payload and checksum stay intact, so only the version tells
-/// the file apart.
-fn stamp_version_2(path: &Path) {
+/// Rewrites a framed file (cache entry, ledger, or a pack's first
+/// segment) as a writer of format `version` stamped it: the version
+/// field, and the toolchain fingerprint derived from it. Payload and
+/// checksum stay intact, so only the version tells the file apart.
+fn stamp_version(path: &Path, version: u32) {
     let mut bytes = std::fs::read(path).expect("framed file exists");
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&version.to_le_bytes());
     let mut toolchain = Fnv1a::new();
-    toolchain.write_u64(2);
+    toolchain.write_u64(u64::from(version));
     toolchain.write_bytes(env!("CARGO_PKG_VERSION").as_bytes());
     bytes[12..20].copy_from_slice(&toolchain.finish().to_le_bytes());
     std::fs::write(path, bytes).expect("rewrite framed file");
@@ -351,8 +352,8 @@ fn version_2_entry_and_ledger_are_a_format_version_mismatch() {
     let key = outcome_key(first.base_fingerprint(), &config);
     let entry = dir.join(format!("{key:016x}.art"));
     let ledger = ledger_path(&dir, label);
-    stamp_version_2(&entry);
-    stamp_version_2(&ledger);
+    stamp_version(&entry, 2);
+    stamp_version(&ledger, 2);
     let bytes = std::fs::read(&entry).unwrap();
     assert_eq!(validate_entry(key, &bytes), Err("format version mismatch"));
     assert!(
@@ -399,7 +400,7 @@ fn version_2_entry_and_ledger_are_a_format_version_mismatch() {
 /// are quarantined, and flips never panic.
 #[test]
 fn hostile_pack_bytes_degrade_to_a_quarantined_miss() {
-    use ipcp::core::diskcache::{encode_entry, HEADER_LEN};
+    use ipcp::core::diskcache::{encode_pack, pack_segments, HEADER_LEN};
     use ipcp::core::pack_key;
     let src = "global n = 4\nproc f(a)\n  print(a + n)\nend\n\
                func g(x)\n  return x * 3\nend\n\
@@ -421,7 +422,9 @@ fn hostile_pack_bytes_degrade_to_a_quarantined_miss() {
     let key = pack_key(label, &config);
     let pack = dir.join(format!("{key:016x}.pack"));
     let image = std::fs::read(&pack).expect("a labelled cold run writes its pack");
-    let payload = validate_entry(key, &image).expect("valid pack").to_vec();
+    let segments = pack_segments(key, &image).expect("valid pack");
+    assert_eq!(segments.len(), 1, "a fresh pack is one segment");
+    let payload = segments[0].to_vec();
     let edited_outcome = dir.join(format!(
         "{:016x}.art",
         outcome_key(AnalysisSession::new(&edited).base_fingerprint(), &config)
@@ -498,7 +501,7 @@ fn hostile_pack_bytes_degrade_to_a_quarantined_miss() {
     let mut stamped = image.clone();
     let stamped_path = dir.join("stamped.bin");
     std::fs::write(&stamped_path, &stamped).unwrap();
-    stamp_version_2(&stamped_path);
+    stamp_version(&stamped_path, 2);
     stamped = std::fs::read(&stamped_path).unwrap();
     std::fs::remove_file(&stamped_path).unwrap();
     assert_eq!(
@@ -509,7 +512,7 @@ fn hostile_pack_bytes_degrade_to_a_quarantined_miss() {
     // A lying writer: the damage sits under a valid checksum.
     for cut in 0..payload.len() {
         let reason = check(
-            &encode_entry(key, &payload[..cut]),
+            &encode_pack(key, &[&payload[..cut]]),
             &format!("re-framed cut at {cut}"),
             true,
         );
@@ -525,7 +528,7 @@ fn hostile_pack_bytes_degrade_to_a_quarantined_miss() {
         let mut bytes = payload.clone();
         bytes[at] ^= 0x5a;
         let _ = std::fs::remove_file(&edited_outcome);
-        std::fs::write(&pack, encode_entry(key, &bytes)).unwrap();
+        std::fs::write(&pack, encode_pack(key, &[&bytes])).unwrap();
         // A flip that still decodes is a different, well-formed pack:
         // the answer may change, but nothing panics or hangs.
         run(&edited);
@@ -540,5 +543,185 @@ fn hostile_pack_bytes_degrade_to_a_quarantined_miss() {
     };
     assert_eq!(outcome, golden);
     assert_eq!(cache.stats().pack_loads, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- segmented summary packs -----------------------------------------------
+
+/// `source` with `line` appended to the body of `proc {name}`.
+fn append_to_proc(source: &str, name: &str, line: &str) -> String {
+    let start = source.find(&format!("proc {name}(")).expect("proc present");
+    let at = start + source[start..].find("\nend\n").expect("proc ends") + 1;
+    format!("{}{line}\n{}", &source[..at], &source[at..])
+}
+
+/// One fresh-process cold run of `source` under the label `seg.mf`
+/// against the cache at `dir`: the outcome's bytes and the cache handle.
+fn labelled_run(dir: &Path, source: &str) -> (Vec<u8>, Arc<DiskCache>) {
+    let ir = ipcp::ir::compile_to_ir(source).expect("compiles");
+    let cache = open(dir);
+    let mut session = cached_session(&ir, &cache);
+    session.set_audit_label("seg.mf");
+    let outcome = encode_to_vec(&session.analyze(&AnalysisConfig::default()));
+    (outcome, cache)
+}
+
+/// A pack grown by appended segments is still one unit of bytes from
+/// outside. Cut at every byte — segment boundaries included — flipped
+/// at every byte, one segment's payload re-framed under valid checksums
+/// and seal, or stamped by format version 4, it loads as a quarantined
+/// miss; and an analysis over a damaged pack answers as a cache-less
+/// run does.
+#[test]
+fn multi_segment_pack_faults_are_quarantined_misses() {
+    use ipcp::core::diskcache::{encode_pack, pack_segments, LoadMiss, HEADER_LEN};
+    use ipcp::core::pack::SummaryPack;
+    use ipcp::core::pack_key;
+    let base = generate_scale(&ScaleSpec::with_procs(24, 7)).source;
+    let edit = |k: u32| append_to_proc(&base, "rdr0", &format!("  print({k})"));
+    let dir = temp_dir("segments");
+    for source in [base.clone(), edit(1), edit(2)] {
+        labelled_run(&dir, &source);
+    }
+    let key = pack_key("seg.mf", &AnalysisConfig::default());
+    let pack = dir.join(format!("{key:016x}.pack"));
+    let image = std::fs::read(&pack).expect("pack written");
+    let segments: Vec<Vec<u8>> = pack_segments(key, &image)
+        .expect("valid pack")
+        .into_iter()
+        .map(<[u8]>::to_vec)
+        .collect();
+    assert_eq!(segments.len(), 3, "two cold runs appended a segment each");
+    let mut headers = Vec::new();
+    let mut at = 0;
+    for segment in &segments {
+        headers.push(at);
+        at += HEADER_LEN + segment.len();
+    }
+
+    // Plants `bytes` as the pack and loads it through a fresh handle.
+    let load = |bytes: &[u8]| -> Result<usize, LoadMiss> {
+        std::fs::write(&pack, bytes).unwrap();
+        let cache = open(&dir);
+        let loaded = cache.load_pack(key, |p| decode_from_slice::<SummaryPack>(p).ok());
+        if loaded.is_err() {
+            assert_eq!(cache.stats().quarantined, 1);
+            assert_eq!(cache.stats().pack_misses, 1);
+            assert_eq!(cache.quarantine_count(), 1);
+            assert!(!pack.exists(), "a quarantined pack leaves the cache dir");
+            let _ = std::fs::remove_dir_all(dir.join("quarantine"));
+        }
+        loaded.map(|segments| segments.len())
+    };
+    assert_eq!(load(&image), Ok(3));
+    for cut in 0..image.len() {
+        assert!(
+            matches!(load(&image[..cut]), Err(LoadMiss::Invalid(_))),
+            "cut at {cut}"
+        );
+    }
+    for at in 0..image.len() {
+        let mut bytes = image.clone();
+        bytes[at] ^= 0x5a;
+        let skew = headers.iter().any(|h| (h + 8..h + 20).contains(&at));
+        match load(&bytes) {
+            Err(LoadMiss::Invalid(reason)) => assert_eq!(
+                reason.ends_with("mismatch")
+                    && (reason.starts_with("format") || reason.starts_with("toolchain")),
+                skew,
+                "byte {at} flipped: {reason}"
+            ),
+            other => panic!("byte {at} flipped: {other:?}"),
+        }
+    }
+    // A lying writer: the middle segment cut short under valid framing.
+    for cut in 0..segments[1].len() {
+        let bytes = encode_pack(key, &[&segments[0], &segments[1][..cut], &segments[2]]);
+        assert_eq!(
+            load(&bytes),
+            Err(LoadMiss::Invalid("payload decode failed")),
+            "re-framed cut at {cut}"
+        );
+    }
+    std::fs::write(&pack, &image).unwrap();
+    stamp_version(&pack, 4);
+    let stamped = std::fs::read(&pack).unwrap();
+    assert_eq!(
+        load(&stamped),
+        Err(LoadMiss::Invalid("format version mismatch"))
+    );
+
+    // End to end: cut at the last segment boundary, or the seal's last
+    // byte flipped, the next edit's cold run answers cache-less.
+    let golden = encode_to_vec(
+        &AnalysisSession::new(&ipcp::ir::compile_to_ir(&edit(3)).expect("compiles"))
+            .analyze(&AnalysisConfig::default()),
+    );
+    let mut flipped = image.clone();
+    *flipped.last_mut().unwrap() ^= 0x01;
+    for damaged in [image[..headers[2]].to_vec(), flipped] {
+        std::fs::write(&pack, &damaged).unwrap();
+        let (outcome, cache) = labelled_run(&dir, &edit(3));
+        assert_eq!(outcome, golden);
+        assert_eq!(
+            (cache.stats().quarantined, cache.stats().pack_misses),
+            (1, 1)
+        );
+        // The run rewrote the pack afresh, which loads whole.
+        assert_eq!(
+            open(&dir).load_pack(key, |_| Some(())).map(|s| s.len()),
+            Ok(1)
+        );
+        let _ = std::fs::remove_file(dir.join(format!(
+            "{:016x}.art",
+            outcome_key(
+                AnalysisSession::new(&ipcp::ir::compile_to_ir(&edit(3)).unwrap())
+                    .base_fingerprint(),
+                &AnalysisConfig::default()
+            )
+        )));
+        let _ = std::fs::remove_dir_all(dir.join("quarantine"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// However many segments it grows by, a pack stays within
+/// (1 + [`PACK_COMPACT_PERCENT`]) times the size of a fresh pack of the
+/// same summaries: past the share, a store compacts it.
+#[test]
+fn appended_packs_stay_within_the_compaction_share_of_a_fresh_pack() {
+    use ipcp::core::diskcache::{pack_segments, PACK_COMPACT_PERCENT};
+    use ipcp::core::pack_key;
+    let base = generate_scale(&ScaleSpec::with_procs(24, 7)).source;
+    let key = pack_key("seg.mf", &AnalysisConfig::default());
+    let dir = temp_dir("compact");
+    let (mut appended, mut compacted) = (false, false);
+    let mut segments_before = 0;
+    for round in 0..60u32 {
+        // Same-width literals: every round's fresh pack has one size.
+        let source = append_to_proc(&base, "rdr0", &format!("  print({})", 1000 + round));
+        labelled_run(&dir, &source);
+        let image = std::fs::read(dir.join(format!("{key:016x}.pack"))).unwrap();
+        let segments = pack_segments(key, &image).expect("valid pack").len();
+        appended |= segments > 1;
+        compacted |= segments < segments_before;
+        segments_before = segments;
+
+        let fresh_dir = temp_dir("compact-fresh");
+        labelled_run(&fresh_dir, &source);
+        let fresh = std::fs::metadata(fresh_dir.join(format!("{key:016x}.pack")))
+            .unwrap()
+            .len();
+        let _ = std::fs::remove_dir_all(&fresh_dir);
+        assert!(
+            image.len() as u64 * 100 <= fresh * (100 + PACK_COMPACT_PERCENT),
+            "round {round}: a {}-byte pack of {segments} segments against a {fresh}-byte fresh one",
+            image.len()
+        );
+    }
+    assert!(
+        appended && compacted,
+        "the loop must both append and compact"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -166,8 +166,8 @@ fn any_single_mutation_moves_the_fingerprint() {
 #[test]
 fn distinct_programs_get_distinct_fingerprints() {
     let corpus = corpus();
-    let mut programs: HashMap<u64, &Program> = HashMap::new();
-    let mut procs: HashMap<u64, &Procedure> = HashMap::new();
+    let mut programs: HashMap<u128, &Program> = HashMap::new();
+    let mut procs: HashMap<u128, &Procedure> = HashMap::new();
     for (name, program) in &corpus {
         let seen = programs.entry(fingerprint(program)).or_insert(program);
         assert_eq!(*seen, program, "{name}: fingerprint collision");

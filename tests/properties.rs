@@ -724,3 +724,131 @@ proptest! {
         prop_assert_eq!(ipcp::lang::pretty::program_to_string(&reparsed), printed);
     }
 }
+
+// ---- single-procedure edits ------------------------------------------------
+
+/// A single-procedure edit of a fuzz program: the `which`-th procedure
+/// (main included, in source order) gets `print(k)` (`kind` 0); its
+/// result becomes `k` (1; for a function, else its first integer literal
+/// becomes `k`); or — when the program has globals — it assigns `k` to
+/// the first one (2). A print leaves the procedure's summary unchanged;
+/// a new result moves its return jump function; the assignment moves MOD.
+fn edit_one_proc(source: &str, which: usize, kind: u8, k: u32) -> String {
+    let mut lines: Vec<String> = source.lines().map(str::to_string).collect();
+    let mut spans = Vec::new();
+    let mut open = None;
+    for (i, line) in lines.iter().enumerate() {
+        if line.starts_with("proc ") || line.starts_with("func ") || line == "main" {
+            open = Some(i);
+        } else if line == "end" {
+            spans.extend(open.take().map(|h| (h, i)));
+        }
+    }
+    // A new result goes to a function when there is one: callers read
+    // it through its return jump function.
+    let funcs: Vec<(usize, usize)> = spans
+        .iter()
+        .copied()
+        .filter(|&(h, _)| lines[h].starts_with("func "))
+        .collect();
+    let pool = if kind == 1 && !funcs.is_empty() {
+        &funcs
+    } else {
+        &spans
+    };
+    let (header, end) = pool[which % pool.len()];
+    // Statements go first in a procedure, last in `main` (after its
+    // declarations).
+    let at = if lines[header] == "main" {
+        end
+    } else {
+        header + 1
+    };
+    let global = lines
+        .iter()
+        .find_map(|l| l.strip_prefix("global "))
+        .and_then(|g| g.split_whitespace().next())
+        .map(str::to_string);
+    let literal = (header + 1..end).find_map(|i| {
+        let bytes = lines[i].as_bytes();
+        let start = (0..bytes.len()).find(|&j| {
+            bytes[j].is_ascii_digit()
+                && (j == 0 || !(bytes[j - 1].is_ascii_alphanumeric() || bytes[j - 1] == b'_'))
+        })?;
+        let len = bytes[start..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        Some((i, start, start + len))
+    });
+    let ret = (header + 1..end).find(|&i| lines[i].starts_with("  return "));
+    match (kind, literal, global) {
+        (1, _, _) if ret.is_some() => lines[ret.unwrap()] = format!("  return {k}"),
+        (1, Some((i, from, to)), _) => lines[i].replace_range(from..to, &k.to_string()),
+        (2, _, Some(g)) => lines.insert(at, format!("  {g} = {k}")),
+        _ => lines.insert(at, format!("  print({k})")),
+    }
+    lines.join("\n") + "\n"
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// A single-procedure edit of a fuzz program answers alike, byte for
+    /// byte, three ways: through a session reused across the edit (its
+    /// store warm with the unedited program's artifacts), through a
+    /// fresh session backed by the summary pack the unedited program's
+    /// cold run left, and store-less — at 1, 2 and 8 jobs, at every
+    /// fuzzing level, conditional propagation included. Early cutoff may
+    /// reuse a caller's artifacts only when that is sound.
+    #[test]
+    fn single_procedure_edits_answer_alike_reused_pack_backed_and_store_less(
+        seed in 0u64..100_000,
+        which in 0usize..8,
+        kind in 0u8..3,
+        k in 0u32..20,
+        level in proptest::sample::select(ipcp::suite::fuzz::FuzzLevel::ALL.to_vec()),
+    ) {
+        use ipcp::core::{AnalysisSession, DiskCache};
+        use ipcp::ir::codec::encode_to_vec;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+        let source = ipcp::suite::fuzz::random_case(seed).source;
+        let edited = edit_one_proc(&source, which, kind, k);
+        let (Ok(before), Ok(after)) = (
+            ipcp::ir::compile_to_ir(&source),
+            ipcp::ir::compile_to_ir(&edited),
+        ) else {
+            return;
+        };
+        for jobs in [1usize, 2, 8] {
+            let config = AnalysisConfig { jobs, ..level.config() };
+            let want = store_less(&after, &config);
+            let what = format!("{} jobs={jobs}:\n{edited}", level.name());
+
+            let mut reused = AnalysisSession::new(&before);
+            reused.analyze(&config);
+            reused.set_program(&after);
+            assert_outcomes_identical(&reused.analyze(&config), &want, &format!("reused, {what}"));
+
+            let dir = std::env::temp_dir().join(format!(
+                "ipcp-prop-edit-{}-{}",
+                std::process::id(),
+                DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut outcomes = Vec::new();
+            for program in [&before, &after] {
+                let mut session = AnalysisSession::new(program);
+                session.attach_disk_cache(Arc::new(DiskCache::open(&dir).expect("cache opens")));
+                session.set_audit_label("edit.mf");
+                outcomes.push(session.analyze(&config));
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+            let packed = outcomes.pop().expect("two runs");
+            assert_outcomes_identical(&packed, &want, &format!("pack-backed, {what}"));
+            prop_assert_eq!(encode_to_vec(&packed), encode_to_vec(&want));
+        }
+    }
+}
